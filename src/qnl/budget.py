@@ -2,8 +2,7 @@
 
 A configuration is a single JSON object (see parse_config for the schema).
 run_budget is a pure function of the configuration: identical configs give
-identical tables, including the config hash recorded in the metadata, and
-grid points may be evaluated concurrently without changing the output.
+identical tables, including the config hash recorded in the metadata.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -146,6 +144,16 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
     return value
 
 
+def _tabulated(spec: dict, path: str) -> tuple[list, list]:
+    """The {omega, re, im} sample lists of a tabulated spec, as (omega, values)."""
+    omega = _expect(spec, "omega", list, path, required=True)
+    re = _expect(spec, "re", list, path, required=True)
+    im = _expect(spec, "im", list, path, required=True)
+    if len(re) != len(im):
+        raise ConfigError(f"{path}: re and im must have equal length")
+    return omega, [complex(a, b) for a, b in zip(re, im)]
+
+
 def _parse_probe(spec, path: str) -> Susceptibility:
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object, got {spec!r}")
@@ -163,12 +171,7 @@ def _parse_probe(spec, path: str) -> Susceptibility:
                 _expect(spec, "gamma", float, path, 0.0),
             )
         if kind == "tabulated":
-            omega = _expect(spec, "omega", list, path, required=True)
-            re = _expect(spec, "re", list, path, required=True)
-            im = _expect(spec, "im", list, path, required=True)
-            if len(re) != len(im):
-                raise ConfigError(f"{path}: re and im must have equal length")
-            return TabulatedSusceptibility(omega, [complex(a, b) for a, b in zip(re, im)])
+            return TabulatedSusceptibility(*_tabulated(spec, path))
     except QnlError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: unknown probe type {kind!r}")
@@ -185,16 +188,11 @@ def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
         value = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
         return lambda omega: value
     if kind == "tabulated":
-        omega = _expect(spec, "omega", list, path, required=True)
-        re = _expect(spec, "re", list, path, required=True)
-        im = _expect(spec, "im", list, path, required=True)
-        if len(re) != len(im):
-            raise ConfigError(f"{path}: re and im must have equal length")
+        omega, values = _tabulated(spec, path)
         try:
-            table = ComplexTable(omega, [complex(a, b) for a, b in zip(re, im)])
+            return ComplexTable(omega, values)
         except QnlError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        return table
     raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
 
 
@@ -339,22 +337,15 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
     hbar = cfg.constants.hbar
     d = cfg.probe.chi_inv(omega)
     kv = complex(cfg.k_of_omega(omega))
-    lossy = d.imag != 0.0
-
     if cfg.mode == "fixed_effective":
-        kernel = kv.real
-        opt = optimize_fixed_eff_backaction_sigma_zero if cfg.sigma_constrained \
-            else optimize_fixed_eff_backaction
-        report = opt(d, kernel, cfg.s_ff, hbar)
-        thr = threshold_eff(d, kernel, hbar) if lossy else math.inf
-    else:
-        try:
-            report = optimize_fixed_backaction(
-                d, kv, cfg.s_ff, allow_sigma=not cfg.sigma_constrained, hbar=hbar
-            )
-        except FdtViolationError as exc:
-            raise FdtViolationError(f"omega={omega!r}: {exc}") from None
-        thr = report.s_threshold
+        # the effective convention is the real-K case: the gauge kernel is Re K
+        kv = complex(kv.real, 0.0)
+    try:
+        report = optimize_fixed_backaction(
+            d, kv, cfg.s_ff, allow_sigma=not cfg.sigma_constrained, hbar=hbar
+        )
+    except FdtViolationError as exc:
+        raise FdtViolationError(f"omega={omega!r}: {exc}") from None
 
     s_fdt = fdt_psd(cfg.probe, cfg.thermal, omega, cfg.constants)
     triad = report.optimal_triad
@@ -362,7 +353,7 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
         omega=omega,
         sql=sql(d, hbar=hbar),
         dql=dql(d, hbar=hbar),
-        s_thr=thr,
+        s_thr=report.s_threshold,
         s_sum_opt=report.s_sum,
         regime=report.regime.value,
         s_fdt=s_fdt,
@@ -374,53 +365,53 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
     )
 
 
-def _transitions(values: Sequence[float], regimes: Sequence[str]) -> tuple:
-    out = []
+def _meta(cfg: SweepConfig, kind: str, values: Sequence[float], regimes: Sequence[str]) -> TableMeta:
+    """Table metadata; the transitions are the swept values where the regime changes."""
+    transitions = []
     for prev, cur, value in zip(regimes, regimes[1:], values[1:]):
         if cur != prev:
-            out.append(float(value))
-    return tuple(out)
+            transitions.append(float(value))
+    return TableMeta(
+        kind=kind,
+        version=__version__,
+        config_hash=cfg.config_hash,
+        transitions=tuple(transitions),
+    )
 
 
-def _map_points(worker, values, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, values))
-    return [worker(v) for v in values]
+def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, list[float]]:
+    """chi_inv at the sweep's fixed omega, the zero-kernel effective
+    threshold, and the back-action budgets of the spin sweep."""
+    d = cfg.probe.chi_inv(cfg.omega)
+    thr0 = threshold_eff(d, 0.0, cfg.constants.hbar)  # LosslessProbeError for a lossless probe
+    return d, thr0, [float(s) for s in (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)]
 
 
 def run_budget(cfg: SweepConfig, jobs: int = 1):
     """Compute the budget table for the configuration.
 
     Frequency-sweep modes return a BudgetTable; the fixed-frequency
-    back-action sweep returns a SpinFigureTable.  Deterministic for a fixed
-    config regardless of jobs.
+    back-action sweep returns a SpinFigureTable.  Points are evaluated
+    serially; jobs is accepted for compatibility and has no effect.
     """
     if cfg.mode == "sweep_SFF_at_fixed_omega":
-        return run_spin_figure(cfg, jobs=jobs)
+        return run_spin_figure(cfg)
     omegas = [float(w) for w in cfg.frequency.values()]
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
-    points = _map_points(lambda w: _budget_point(cfg, w), omegas, jobs)
-    meta = TableMeta(
-        kind="budget",
-        version=__version__,
-        config_hash=cfg.config_hash,
-        transitions=_transitions([p.omega for p in points], [p.regime for p in points]),
-    )
+    points = [_budget_point(cfg, w) for w in omegas]
+    meta = _meta(cfg, "budget", omegas, [p.regime for p in points])
     return BudgetTable(points=tuple(points), meta=meta)
 
 
 def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     """Three-series sweep at fixed frequency: the unconstrained optimum, the
     sigma-zero optimum, and the back-action-matched spin configuration, all
-    against the effective back-action budget (zero gauge kernel, K = 0)."""
+    against the effective back-action budget (zero gauge kernel, K = 0).
+    jobs is accepted for compatibility and has no effect."""
     if cfg.omega is None:
         raise ConfigError("spin-figure sweep requires a fixed omega in the config")
     hbar = cfg.constants.hbar
-    d = cfg.probe.chi_inv(cfg.omega)
-    thr0 = threshold_eff(d, 0.0, hbar)  # LosslessProbeError for a lossless probe
-    sweep = cfg.s_ff_sweep or SffSweepSpec()
-    budgets = [float(s) for s in sweep.values(thr0)]
+    d, thr0, budgets = _spin_budgets(cfg)
     log.debug("spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
 
     def point(s: float) -> SpinFigurePoint:
@@ -435,13 +426,8 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
             regime_full=full.regime.value,
         )
 
-    points = _map_points(point, budgets, jobs)
-    meta = TableMeta(
-        kind="spin-figure",
-        version=__version__,
-        config_hash=cfg.config_hash,
-        transitions=_transitions([p.s_ff for p in points], [p.regime_full for p in points]),
-    )
+    points = [point(s) for s in budgets]
+    meta = _meta(cfg, "spin-figure", budgets, [p.regime_full for p in points])
     return SpinFigureTable(points=tuple(points), meta=meta)
 
 
@@ -476,13 +462,10 @@ class VerificationReport:
 
 def _verify_instances(cfg: SweepConfig, rng: np.random.Generator, samples: int):
     """Sample (omega, chi_inv, K, s_ff) working points from the config."""
-    hbar = cfg.constants.hbar
     if cfg.mode == "sweep_SFF_at_fixed_omega":
-        d = cfg.probe.chi_inv(cfg.omega)
-        thr0 = threshold_eff(d, 0.0, hbar)
-        budgets = (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)
+        d, _, budgets = _spin_budgets(cfg)
         picks = rng.choice(len(budgets), size=min(samples, len(budgets)), replace=False)
-        return [(cfg.omega, d, 0j, float(budgets[i])) for i in sorted(picks)]
+        return [(cfg.omega, d, 0j, budgets[i]) for i in sorted(picks)]
     omegas = cfg.frequency.values()
     picks = rng.choice(len(omegas), size=min(samples, len(omegas)), replace=False)
     out = []
@@ -504,7 +487,7 @@ def verify(
     Checks gauge invariance, oracle agreement with the closed forms,
     commutator cancellation, the derivative structure at the first lossy
     grid point's threshold, thermal-floor consistency, and (optionally) a
-    golden-table comparison.
+    golden-table comparison.  jobs is accepted and has no effect.
     """
     hbar = cfg.constants.hbar
     rng = np.random.default_rng(seed)
@@ -607,19 +590,19 @@ def verify(
     checks.append(CheckResult("fdt-floor", worst <= 0.0, worst, 0.0))
 
     if golden_path is not None:
-        checks.append(_golden_check(cfg, golden_path, jobs))
+        checks.append(_golden_check(cfg, golden_path))
 
     report = VerificationReport(checks=tuple(checks))
     log.info("verification %s", "passed" if report.passed else "FAILED")
     return report
 
 
-def _golden_check(cfg: SweepConfig, golden_path: str, jobs: int) -> CheckResult:
+def _golden_check(cfg: SweepConfig, golden_path: str) -> CheckResult:
     from .tables import load_table
 
     with open(golden_path, "r", encoding="utf-8") as fh:
         golden = load_table(fh.read())
-    fresh = run_budget(cfg, jobs=jobs)
+    fresh = run_budget(cfg)
     if type(golden) is not type(fresh):
         return CheckResult("golden-match", False, 1.0, 0.0, "table kind differs")
     golden_rows = golden.rows()

@@ -31,7 +31,7 @@ def _configure_logging() -> None:
 def _add_common(parser: argparse.ArgumentParser, output: bool) -> None:
     parser.add_argument("config", help="path to the JSON sweep configuration")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="evaluate sweep points with N worker threads")
+                        help="accepted for compatibility; sweeps run serially")
     if output:
         parser.add_argument("--output", metavar="PATH",
                             help="write the table here instead of stdout")

@@ -15,6 +15,11 @@ Two resource conventions are supported:
   (Im K != 0) makes the meter's own FDT bound s_FF >= hbar*|Im K| an extra
   feasibility constraint.
 
+The first convention is the real-K case of the second: a real gauge kernel
+acts as a dynamic back action K = kernel with Im K = 0.  There is therefore
+one closed-form optimizer, optimize_fixed_backaction, and the
+fixed-effective entry points validate the kernel and call it.
+
 The optimized value crosses between the regimes with a continuous value and
 first derivative but a jumping second derivative, i.e. a phase-transition
 like kink; `phase_transition_probe` measures it by finite differences.
@@ -85,14 +90,11 @@ def _validate_budget(s: float) -> float:
 def threshold_eff(chi_inv: complex, kernel: KernelLike = 0.0, hbar: float = 1.0) -> float:
     """Effective back-action threshold hbar*|chi_inv + kernel|^2 / (2|Im chi_inv|).
 
-    Equals hbar / (2*|Im chi_eff|) with chi_eff = 1/(chi_inv + kernel).
-    Raises LosslessProbeError when Im chi_inv = 0 (threshold infinite).
+    Equals hbar / (2*|Im chi_eff|) with chi_eff = 1/(chi_inv + kernel); it is
+    threshold_full at the real K = kernel.  Raises LosslessProbeError when
+    Im chi_inv = 0 (threshold infinite).
     """
-    g = _real_kernel(kernel)
-    d = complex(chi_inv)
-    if d.imag == 0.0:
-        raise LosslessProbeError("lossless probe: threshold is infinite, use the QCRB branch")
-    return hbar * abs(d + g) ** 2 / (2.0 * abs(d.imag))
+    return threshold_full(chi_inv, _real_kernel(kernel), hbar)
 
 
 def threshold_full(chi_inv: complex, k: KLike, hbar: float = 1.0) -> float:
@@ -193,37 +195,10 @@ def optimize_fixed_eff_backaction(
         (hbar|Im chi_inv|/2) * (thr/S + S/thr)
     and power-limited; at and above it the optimum equals the dissipative
     limit hbar*|Im chi_inv| exactly.  For a lossless probe the optimum is
-    hbar^2 |chi_inv + kernel|^2 / (4 S) for every S.
+    hbar^2 |chi_inv + kernel|^2 / (4 S) for every S.  These are the Im K = 0
+    values of optimize_fixed_backaction with K = kernel, which computes them.
     """
-    g = _real_kernel(kernel)
-    s = _validate_budget(s_eff_ff)
-    d = complex(chi_inv)
-    dk = d + g
-    if dk == 0:
-        raise DomainError(f"effective inverse response vanishes: chi_inv={d!r}, kernel={g!r}")
-    dql_val = hbar * abs(d.imag)
-
-    if d.imag == 0.0:
-        s_xf = complex(-s / dk.real, 0.0)
-        s_xx = (abs(s_xf) ** 2 + hbar * hbar / 4.0) / s
-        triad = NoiseTriad(s_xx, s_xf, s)
-        s_sum = hbar * hbar * (dk.real * dk.real) / (4.0 * s)
-        return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0, False)
-
-    thr = threshold_eff(d, g, hbar)
-    chi_eff = 1.0 / dk
-    im_s_xf = -chi_eff.imag * max(0.0, s - thr)
-    s_xf = complex(-s * chi_eff.real, im_s_xf)
-    s_xx = (abs(s_xf) ** 2 + hbar * abs(im_s_xf) + hbar * hbar / 4.0) / s
-    triad = NoiseTriad(s_xx, s_xf, s)
-    sig = -im_s_xf if im_s_xf != 0.0 else 0.0
-    if s >= thr:
-        return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig, False)
-    s_sum = max(0.5 * dql_val * (thr / s + s / thr), dql_val)
-    # the floor clamp can bind within rounding of the threshold; the regime
-    # tag must track the value (dissipation-limited iff s_sum == dql)
-    regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
-    return OptimumReport(s_sum, regime, thr, triad, 0.0, False)
+    return optimize_fixed_backaction(chi_inv, _real_kernel(kernel), s_eff_ff, hbar=hbar)
 
 
 def optimize_fixed_eff_backaction_sigma_zero(
@@ -239,28 +214,9 @@ def optimize_fixed_eff_backaction_sigma_zero(
     budget: it has a single minimum, equal to the dissipative limit, exactly
     at the threshold, and grows on both sides.
     """
-    g = _real_kernel(kernel)
-    s = _validate_budget(s_eff_ff)
-    d = complex(chi_inv)
-    dk = d + g
-    if dk == 0:
-        raise DomainError(f"effective inverse response vanishes: chi_inv={d!r}, kernel={g!r}")
-
-    if d.imag == 0.0:
-        base = optimize_fixed_eff_backaction(d, g, s, hbar)
-        return OptimumReport(
-            base.s_sum, base.regime, base.s_threshold, base.optimal_triad, 0.0, True
-        )
-
-    dql_val = hbar * abs(d.imag)
-    thr = threshold_eff(d, g, hbar)
-    chi_eff = 1.0 / dk
-    s_xf = complex(-s * chi_eff.real, 0.0)
-    s_xx = (abs(s_xf) ** 2 + hbar * hbar / 4.0) / s
-    triad = NoiseTriad(s_xx, s_xf, s)
-    s_sum = max(0.5 * dql_val * (thr / s + s / thr), dql_val)
-    regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
-    return OptimumReport(s_sum, regime, thr, triad, 0.0, True)
+    return optimize_fixed_backaction(
+        chi_inv, _real_kernel(kernel), s_eff_ff, allow_sigma=False, hbar=hbar
+    )
 
 
 def optimize_fixed_backaction(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -128,9 +129,14 @@ def test_infeasible_config_exits_1(tmp_path, capsys):
 
 
 def test_console_script_and_log_env(config_path):
+    env = {"QNL_LOG": "debug", "PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:
+        # an uninstalled source tree is importable only through the caller's path
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     proc = subprocess.run(
         [sys.executable, "-m", "qnl.cli", "budget", config_path],
-        capture_output=True, text=True, env={"QNL_LOG": "debug", "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# qnl budget")
+    assert "DEBUG qnl.budget: budget sweep: mode=fixed_SFF points=11" in proc.stderr

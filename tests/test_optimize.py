@@ -35,6 +35,25 @@ def check_report(report, chi_inv, k):
     assert rel(sum_noise_psd(triad, chi_inv, k), report.s_sum) <= 1e-10
 
 
+def effective_closed_form(d, g, s, allow_sigma, hbar=1.0):
+    """The paper's fixed-effective optimum at real kernel g, written out
+    here as an independent reference: (s_sum, regime, triad s_xx, s_xf)."""
+    dk = d + g
+    chi_eff = 1.0 / dk
+    thr = hbar * abs(dk) ** 2 / (2.0 * abs(d.imag)) if d.imag != 0.0 else math.inf
+    excess = max(0.0, s - thr) if allow_sigma else 0.0
+    s_xf = complex(-s * chi_eff.real, -chi_eff.imag * excess)
+    s_xx = (abs(s_xf) ** 2 + hbar * abs(s_xf.imag) + hbar * hbar / 4.0) / s
+    dql = hbar * abs(d.imag)
+    if d.imag == 0.0:
+        return hbar * hbar * dk.real**2 / (4.0 * s), Regime.QCRB_LIMITED, s_xx, s_xf
+    if allow_sigma and s >= thr:
+        return dql, Regime.DQL_LIMITED, s_xx, s_xf
+    s_sum = max(0.5 * dql * (thr / s + s / thr), dql)
+    regime = Regime.DQL_LIMITED if s_sum <= dql else Regime.QCRB_LIMITED
+    return s_sum, regime, s_xx, s_xf
+
+
 class TestThresholds:
     def test_threshold_eff_values(self):
         assert_allclose(threshold_eff(D_RES, 0.0), 0.1, rtol=1e-15)
@@ -176,18 +195,29 @@ class TestFixedEffectiveSigmaZero:
 class TestFixedBackAction:
     def test_real_k_matches_effective_optimizer_for_all_budgets(self):
         rng = np.random.default_rng(34)
+        draws = []
         for _ in range(100):
             d = draw_lossy_chi_inv(rng)
             k = complex(rng.uniform(-2.0, 2.0), 0.0)
-            s = threshold_full(d, k) * 10 ** rng.uniform(-1.5, 1.5)
-            full = optimize_fixed_backaction(d, k, s)
-            eff = optimize_fixed_eff_backaction(d, k.real, s)
-            assert rel(full.s_sum, eff.s_sum) <= 1e-13
-            assert full.regime is eff.regime
-            assert rel(full.optimal_triad.s_xx, eff.optimal_triad.s_xx) <= 1e-11
-            assert abs(full.optimal_triad.s_xf - eff.optimal_triad.s_xf) <= 1e-11 * (
-                1.0 + abs(eff.optimal_triad.s_xf)
-            )
+            draws.append((d, k, threshold_full(d, k) * 10 ** rng.uniform(-1.5, 1.5)))
+        for _ in range(20):
+            d = complex(rng.uniform(-2.0, 2.0), 0.0)
+            k = complex(rng.uniform(-2.0, 2.0), 0.0)
+            draws.append((d, k, abs(d + k) ** 2 * 10 ** rng.uniform(-1.5, 1.5)))
+        for d, k, s in draws:
+            for allow_sigma, eff_opt in (
+                (True, optimize_fixed_eff_backaction),
+                (False, optimize_fixed_eff_backaction_sigma_zero),
+            ):
+                s_sum, regime, s_xx, s_xf = effective_closed_form(d, k.real, s, allow_sigma)
+                for got in (
+                    optimize_fixed_backaction(d, k, s, allow_sigma=allow_sigma),
+                    eff_opt(d, k.real, s),
+                ):
+                    assert rel(got.s_sum, s_sum) <= 1e-13
+                    assert got.regime is regime
+                    assert rel(got.optimal_triad.s_xx, s_xx) <= 1e-11
+                    assert abs(got.optimal_triad.s_xf - s_xf) <= 1e-11 * (1.0 + abs(s_xf))
 
     def test_dissipative_limit_exactly_at_threshold(self):
         report = optimize_fixed_backaction(D_RES, K_FULL, 0.35)

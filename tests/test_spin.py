@@ -5,18 +5,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qnl import (
+    DampedOscillator,
     DomainError,
     SpinMeterParams,
     matched_sum_noise,
     negative_mass_oscillator,
     optimal_spin_response,
     optimize_fixed_eff_backaction,
+    optimize_fixed_eff_backaction_sigma_zero,
     sigma,
     spin_triad,
     sum_noise_psd,
+    threshold_eff,
     uncertainty_slack,
 )
-from conftest import rel
+from conftest import draw_lossy_chi_inv, rel
 
 D_RES = complex(0.0, -0.2)  # chi = 5j
 
@@ -103,6 +106,24 @@ class TestMatched:
             matched = matched_sum_noise(theta_i, D_RES)
             best = optimize_fixed_eff_backaction(D_RES, 0.0, theta_i).s_sum
             assert matched >= best * (1.0 - 1e-12)
+
+    def test_sigma_zero_optimum_crosses_matched_at_twice_the_threshold(self):
+        # At K = 0, with D = |Im chi_inv| and thr = |chi_inv|^2 / (2D),
+        #     sigma_zero - matched = D * (s / (2 thr) - 1),
+        # so the two spin-figure curves cross at exactly s = 2 thr for every
+        # lossy probe; acceptance criterion 08's ordering fails beyond it.
+        rng = np.random.default_rng(54)
+        probe = DampedOscillator(1.0, 1.0, 0.2)
+        lossy = [probe.chi_inv(w) for w in (0.5, 1.0, 1.5)]
+        lossy += [draw_lossy_chi_inv(rng) for _ in range(20)]
+        for d in lossy:
+            dql = abs(d.imag)
+            thr = threshold_eff(d, 0.0)
+            for ratio in (0.25, 0.5, 1.0, 1.5, 1.9, 2.0, 2.1, 3.0, 4.0):
+                s = ratio * thr
+                zero = optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s).s_sum
+                gap = zero - matched_sum_noise(s, d)
+                assert abs(gap - dql * (s / (2.0 * thr) - 1.0)) <= 8.0 * math.ulp(dql)
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(DomainError):
