@@ -516,9 +516,9 @@ def verify(
         eff, gv = gauge_transform(triad, kv, kernel)
         # deviations measured against the terms summed on the larger side
         sum_scale = max(
-            abs(d + kv) ** 2 * triad.s_xx + 2 * abs(triad.s_xf) + triad.s_ff,
-            abs(d + gv) ** 2 * eff.s_xx + 2 * abs(eff.s_xf) + eff.s_ff,
-        ) + hbar
+            abs(d + kv) ** 2 * triad.s_xx + 2 * abs(d + kv) * abs(triad.s_xf) + triad.s_ff,
+            abs(d + gv) ** 2 * eff.s_xx + 2 * abs(d + gv) * abs(eff.s_xf) + eff.s_ff,
+        )
         worst = max(
             worst, abs(sum_noise_psd(eff, d, gv) - sum_noise_psd(triad, d, kv)) / sum_scale
         )
@@ -552,10 +552,13 @@ def verify(
     checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3))
     checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3))
 
-    # Commutator cancellation at every sampled point.
+    # Commutator cancellation at every sampled point, relative to the sum of
+    # the magnitudes of the cancelling terms 2hbar(Im(chi_inv + K) - Im K - Im chi_inv).
     worst = 0.0
     for w, d, kv, _ in instances:
-        worst = max(worst, abs(commutator_check(d, kv, hbar)[2]))
+        terms = 2.0 * hbar * (abs((d + kv).imag) + abs(kv.imag) + abs(d.imag))
+        residual = commutator_check(d, kv, hbar)[2]
+        worst = max(worst, abs(residual) / terms if residual else 0.0)
     checks.append(CheckResult("commutator-residual", worst <= 1e-14, worst, 1e-14))
 
     # Threshold derivative structure at the first lossy sampled point.
@@ -573,7 +576,7 @@ def verify(
         rel = abs(probe.d2_below - expected_d2) / expected_d2
         checks.append(CheckResult("threshold-curvature-below", rel <= 0.02, rel, 0.02,
                                   f"omega={w:g}"))
-        above = abs(probe.d2_above) / max(1.0, expected_d2)
+        above = abs(probe.d2_above) / expected_d2
         checks.append(CheckResult("threshold-flat-above", above <= 1e-6, above, 1e-6))
         jump = abs(probe.d1_jump)
         checks.append(CheckResult("threshold-slope-continuity", jump <= 1e-6, jump, 1e-6))

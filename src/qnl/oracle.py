@@ -10,11 +10,14 @@ so the optimum always lies on the slack = 0 surface; the |sigma| kink makes
 that surface piecewise linear in S_xx with two sign branches, both of which
 are solved explicitly.
 
-The analytic threshold enters only as a length scale for the search box.
-The box is sized for desk-scale instances (components of chi_inv and K of
-order unity, budgets within a couple of decades of the threshold); the scan
-degenerates at the exact meter-FDT boundary s_ff = hbar*|Im K|, where the
-feasible set collapses to a single ray.
+The refinement is a small Nelder-Mead on Python floats.  The analytic
+threshold enters only as a length scale for the search box, which alone
+sizes the start simplex and the position tolerance; the value tolerance is
+relative to the best value.  The search is therefore unit-covariant: under
+hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the
+minimum scales by l*m up to roundoff.  The scan degenerates at the exact
+meter-FDT boundary s_ff = hbar*|Im K|, where the feasible set collapses to
+a single ray, and loses accuracy within about 1 % of it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DomainError,
@@ -72,12 +74,41 @@ class OracleResult:
     feasible_fraction: float
 
 
+def _saturating_s_xx_scalar(re: float, im: float, s_ff: float, k_im: float, hbar: float) -> float:
+    """saturating_s_xx on Python floats, operation for operation, so the
+    two paths agree bit for bit; the oracle's refinement calls it directly."""
+    m2 = re * re + im * im
+    quarter = hbar * hbar / 4.0
+    den_a = s_ff - hbar * k_im
+    den_b = s_ff + hbar * k_im
+    s_xx = math.inf
+    if den_a > 0:
+        cand = (m2 - hbar * im + quarter) / den_a  # sigma >= 0 branch
+        if math.isfinite(cand) and k_im * cand - im >= -1e-12 * (abs(im) + abs(k_im * cand) + hbar):
+            s_xx = cand
+    if den_b > 0:
+        cand = (m2 + hbar * im + quarter) / den_b  # sigma <= 0 branch
+        if math.isfinite(cand) and k_im * cand - im <= 1e-12 * (abs(im) + abs(k_im * cand) + hbar):
+            s_xx = min(s_xx, cand)
+    if s_xx == math.inf:
+        return math.nan
+    slack = s_xx * s_ff - m2 - hbar * abs(k_im * s_xx - im) - quarter
+    min_slope = s_ff - hbar * abs(k_im)
+    if min_slope > 0 and slack < 0:
+        s_xx = s_xx + (-slack) / min_slope
+    return s_xx
+
+
 def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.0):
     """Smallest S_xx with zero uncertainty slack at the given cross PSD.
 
     Works element-wise on arrays.  Returns NaN where no finite solution
     exists (possible only at the meter-FDT boundary).
     """
+    if np.ndim(re_s_xf) == 0 and np.ndim(im_s_xf) == 0:
+        return _saturating_s_xx_scalar(
+            float(re_s_xf), float(im_s_xf), float(s_ff), float(k_im), float(hbar)
+        )
     re = np.asarray(re_s_xf, dtype=float)
     im = np.asarray(im_s_xf, dtype=float)
     m2 = re * re + im * im
@@ -89,10 +120,10 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     with np.errstate(divide="ignore", invalid="ignore"):
         cand_a = np.where(den_a > 0, num_a / den_a, np.inf)
         cand_b = np.where(den_b > 0, num_b / den_b, np.inf)
-    tol_a = 1e-12 * (np.abs(im) + np.abs(k_im * cand_a) + hbar)
-    tol_b = 1e-12 * (np.abs(im) + np.abs(k_im * cand_b) + hbar)
-    ok_a = np.isfinite(cand_a) & (k_im * cand_a - im >= -tol_a)
-    ok_b = np.isfinite(cand_b) & (k_im * cand_b - im <= tol_b)
+        tol_a = 1e-12 * (np.abs(im) + np.abs(k_im * cand_a) + hbar)
+        tol_b = 1e-12 * (np.abs(im) + np.abs(k_im * cand_b) + hbar)
+        ok_a = np.isfinite(cand_a) & (k_im * cand_a - im >= -tol_a)
+        ok_b = np.isfinite(cand_b) & (k_im * cand_b - im <= tol_b)
     s_xx = np.minimum(
         np.where(ok_a, cand_a, np.inf), np.where(ok_b, cand_b, np.inf)
     )
@@ -105,9 +136,42 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     min_slope = s_ff - hbar * abs(k_im)
     if min_slope > 0:
         s_xx = np.where(slack < 0, s_xx + (-slack) / min_slope, s_xx)
-    if np.ndim(re_s_xf) == 0 and np.ndim(im_s_xf) == 0:
-        return float(s_xx)
     return s_xx
+
+
+def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
+    """Minimize f over the plane, a point being the complex number re + i*im.
+
+    Nelder-Mead on Python floats with the standard coefficients (reflect 1,
+    expand 2, contract 1/2, shrink 1/2) from the simplex z0, z0 + step,
+    z0 + i*step.  Stops when every vertex is within xatol of the best one in
+    each coordinate and within fatol of it in value, or after maxiter
+    iterations.  Returns the best vertex, its value and the iteration count.
+    """
+    pts = [(f(z), z) for z in (z0, z0 + step, z0 + 1j * step)]
+    for nit in range(maxiter + 1):
+        pts.sort(key=lambda p: p[0])
+        (fb, b), (fg, g), (fw, w) = pts
+        spread = max(abs(x) for d in (g - b, w - b) for x in (d.real, d.imag))
+        if nit == maxiter or (spread <= xatol and fw - fb <= fatol):
+            return b, fb, nit
+        c = 0.5 * (b + g)  # centroid of the two best vertices
+        r = 2.0 * c - w
+        fr = f(r)
+        if fr < fb:
+            e = 3.0 * c - 2.0 * w
+            fe = f(e)
+            pts[2] = (fe, e) if fe < fr else (fr, r)
+        elif fr < fg:
+            pts[2] = (fr, r)
+        else:
+            outside = fr < fw
+            z = 0.5 * (c + (r if outside else w))
+            fz = f(z)
+            if fz <= fr if outside else fz < fw:
+                pts[2] = (fz, z)
+            else:  # shrink towards the best vertex
+                pts[1:] = [(f(z), z) for z in (0.5 * (b + g), 0.5 * (b + w))]
 
 
 def _box(chi_inv: complex, kv: complex, s_ff: float, cfg: OracleConfig, hbar: float):
@@ -129,9 +193,11 @@ def brute_force_min(
 ) -> OracleResult:
     """Minimize the sum noise over all physical triads at fixed s_ff.
 
-    Guaranteed within cfg.rel_tolerance of the true minimum for the default
-    configuration on desk-scale instances; every evaluated point is feasible,
-    so the result can never undercut the true minimum beyond roundoff.
+    Start simplex and tolerances are relative to the search box and the best
+    value, so the result is unit-covariant.  Within cfg.rel_tolerance of the
+    true minimum for the default configuration away from the meter FDT
+    floor; every evaluated point is feasible, so the result can never
+    undercut the true minimum beyond roundoff.
     """
     cfg = cfg or OracleConfig()
     kv = k_value(k)
@@ -187,38 +253,29 @@ def brute_force_min(
             # S_xx bound and stays usable there
             best_re, best_im, feasible_fraction = surface_scan()
 
-    def surface_value(x) -> float:
-        s_xx = saturating_s_xx(float(x[0]), float(x[1]), s_ff, kv.imag, hbar)
+    def surface_value(z: complex) -> float:
+        s_xx = _saturating_s_xx_scalar(z.real, z.imag, s_ff, kv.imag, hbar)
         if not math.isfinite(s_xx):
             return math.inf
-        return dk2 * s_xx + objective_terms(float(x[0]), float(x[1]))
+        return dk2 * s_xx + objective_terms(z.real, z.imag)
 
-    best_x = (best_re, best_im)
-    best_val = surface_value(best_x)
+    best_z = complex(best_re, best_im)
+    best_val = surface_value(best_z)
     iterations = 0
     if cfg.refine:
-        x0 = np.array(best_x)
+        step, xatol, fatol = 0.1 * s_xf_max, 1e-9 * s_xf_max, 1e-12 * abs(best_val)
         for _ in range(2):  # restart once; cheap and robust against the |sigma| kink
-            res = minimize(
-                surface_value,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": cfg.refine_iterations,
-                    "xatol": 1e-9 * (1.0 + s_xf_max),
-                    "fatol": 1e-12 * (1.0 + abs(best_val)),
-                },
+            z, val, nit = _nelder_mead(
+                surface_value, best_z, step, xatol, fatol, cfg.refine_iterations
             )
-            iterations += int(res.nit)
-            if res.fun <= best_val:
-                best_val = float(res.fun)
-                best_x = (float(res.x[0]), float(res.x[1]))
-            x0 = np.asarray(best_x)
+            iterations += nit
+            if val <= best_val:
+                best_val, best_z = val, z
 
-    s_xx = saturating_s_xx(best_x[0], best_x[1], s_ff, kv.imag, hbar)
+    s_xx = saturating_s_xx(best_z.real, best_z.imag, s_ff, kv.imag, hbar)
     if not math.isfinite(s_xx):
         raise EmptyFeasibleRegionError("refinement left the feasible region")
-    triad = NoiseTriad(s_xx, complex(best_x[0], best_x[1]), s_ff)
+    triad = NoiseTriad(s_xx, best_z, s_ff)
     return OracleResult(best_val, triad, iterations, feasible_fraction)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qnl import (
     FdtViolationError,
     LosslessProbeError,
     SpinFigureTable,
+    load_config,
     load_table,
     optimize_fixed_backaction,
     optimize_fixed_eff_backaction,
@@ -20,6 +22,8 @@ from qnl import (
     threshold_eff,
     verify,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def osc_config(**overrides):
@@ -359,6 +363,31 @@ class TestVerify:
         )
         report = verify(cfg, seed=5, samples=4)
         assert report.passed
+
+    @pytest.mark.parametrize("k", [0j, complex(0.3, -0.05)])
+    def test_verdicts_do_not_depend_on_the_unit_system(self, k):
+        # hbar = k_B -> lam, chi_inv (mass) and K -> mu, s_ff -> lam*mu leave
+        # every check's verdict unchanged
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+        raw["back_action"] = {"type": "constant", "re": k.real, "im": k.imag}
+
+        def verdicts(lam, mu):
+            cfg = json.loads(json.dumps(raw))
+            cfg["probe"]["mass"] *= mu
+            cfg["back_action"]["re"] *= mu
+            cfg["back_action"]["im"] *= mu
+            cfg["s_ff"] *= lam * mu
+            cfg["hbar"] = cfg["k_boltzmann"] = lam
+            return [(c.name, c.passed) for c in verify(parse_config(cfg)).checks]
+
+        expected = verdicts(1.0, 1.0)
+        assert all(passed for _, passed in expected)
+        assert verdicts(1.054e-34, 1e-3) == expected
+        assert verdicts(1e10, 1e6) == expected
+
+    def test_si_config_passes(self):
+        report = verify(load_config(str(CONFIGS / "si_oscillator.json")), samples=6)
+        assert report.passed, report.render()
 
 
 def test_budget_matches_module_level_optimizer_pointwise():

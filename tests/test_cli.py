@@ -140,3 +140,13 @@ def test_console_script_and_log_env(config_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# qnl budget")
     assert "DEBUG qnl.budget: budget sweep: mode=fixed_SFF points=11" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    env = {"PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    code = "import qnl, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qnl import (
@@ -145,10 +147,53 @@ class TestSaturatingSampler:
 
 
 def test_saturating_s_xx_vectorized_matches_scalar():
+    # the scalar path is a separate float implementation of the array path;
+    # both must agree bit for bit, NaN included, at any unit scale
     rng = np.random.default_rng(44)
-    re = rng.normal(size=50)
-    im = rng.normal(size=50)
-    vec = saturating_s_xx(re, im, 0.9, 0.35)
-    for r, i, v in zip(re, im, vec):
-        s = saturating_s_xx(float(r), float(i), 0.9, 0.35)
-        assert (np.isnan(v) and np.isnan(s)) or v == s
+    seen_nan = seen_value = False
+    for hbar, mu in ((1.0, 1.0), (1.054e-34, 1e-3), (1e10, 1e6)):
+        for k_im in (0.35, -0.35, 0.0):
+            k = k_im * mu
+            # s_ff above, exactly at and below the meter FDT floor hbar*|k|
+            for extra in (0.55, 0.0, -0.15):
+                s_ff = hbar * abs(k) + hbar * mu * extra
+                re = hbar * rng.normal(size=50)
+                im = hbar * rng.normal(size=50)
+                # points on the sigma = 0 kink, Im S_xF = k_im * S_xx(S_xF), and
+                # just off it, inside the branch-selection tolerance and beyond
+                c = re[:10] ** 2 + hbar * hbar / 4.0
+                if k_im == 0.0:
+                    im[:10] = 0.0
+                elif s_ff * s_ff > 4.0 * k * k * c.max():
+                    im[:10] = (s_ff - np.sqrt(s_ff * s_ff - 4.0 * k * k * c)) / (2.0 * k)
+                re[10:20] = re[:10]
+                im[10:20] = im[:10] + hbar * np.geomspace(1e-13, 1e-9, 10) * (-1.0) ** np.arange(10)
+                vec = saturating_s_xx(re, im, s_ff, k, hbar)
+                for r, i, v in zip(re, im, vec):
+                    s = saturating_s_xx(float(r), float(i), s_ff, k, hbar)
+                    assert (np.isnan(v) and np.isnan(s)) or v == s
+                    seen_nan |= bool(np.isnan(v))
+                    seen_value |= not np.isnan(v)
+    assert seen_nan and seen_value
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_lam=st.floats(-40.0, 10.0),
+    log_mu=st.floats(-6.0, 6.0),
+)
+def test_oracle_is_unit_covariant(seed, log_lam, log_mu):
+    # hbar -> lam*hbar, chi_inv -> mu*chi_inv, K -> mu*K, s_ff -> lam*mu*s_ff
+    # scales every sum noise by lam*mu and leaves the regime alone
+    rng = np.random.default_rng(seed)
+    d = draw_lossy_chi_inv(rng)
+    k = draw_back_action(rng)
+    s_ff = max(draw_budget(rng, d, k), 1.05 * abs(k.imag))
+    lam, mu = 10.0**log_lam, 10.0**log_mu
+    base = brute_force_min(d, k, s_ff).s_sum_min
+    got = brute_force_min(mu * d, mu * k, lam * mu * s_ff, hbar=lam).s_sum_min
+    assert rel(got, lam * mu * base) <= 1e-6
+    closed = optimize_fixed_backaction(mu * d, mu * k, lam * mu * s_ff, hbar=lam)
+    assert rel(got, closed.s_sum) <= 1e-3
+    assert closed.regime == optimize_fixed_backaction(d, k, s_ff).regime
