@@ -489,8 +489,11 @@ def verify(
     Checks gauge invariance, oracle agreement with the closed forms,
     commutator cancellation, the derivative structure at the first lossy
     grid point's threshold, thermal-floor consistency, and (optionally) a
-    golden-table comparison.  jobs is accepted and has no effect.
+    golden-table comparison.  samples must be >= 1.  jobs is accepted and
+    has no effect.
     """
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples!r}")
     hbar = cfg.constants.hbar
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -512,7 +515,7 @@ def verify(
         if s_ff <= hbar * abs(kv.imag):
             continue
         triad = random_saturating_triad(kv, s_ff, seed=seed + idx, hbar=hbar)
-        kernel = complex(rng.normal(), rng.normal())
+        kernel = complex(rng.normal(), rng.normal()) * abs(d + kv)  # in units of chi_inv
         eff, gv = gauge_transform(triad, kv, kernel)
         # deviations measured against the terms summed on the larger side
         sum_scale = max(

@@ -2,12 +2,12 @@
 
 This is the independent cross-check for the closed-form optimizers: it
 searches the feasible set {(S_xx, Re S_xF, Im S_xF) : uncertainty slack >= 0}
-directly and shares none of their algebra.  The search is a coarse grid scan
-(full 3-D box by default, 2-D saturation-surface scan as a fast path)
-followed by Nelder-Mead refinement on the saturation surface.  Eliminating
-S_xx there is safe because the objective increases with S_xx at fixed S_xF,
-so the optimum always lies on the slack = 0 surface; the |sigma| kink makes
-that surface piecewise linear in S_xx with two sign branches, both of which
+directly and shares none of their algebra.  The objective increases with
+S_xx at fixed S_xF, so the optimum lies on the slack = 0 surface, and the
+search runs there only: a coarse grid scan over (Re S_xF, Im S_xF) followed
+by Nelder-Mead refinement.  At each grid node the surface value is no larger
+than that of any feasible triad with the same S_xF.  The |sigma| kink makes
+the surface piecewise linear in S_xx with two sign branches, both of which
 are solved explicitly.
 
 The refinement is a small Nelder-Mead on Python floats.  The analytic
@@ -17,7 +17,8 @@ relative to the best value.  The search is therefore unit-covariant: under
 hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the
 minimum scales by l*m up to roundoff.  The scan degenerates at the exact
 meter-FDT boundary s_ff = hbar*|Im K|, where the feasible set collapses to
-a single ray, and loses accuracy within about 1 % of it.
+a single ray, and loses accuracy within about 2 % of it (errors up to
+3e-4; brute_force_min gives the measured figures).
 """
 
 from __future__ import annotations
@@ -41,29 +42,24 @@ from .optimize import threshold_full
 class OracleConfig:
     """Search parameters for brute_force_min.
 
-    coarse_grid_points is the number of grid nodes per axis (>= 32); box
-    scales multiply the dimensional-analysis ranges for S_xx and the S_xF
-    components.  With surface_only=True the coarse scan runs on the
-    saturation surface instead of the full box.
+    coarse_grid_points is the number of scan nodes per S_xF axis (>= 32).
+    The scan box is the square |Re S_xF|, |Im S_xF| <= s_xf_box_scale *
+    (hbar/2) * max(1, thr/s_ff), thr being the analytic threshold.  With
+    refine=False the best scan node is returned as is.
     """
 
     coarse_grid_points: int = 33
     refine_iterations: int = 600
-    rel_tolerance: float = 1e-4
-    s_xx_box_scale: float = 50.0
-    s_xf_box_scale: float = 10.0
-    surface_only: bool = False
+    s_xf_box_scale: float = 50.0 * math.sqrt(2.0)
     refine: bool = True
 
     def __post_init__(self) -> None:
         if self.coarse_grid_points < 32:
             raise DomainError(f"coarse_grid_points must be >= 32, got {self.coarse_grid_points}")
-        if not (self.rel_tolerance > 0):
-            raise DomainError(f"rel_tolerance must be > 0, got {self.rel_tolerance!r}")
         if self.refine_iterations < 1:
             raise DomainError("refine_iterations must be >= 1")
-        if not (self.s_xx_box_scale > 0 and self.s_xf_box_scale > 0):
-            raise DomainError("box scales must be > 0")
+        if not (self.s_xf_box_scale > 0):
+            raise DomainError(f"s_xf_box_scale must be > 0, got {self.s_xf_box_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,13 @@ def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxite
                 pts[1:] = [(f(z), z) for z in (0.5 * (b + g), 0.5 * (b + w))]
 
 
-def _box(chi_inv: complex, kv: complex, s_ff: float, cfg: OracleConfig, hbar: float):
+def _box(chi_inv: complex, kv: complex, s_ff: float, cfg: OracleConfig, hbar: float) -> float:
+    """Half-width of the S_xF scan box."""
     d = complex(chi_inv)
-    s_xx_max = cfg.s_xx_box_scale * hbar * hbar / (4.0 * s_ff)
+    scale = 1.0
     if d.imag != 0.0:
-        thr = threshold_full(d, kv, hbar)  # length scale only
-        s_xx_max *= max(1.0, thr / s_ff) ** 2
-    s_xf_max = cfg.s_xf_box_scale * math.sqrt(s_xx_max * s_ff)
-    return s_xx_max, s_xf_max
+        scale = max(1.0, threshold_full(d, kv, hbar) / s_ff)  # length scale only
+    return cfg.s_xf_box_scale * (0.5 * hbar) * scale
 
 
 def brute_force_min(
@@ -194,10 +189,16 @@ def brute_force_min(
     """Minimize the sum noise over all physical triads at fixed s_ff.
 
     Start simplex and tolerances are relative to the search box and the best
-    value, so the result is unit-covariant.  Within cfg.rel_tolerance of the
-    true minimum for the default configuration away from the meter FDT
-    floor; every evaluated point is feasible, so the result can never
-    undercut the true minimum beyond roundoff.
+    value, so the result is unit-covariant.  Every evaluated point is
+    feasible, so the result never undercuts the true minimum beyond
+    roundoff.  Over 900 random instances (|Re chi_inv|, |Re K| <= 2,
+    0.05 <= |Im chi_inv| <= 2, |Im K| <= 1, s_ff within 1.5 decades of the
+    threshold) the default configuration has median relative error 2e-14
+    against the closed form.  It is worst near the meter FDT floor: 13
+    instances err by more than 1e-5, all with hbar*|Im K|/s_ff >= 0.984,
+    the largest by 2.7e-4.  Where hbar*|Im K|/s_ff < 0.98 the largest error
+    is 5e-8, and below 0.9 it is 4e-10.  feasible_fraction is the share of
+    scan nodes at which the saturating S_xx is finite.
     """
     cfg = cfg or OracleConfig()
     kv = k_value(k)
@@ -210,48 +211,20 @@ def brute_force_min(
     if s_ff < floor:
         raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
 
-    s_xx_max, s_xf_max = _box(d, kv, s_ff, cfg, hbar)
-    n = cfg.coarse_grid_points
-    re_axis = np.linspace(-s_xf_max, s_xf_max, n)
-    im_axis = np.linspace(-s_xf_max, s_xf_max, n)
+    s_xf_max = _box(d, kv, s_ff, cfg, hbar)
+    axis = np.linspace(-s_xf_max, s_xf_max, cfg.coarse_grid_points)
     dk2 = abs(dk) ** 2
 
     def objective_terms(re, im):
         return 2.0 * (dk.real * re - dk.imag * im) + s_ff
 
-    def surface_scan():
-        re_g, im_g = np.meshgrid(re_axis, im_axis, indexing="ij")
-        s_xx_g = saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar)
-        values = dk2 * s_xx_g + objective_terms(re_g, im_g)
-        values = np.where(np.isnan(values), np.inf, values)
-        fraction = float(np.mean(np.isfinite(values)))
-        if not np.isfinite(values).any():
-            raise EmptyFeasibleRegionError("no feasible point in the surface scan")
-        flat = int(np.argmin(values))
-        i, j = np.unravel_index(flat, values.shape)
-        return float(re_axis[i]), float(im_axis[j]), fraction
-
-    if cfg.surface_only:
-        best_re, best_im, feasible_fraction = surface_scan()
-    else:
-        s_xx_axis = np.linspace(0.0, s_xx_max, n)
-        sxx = s_xx_axis[:, None, None]
-        re_g = re_axis[None, :, None]
-        im_g = im_axis[None, None, :]
-        sig = kv.imag * sxx - im_g
-        slack = sxx * s_ff - (re_g**2 + im_g**2) - hbar * np.abs(sig) - hbar * hbar / 4.0
-        values = dk2 * sxx + objective_terms(re_g, im_g)
-        values = np.where(slack >= 0.0, values, np.inf)
-        feasible_fraction = float(np.mean(slack >= 0.0))
-        if np.isfinite(values).any():
-            flat = int(np.argmin(values))
-            _, j, l = np.unravel_index(flat, values.shape)
-            best_re, best_im = float(re_axis[j]), float(im_axis[l])
-        else:
-            # box too small near the meter FDT floor, where feasibility
-            # requires S_xx ~ 1/(s_ff - hbar|Im K|); the surface scan has no
-            # S_xx bound and stays usable there
-            best_re, best_im, feasible_fraction = surface_scan()
+    re_g, im_g = np.meshgrid(axis, axis, indexing="ij")
+    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar) + objective_terms(re_g, im_g)
+    values = np.where(np.isnan(values), np.inf, values)
+    feasible = np.isfinite(values)
+    if not feasible.any():
+        raise EmptyFeasibleRegionError("no feasible point in the surface scan")
+    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
 
     def surface_value(z: complex) -> float:
         s_xx = _saturating_s_xx_scalar(z.real, z.imag, s_ff, kv.imag, hbar)
@@ -259,7 +232,7 @@ def brute_force_min(
             return math.inf
         return dk2 * s_xx + objective_terms(z.real, z.imag)
 
-    best_z = complex(best_re, best_im)
+    best_z = complex(axis[i], axis[j])
     best_val = surface_value(best_z)
     iterations = 0
     if cfg.refine:
@@ -276,7 +249,7 @@ def brute_force_min(
     if not math.isfinite(s_xx):
         raise EmptyFeasibleRegionError("refinement left the feasible region")
     triad = NoiseTriad(s_xx, best_z, s_ff)
-    return OracleResult(best_val, triad, iterations, feasible_fraction)
+    return OracleResult(best_val, triad, iterations, float(np.mean(feasible)))
 
 
 def random_saturating_triad(
@@ -284,7 +257,8 @@ def random_saturating_triad(
 ) -> NoiseTriad:
     """Sample a triad on the equality surface of the uncertainty relation.
 
-    (Re S_xF, Im S_xF) is drawn uniformly in a disc and S_xx solved from the
+    (Re S_xF, Im S_xF) is drawn uniformly in the disc of radius 5*hbar (S_xF
+    scales like hbar in every unit system) and S_xx solved from the
     zero-slack condition, branch by branch over the sign of sigma.
     Deterministic per seed; retries internally on the rare infeasible draw.
     """
@@ -296,7 +270,7 @@ def random_saturating_triad(
     if s_ff < floor:
         raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
     rng = np.random.default_rng(seed)
-    radius = 5.0 * max(hbar, math.sqrt(hbar * s_ff))
+    radius = 5.0 * hbar
     for _ in range(1000):
         r = radius * math.sqrt(rng.uniform())
         phi = rng.uniform(0.0, 2.0 * math.pi)

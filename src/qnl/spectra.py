@@ -58,7 +58,9 @@ class ComplexTable:
 
     Interpolation is linear on the real and imaginary parts separately,
     which makes evaluation at a grid node reproduce the stored sample
-    bit-for-bit.  Evaluation outside the grid raises RangeError.
+    bit-for-bit.  Evaluation outside the grid raises RangeError.  The numpy
+    arrays interpolated on are built once; omega and values stay the fields
+    that equality and hashing see.
     """
 
     omega: tuple
@@ -81,6 +83,9 @@ class ComplexTable:
             raise DomainError("tabulated samples contain non-finite values")
         object.__setattr__(self, "omega", omega_t)
         object.__setattr__(self, "values", values_t)
+        object.__setattr__(self, "_grid", np.asarray(omega_t))
+        object.__setattr__(self, "_re", np.asarray([v.real for v in values_t]))
+        object.__setattr__(self, "_im", np.asarray([v.imag for v in values_t]))
 
     def __call__(self, omega: float) -> complex:
         omega = float(omega)
@@ -89,10 +94,8 @@ class ComplexTable:
                 f"frequency {omega!r} outside tabulated range "
                 f"[{self.omega[0]!r}, {self.omega[-1]!r}]"
             )
-        grid = np.asarray(self.omega)
-        re = float(np.interp(omega, grid, np.asarray([v.real for v in self.values])))
-        im = float(np.interp(omega, grid, np.asarray([v.imag for v in self.values])))
-        return complex(re, im)
+        re = float(np.interp(omega, self._grid, self._re))
+        return complex(re, float(np.interp(omega, self._grid, self._im)))
 
 
 class Susceptibility:

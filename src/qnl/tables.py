@@ -169,31 +169,42 @@ def _emit_json(meta: TableMeta, columns: Sequence[str], rows: Iterable[Sequence]
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_json(text: str, kind: str, columns: Sequence[str], str_columns: set[str]):
+def _decode_json(text: str) -> dict:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _parse_json(payload: dict, kind: str, columns: Sequence[str], str_columns: set[str]):
     if payload.get("kind") != kind:
         raise ConfigError(f"expected a {kind!r} table, got {payload.get('kind')!r}")
     if tuple(payload.get("columns", ())) != tuple(columns):
         raise ConfigError(f"unexpected columns {payload.get('columns')!r}")
-    rows = []
-    for entry in payload["rows"]:
-        row = []
-        for col in columns:
-            value = entry[col]
-            if col in str_columns:
-                row.append(str(value))
-            else:
-                row.append(math.inf if value is None else float(value))
-        rows.append(row)
-    meta = TableMeta(
-        kind=kind,
-        version=str(payload["version"]),
-        config_hash=str(payload["config_hash"]),
-        transitions=tuple(float(t) for t in payload["transitions"]),
-    )
+    try:
+        rows = []
+        for entry in payload["rows"]:
+            row = []
+            for col in columns:
+                value = entry[col]
+                if col in str_columns:
+                    row.append(str(value))
+                else:
+                    row.append(math.inf if value is None else float(value))
+            rows.append(row)
+        meta = TableMeta(
+            kind=kind,
+            version=str(payload["version"]),
+            config_hash=str(payload["config_hash"]),
+            transitions=tuple(float(t) for t in payload["transitions"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"malformed {kind} table: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind} table: {exc}") from None
     return meta, rows
 
 
@@ -209,6 +220,7 @@ class BudgetTable:
     meta: TableMeta
 
     COLUMNS = BUDGET_COLUMNS
+    _KIND = "budget"
     _STR_COLUMNS = {"regime"}
 
     def rows(self) -> list[list]:
@@ -227,11 +239,13 @@ class BudgetTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "BudgetTable":
-        return cls._from_rows(*_parse_csv(text, "budget", cls.COLUMNS, cls._STR_COLUMNS))
+        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
 
     @classmethod
     def from_json(cls, text: str) -> "BudgetTable":
-        return cls._from_rows(*_parse_json(text, "budget", cls.COLUMNS, cls._STR_COLUMNS))
+        return cls._from_rows(
+            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
+        )
 
 
 @dataclass(frozen=True)
@@ -242,6 +256,7 @@ class SpinFigureTable:
     meta: TableMeta
 
     COLUMNS = SPIN_FIGURE_COLUMNS
+    _KIND = "spin-figure"
     _STR_COLUMNS = {"regime_full"}
 
     def rows(self) -> list[list]:
@@ -260,23 +275,26 @@ class SpinFigureTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "SpinFigureTable":
-        return cls._from_rows(*_parse_csv(text, "spin-figure", cls.COLUMNS, cls._STR_COLUMNS))
+        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
 
     @classmethod
     def from_json(cls, text: str) -> "SpinFigureTable":
-        return cls._from_rows(*_parse_json(text, "spin-figure", cls.COLUMNS, cls._STR_COLUMNS))
+        return cls._from_rows(
+            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
+        )
 
 
 def load_table(text: str):
     """Load either table kind from CSV or JSON text, sniffing the format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        kind = json.loads(text).get("kind")
-        if kind == "budget":
-            return BudgetTable.from_json(text)
-        if kind == "spin-figure":
-            return SpinFigureTable.from_json(text)
-        raise ConfigError(f"unknown table kind {kind!r}")
+        payload = _decode_json(text)  # decoded once, then dispatched on its kind
+        for cls in (BudgetTable, SpinFigureTable):
+            if payload.get("kind") == cls._KIND:
+                meta, rows = _parse_json(payload, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
+                del payload  # peak memory holds the document or the row objects, not both
+                return cls._from_rows(meta, rows)
+        raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
     if stripped.startswith("# qnl budget"):
         return BudgetTable.from_csv(text)
     if stripped.startswith("# qnl spin-figure"):

@@ -41,6 +41,17 @@ def osc_config(**overrides):
     return cfg
 
 
+def rescaled_oscillator(k, lam, mu):
+    """configs/oscillator_budget.json with constant back action K, rescaled by
+    hbar = k_B -> lam, chi_inv (mass) and K -> mu, s_ff -> lam*mu."""
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+    raw["back_action"] = {"type": "constant", "re": k.real * mu, "im": k.imag * mu}
+    raw["probe"]["mass"] *= mu
+    raw["s_ff"] *= lam * mu
+    raw["hbar"] = raw["k_boltzmann"] = lam
+    return parse_config(raw)
+
+
 def spin_config(**overrides):
     cfg = {
         "probe": {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.2},
@@ -251,6 +262,28 @@ class TestRoundTrips:
         assert load_table(fig.to_csv()) == fig
         assert load_table(fig.to_json()) == fig
 
+    @pytest.mark.parametrize(
+        "case", ["truncated", "not-an-object", "no-rows", "row-missing-column", "unknown-kind"]
+    )
+    def test_malformed_json_table_raises_config_error(self, table, case):
+        text = table.to_json()
+        payload = json.loads(text)
+        if case == "truncated":
+            text = text[: len(text) // 2]
+        elif case == "not-an-object":
+            text = json.dumps(payload["rows"])
+        else:
+            if case == "no-rows":
+                del payload["rows"]
+            elif case == "row-missing-column":
+                del payload["rows"][3]["s_thr"]
+            else:
+                payload["kind"] = "walrus"
+            text = json.dumps(payload)
+        for loader in (load_table, BudgetTable.from_json):
+            with pytest.raises(ConfigError):
+                loader(text)
+
 
 class TestSpinFigure:
     def test_default_grid_hits_the_threshold_exactly(self):
@@ -368,22 +401,27 @@ class TestVerify:
     def test_verdicts_do_not_depend_on_the_unit_system(self, k):
         # hbar = k_B -> lam, chi_inv (mass) and K -> mu, s_ff -> lam*mu leave
         # every check's verdict unchanged
-        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
-        raw["back_action"] = {"type": "constant", "re": k.real, "im": k.imag}
-
         def verdicts(lam, mu):
-            cfg = json.loads(json.dumps(raw))
-            cfg["probe"]["mass"] *= mu
-            cfg["back_action"]["re"] *= mu
-            cfg["back_action"]["im"] *= mu
-            cfg["s_ff"] *= lam * mu
-            cfg["hbar"] = cfg["k_boltzmann"] = lam
-            return [(c.name, c.passed) for c in verify(parse_config(cfg)).checks]
+            return [(c.name, c.passed) for c in verify(rescaled_oscillator(k, lam, mu)).checks]
 
         expected = verdicts(1.0, 1.0)
         assert all(passed for _, passed in expected)
         assert verdicts(1.054e-34, 1e-3) == expected
         assert verdicts(1e10, 1e6) == expected
+
+    @pytest.mark.parametrize("k", [0j, complex(0.3, -0.05)])
+    def test_gauge_check_is_unit_covariant(self, k):
+        # power-of-two scales are exact in floating point, so a gauge check
+        # whose sampled triads and kernels scale with the units measures the
+        # same value bit for bit
+        def gauge(lam, mu):
+            checks = verify(rescaled_oscillator(k, lam, mu), seed=1).checks
+            return next(c.measured for c in checks if c.name == "gauge-invariance")
+
+        expected = gauge(1.0, 1.0)
+        assert expected > 0.0
+        for lam, mu in ((2.0**30, 2.0**20), (2.0**-100, 2.0**-10), (2.0**40, 2.0**-15)):
+            assert gauge(lam, mu) == expected
 
     def test_si_config_passes(self):
         report = verify(load_config(str(CONFIGS / "si_oscillator.json")), samples=6)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qnl
 from qnl import BudgetTable, SpinFigureTable
 from qnl.cli import main
 
@@ -16,6 +17,14 @@ BASE = {
     "s_ff": 0.1,
     "frequency": {"start": 0.5, "stop": 1.5, "points": 11, "spacing": "linear"},
 }
+
+
+def _child_env(**extra):
+    # an uninstalled source tree is importable in a child only through its
+    # path: put the root that qnl was imported from ahead of the caller's
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(qnl.__file__)))
+    path = [src_root] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(extra, PATH="/usr/bin:/bin", PYTHONPATH=os.pathsep.join(path))
 
 
 @pytest.fixture()
@@ -92,6 +101,22 @@ def test_verify_subcommand_passes(config_path, capsys):
     assert "verification PASSED" in out
 
 
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_verify_rejects_fewer_than_one_sample(config_path, samples, capsys):
+    assert main(["verify", config_path, "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert "config error: samples must be >= 1" in err
+
+
+def test_verify_malformed_golden_exits_1(config_path, tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    assert main(["budget", config_path, "--output", str(golden), "--format", "json"]) == 0
+    text = golden.read_text(encoding="utf-8")
+    golden.write_text(text[: len(text) // 2], encoding="utf-8")
+    assert main(["verify", config_path, "--golden", str(golden)]) == 1
+    assert "config error: line " in capsys.readouterr().err
+
+
 def test_verify_golden_failure_exits_2(config_path, tmp_path, capsys):
     golden = tmp_path / "golden.csv"
     assert main(["budget", config_path, "--output", str(golden)]) == 0
@@ -129,13 +154,9 @@ def test_infeasible_config_exits_1(tmp_path, capsys):
 
 
 def test_console_script_and_log_env(config_path):
-    env = {"QNL_LOG": "debug", "PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        # an uninstalled source tree is importable only through the caller's path
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     proc = subprocess.run(
         [sys.executable, "-m", "qnl.cli", "budget", config_path],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(QNL_LOG="debug"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# qnl budget")
@@ -143,10 +164,9 @@ def test_console_script_and_log_env(config_path):
 
 
 def test_import_loads_no_scipy():
-    env = {"PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     code = "import qnl, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
