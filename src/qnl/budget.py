@@ -20,6 +20,7 @@ from ._version import __version__
 from .errors import ConfigError, DomainError, FdtViolationError, QnlError
 from .meter import commutator_check, gauge_transform, sigma, sum_noise_psd, uncertainty_slack
 from .optimize import (
+    _optimum_grid,
     optimize_fixed_backaction,
     optimize_fixed_eff_backaction,
     optimize_fixed_eff_backaction_sigma_zero,
@@ -50,6 +51,7 @@ from .tables import (
     SpinFigurePoint,
     SpinFigureTable,
     TableMeta,
+    _build,
 )
 
 log = logging.getLogger("qnl.budget")
@@ -348,57 +350,80 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
         raise FdtViolationError(f"omega={omega!r}: {exc}") from None
 
     s_fdt = fdt_psd(cfg.probe, cfg.thermal, omega, cfg.constants)
-    triad = report.optimal_triad
-    return BudgetPoint(
-        omega=omega,
-        sql=sql(d, hbar=hbar),
-        dql=dql(d, hbar=hbar),
-        s_thr=report.s_threshold,
-        s_sum_opt=report.s_sum,
-        regime=report.regime.value,
-        s_fdt=s_fdt,
-        s_total=report.s_sum + s_fdt,
-        sigma_opt=report.sigma_opt,
-        s_xx_opt=triad.s_xx,
-        re_s_xf_opt=triad.s_xf.real,
-        im_s_xf_opt=triad.s_xf.imag,
-    )
+    t = report.optimal_triad
+    return BudgetPoint(  # the BUDGET_COLUMNS in order
+        omega, sql(d, hbar=hbar), dql(d, hbar=hbar), report.s_threshold, report.s_sum,
+        report.regime.value, s_fdt, report.s_sum + s_fdt, report.sigma_opt, t.s_xx,
+        t.s_xf.real, t.s_xf.imag)
 
 
 def _meta(cfg: SweepConfig, kind: str, values: Sequence[float], regimes: Sequence[str]) -> TableMeta:
     """Table metadata; the transitions are the swept values where the regime changes."""
-    transitions = []
-    for prev, cur, value in zip(regimes, regimes[1:], values[1:]):
-        if cur != prev:
-            transitions.append(float(value))
-    return TableMeta(
-        kind=kind,
-        version=__version__,
-        config_hash=cfg.config_hash,
-        transitions=tuple(transitions),
-    )
+    transitions = tuple(float(v) for a, b, v in zip(regimes, regimes[1:], values[1:]) if a != b)
+    return TableMeta(kind, __version__, cfg.config_hash, transitions)
 
 
-def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, list[float]]:
+def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
     """chi_inv at the sweep's fixed omega, the zero-kernel effective
     threshold, and the back-action budgets of the spin sweep."""
     d = cfg.probe.chi_inv(cfg.omega)
     thr0 = threshold_eff(d, 0.0, cfg.constants.hbar)  # LosslessProbeError for a lossless probe
-    return d, thr0, [float(s) for s in (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)]
+    return d, thr0, (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)
+
+
+def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
+    """_budget_point over the whole grid, bit for bit, as columns, and a mask
+    True wherever it raises.  A model with no array form raises from here."""
+    hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
+    d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
+    k_of = cfg.k_of_omega
+    if isinstance(k_of, ComplexTable):
+        k_re, k_im, k_bad = k_of._on_grid(omegas)
+    else:
+        kv = np.array([k_of(w) for w in omegas.tolist()], complex)
+        k_re, k_im, k_bad = kv.real, kv.imag, False
+    if cfg.mode == "fixed_effective":
+        k_im = 0.0  # the effective convention's gauge kernel is Re K
+    opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, not cfg.sigma_constrained, hbar)
+    temperature, t_bad = cfg.thermal._temperature_grid(omegas)
+    dql_col = hbar * np.abs(d_im)
+    with np.errstate(all="ignore"):
+        # fdt_psd, with math.tanh: np.tanh differs from it in the last bit
+        x = hbar * omegas / (2.0 * k_b * temperature)
+        tanh = np.fromiter(map(math.tanh, x.tolist()), float, len(x))
+        s_fdt = np.where(temperature == 0.0, dql_col, dql_col / tanh)
+        columns = (
+            omegas, hbar * np.hypot(d_re, d_im), dql_col, opt["s_threshold"], opt["s_sum"],
+            opt["regime"], s_fdt, opt["s_sum"] + s_fdt, opt["sigma_opt"], opt["s_xx"],
+            opt["s_xf_re"], opt["s_xf_im"],
+        )
+        bad = bad | k_bad | t_bad | opt["bad"] | ~(np.isfinite(omegas) & (omegas > 0.0))
+        # a zero divisor raises in Python; numpy's x/0 can end up finite
+        bad |= (temperature != 0.0) & (2.0 * k_b * temperature == 0.0)
+        bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(columns[i] for i in (1, 2, 6, 7)))
+    return [c.tolist() for c in columns], bad
 
 
 def run_budget(cfg: SweepConfig, jobs: int = 1):
     """Compute the budget table for the configuration.
 
     Frequency-sweep modes return a BudgetTable; the fixed-frequency
-    back-action sweep returns a SpinFigureTable.  Points are evaluated
-    serially; jobs is accepted for compatibility and has no effect.
+    back-action sweep returns a SpinFigureTable.  The grid is evaluated as
+    arrays, bit-identical to the scalar functions; points where those raise
+    are re-run through them, for the same error.  jobs has no effect.
     """
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         return run_spin_figure(cfg)
-    omegas = [float(w) for w in cfg.frequency.values()]
+    grid = cfg.frequency.values()
+    omegas = grid.tolist()
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
-    points = [_budget_point(cfg, w) for w in omegas]
+    try:
+        columns, bad = _budget_columns(cfg, grid)
+        points = _build(BudgetPoint, zip(*columns))
+    except QnlError:  # a model evaluated per point raised: re-run all points in order
+        points, bad = [None] * len(omegas), np.ones(len(omegas), bool)
+    for i in np.flatnonzero(bad).tolist():
+        points[i] = _budget_point(cfg, omegas[i])  # raises the scalar path's error
     meta = _meta(cfg, "budget", omegas, [p.regime for p in points])
     return BudgetTable(points=tuple(points), meta=meta)
 
@@ -409,6 +434,9 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     against the effective back-action budget (zero gauge kernel, K = 0).
     The sigma-zero series lies below the matched one only up to
     S_FF = 2*thr0 and above it beyond that point.
+    All budgets go through the optimizer kernel at once, and the matched
+    series through matched_sum_noise's formula on the array, bit-identical
+    to the scalar calls; a budget where one raises is re-run through them.
     jobs is accepted for compatibility and has no effect."""
     if cfg.omega is None:
         raise ConfigError("spin-figure sweep requires a fixed omega in the config")
@@ -420,16 +448,23 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
         full = optimize_fixed_eff_backaction(d, 0.0, s, hbar)
         zero = optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s, hbar)
         matched = matched_sum_noise(s / hbar, d, hbar=hbar)
-        return SpinFigurePoint(
-            s_ff=s,
-            s_sum_full=full.s_sum,
-            s_sum_sigma_zero=zero.s_sum,
-            s_sum_spin_matched=matched,
-            regime_full=full.regime.value,
-        )
+        return SpinFigurePoint(s, full.s_sum, zero.s_sum, matched, full.regime.value)
 
-    points = [point(s) for s in budgets]
-    meta = _meta(cfg, "spin-figure", budgets, [p.regime_full for p in points])
+    full = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, True, hbar)
+    zero = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, False, hbar)
+    # abs(d) ** 2 raises OverflowError only where thr0 = inf makes every budget invalid
+    scale = hbar * hbar * abs(d) ** 2 if math.isfinite(thr0) else math.inf
+    with np.errstate(all="ignore"):
+        theta = budgets / hbar  # matched_sum_noise(s / hbar, ...) with S_FF = hbar*theta_i
+        matched = hbar * abs(d.imag) + scale / (4.0 * (hbar * theta))
+    bad = full["bad"] | zero["bad"] | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
+    s_list = budgets.tolist()
+    points = _build(SpinFigurePoint, zip(
+        s_list, full["s_sum"].tolist(), zero["s_sum"].tolist(), matched.tolist(),
+        full["regime"].tolist()))
+    for i in np.flatnonzero(bad).tolist():
+        points[i] = point(s_list[i])  # raises the scalar path's error
+    meta = _meta(cfg, "spin-figure", s_list, [p.regime_full for p in points])
     return SpinFigureTable(points=tuple(points), meta=meta)
 
 
@@ -467,7 +502,7 @@ def _verify_instances(cfg: SweepConfig, rng: np.random.Generator, samples: int):
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         d, _, budgets = _spin_budgets(cfg)
         picks = rng.choice(len(budgets), size=min(samples, len(budgets)), replace=False)
-        return [(cfg.omega, d, 0j, budgets[i]) for i in sorted(picks)]
+        return [(cfg.omega, d, 0j, float(budgets[i])) for i in sorted(picks)]
     omegas = cfg.frequency.values()
     picks = rng.choice(len(omegas), size=min(samples, len(omegas)), replace=False)
     out = []

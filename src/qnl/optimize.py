@@ -36,6 +36,11 @@ sum_noise_psd.
 The back-action PSD is the probing-strength resource here; for optical
 meters it scales with the circulating power, which is why the below-
 threshold branch is called power-limited.
+
+Sweeps call _optimum_grid, a numpy copy of optimize_fixed_backaction that
+repeats its IEEE operations in order, so the two agree bit for bit.  Hence
+the scalar code has no float ** (libm pow; numpy squares by x*x) and no
+math.hypot (CPython's own; abs(complex) and np.hypot call libm hypot).
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import DomainError, FdtViolationError, LosslessProbeError
 from .meter import KLike, KernelLike, NoiseTriad, k_value, kernel_value
@@ -108,7 +115,8 @@ def threshold_full(chi_inv: complex, k: KLike, hbar: float = 1.0) -> float:
     d = complex(chi_inv)
     if d.imag == 0.0:
         raise LosslessProbeError("lossless probe: threshold is infinite, use the QCRB branch")
-    return 0.5 * hbar * (abs(d + kv) ** 2 - 2.0 * d.imag * kv.imag) / abs(d.imag)
+    m = abs(d + kv)
+    return 0.5 * hbar * (m * m - 2.0 * d.imag * kv.imag) / abs(d.imag)
 
 
 def qcrb_simple(chi_inv: complex, k: KLike, s_ff: float, hbar: float = 1.0) -> float:
@@ -141,7 +149,8 @@ def qcrb_lossless(chi_inv: complex, k: KLike, s_ff: float, hbar: float = 1.0) ->
         root = s_ff
     else:
         root = math.sqrt(s_ff * s_ff - c * c)
-    return 0.5 * hbar * hbar * abs(d + kv) ** 2 / (s_ff + root)
+    m = abs(d + kv)
+    return 0.5 * hbar * hbar * (m * m) / (s_ff + root)
 
 
 def _s_ub(d: complex, kv: complex, s_ff: float, thr: float, hbar: float) -> float:
@@ -149,7 +158,7 @@ def _s_ub(d: complex, kv: complex, s_ff: float, thr: float, hbar: float) -> floa
     dql_val = hbar * abs(d.imag)
     if s_ff == thr:
         return dql_val
-    c2 = (hbar * kv.imag) ** 2
+    c2 = (hbar * kv.imag) * (hbar * kv.imag)
     num = dql_val * (thr * thr + s_ff * s_ff - c2)
     den = thr * s_ff + math.sqrt(max((thr * thr - c2) * (s_ff * s_ff - c2), 0.0))
     return max(num / den, dql_val)
@@ -164,20 +173,19 @@ def _subopt_triad(d: complex, kv: complex, s_ff: float, sig: float, hbar: float)
     """
     dk = d + kv
     a = dk.real * dk.real + d.imag * d.imag - kv.imag * kv.imag
-    b = 2.0 * dk.real * kv.imag
-    dd2 = math.hypot(a, b)
+    dd2 = abs(complex(a, 2.0 * dk.real * kv.imag))
     if dd2 == 0.0:
         raise DomainError(f"degenerate response chi_inv={d!r}, K={kv!r}")
     center = s_ff + 2.0 * kv.imag * sig
-    half_width = kv.imag * (2.0 * abs(sig) + hbar)
-    r = math.sqrt(max(center * center - half_width * half_width, 0.0))
+    g = 2.0 * abs(sig) + hbar
+    r = math.sqrt(max(center * center - (kv.imag * g) * (kv.imag * g), 0.0))
     den = 2.0 * dd2 * (center * dd2 + a * r)
     if den <= 0.0:
         raise DomainError(
             f"no feasible saturating triad for chi_inv={d!r}, K={kv!r}, "
             f"s_ff={s_ff!r}, sigma={sig!r}"
         )
-    s_xx = (a * a * (2.0 * abs(sig) + hbar) ** 2 + 4.0 * dk.real**2 * center * center) / den
+    s_xx = (a * a * (g * g) + 4.0 * (dk.real * dk.real) * center * center) / den
     s_xf = complex(-dk.real * r / dd2, kv.imag * s_xx - sig)
     return NoiseTriad(s_xx, s_xf, s_ff)
 
@@ -258,7 +266,8 @@ def optimize_fixed_backaction(
     thr = threshold_full(d, kv, hbar)
 
     if allow_sigma and s >= thr:
-        sig = -d.imag * (s - thr) / abs(dk) ** 2 or 0.0  # normalize -0.0 at the boundary
+        m = abs(dk)
+        sig = -d.imag * (s - thr) / (m * m) or 0.0  # normalize -0.0 at the boundary
         triad = _subopt_triad(d, kv, s, sig, hbar)
         return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig, False)
 
@@ -266,6 +275,51 @@ def optimize_fixed_backaction(
     triad = _subopt_triad(d, kv, s, 0.0, hbar)
     regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
     return OptimumReport(s_sum, regime, thr, triad, 0.0, not allow_sigma)
+
+
+def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma: bool, hbar: float) -> dict:
+    """optimize_fixed_backaction over arrays of Re/Im chi_inv, Re/Im K and
+    s_ff, broadcast, op for op: each value equals the scalar call's bit for
+    bit.  Returns the report's fields (regime as its value, the triad as
+    s_xx, s_xf_re, s_xf_im) and "bad", True wherever the scalar call raises."""
+    d_re, d_im, k_re, k_im, s = np.broadcast_arrays(d_re, d_im, k_re, k_im, s)
+    with np.errstate(all="ignore"):
+        dk_re = d_re + k_re
+        m = np.hypot(dk_re, d_im + k_im)  # abs(dk)
+        lossless = d_im == 0.0
+        dql_val = hbar * np.abs(d_im)
+        thr = np.where(lossless, np.inf, 0.5 * hbar * (m * m - 2.0 * d_im * k_im) / np.abs(d_im))
+        above = (s >= thr) & ~lossless & allow_sigma
+        sig = np.where(above, -d_im * (s - thr) / (m * m), 0.0) + 0.0  # -0.0 as `or 0.0`
+        # qcrb_lossless
+        c = hbar * np.abs(k_im)
+        root = np.where(c == 0.0, s, np.sqrt(s * s - c * c))
+        qcrb = 0.5 * hbar * hbar * (m * m) / (s + root)
+        # _s_ub; c * c is (hbar*Im K)^2 exactly, and np.maximum(x, y) is
+        # Python's max(x, y) for y not NaN, signed zeros included
+        c2 = c * c
+        num = dql_val * (thr * thr + s * s - c2)
+        ub = num / (thr * s + np.sqrt(np.maximum((thr * thr - c2) * (s * s - c2), 0.0)))
+        ub = np.where(s == thr, dql_val, np.maximum(ub, dql_val))
+        s_sum = np.where(lossless, qcrb, np.where(above, dql_val, ub))
+        # _subopt_triad
+        a = dk_re * dk_re + d_im * d_im - k_im * k_im
+        dd2 = np.hypot(a, 2.0 * dk_re * k_im)
+        center = s + 2.0 * k_im * sig
+        g = 2.0 * np.abs(sig) + hbar
+        r = np.sqrt(np.maximum(center * center - (k_im * g) * (k_im * g), 0.0))
+        den = 2.0 * dd2 * (center * dd2 + a * r)
+        s_xx = (a * a * (g * g) + 4.0 * (dk_re * dk_re) * center * center) / den
+        s_xf_re = -dk_re * r / dd2
+        s_xf_im = k_im * s_xx - sig
+        bad = ~(np.isfinite(s) & (s > 0.0)) | (m == 0.0) | (s < c) | ~(den > 0.0)
+        bad |= ~(s_xx >= 0.0) | ~np.isfinite(s_sum + sig + s_xx + s_xf_re + s_xf_im)
+        dql = ~lossless & (s_sum <= dql_val)
+    return {
+        "s_sum": s_sum, "s_threshold": thr, "sigma_opt": sig, "s_xx": s_xx, "s_xf_re": s_xf_re,
+        "s_xf_im": s_xf_im, "bad": bad,
+        "regime": np.where(dql, Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value),
+    }
 
 
 @dataclass(frozen=True)

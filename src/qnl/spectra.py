@@ -97,6 +97,12 @@ class ComplexTable:
         re = float(np.interp(omega, self._grid, self._re))
         return complex(re, float(np.interp(omega, self._grid, self._im)))
 
+    def _on_grid(self, omega: np.ndarray) -> tuple:
+        """__call__ over an array as (re, im, True where __call__ raises)."""
+        outside = ~((self.omega[0] <= omega) & (omega <= self.omega[-1]))
+        re = np.interp(omega, self._grid, self._re)
+        return re, np.interp(omega, self._grid, self._im), outside
+
 
 class Susceptibility:
     """Base class for probe models; subclasses implement chi_inv(omega)."""
@@ -104,6 +110,11 @@ class Susceptibility:
     def chi_inv(self, omega: float) -> complex:
         """Inverse response chi_inv(omega) at a single frequency omega > 0."""
         raise NotImplementedError
+
+    def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
+        """chi_inv per frequency, bit for bit: (re, im, raises-mask), or the error."""
+        z = np.array([self.chi_inv(w) for w in omega.tolist()], complex)
+        return z.real, z.imag, False
 
 
 @dataclass(frozen=True)
@@ -127,9 +138,13 @@ class DampedOscillator(Susceptibility):
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
         return complex(
-            self.mass * (self.omega0**2 - omega**2),
+            self.mass * (self.omega0 * self.omega0 - omega * omega),
             -self.mass * self.gamma * omega,
         )
+
+    def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
+        re = self.mass * (self.omega0 * self.omega0 - omega * omega)
+        return re, -self.mass * self.gamma * omega, False
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,10 @@ class FreeMass(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return complex(-self.mass * omega**2, -self.mass * self.gamma * omega)
+        return complex(-self.mass * (omega * omega), -self.mass * self.gamma * omega)
+
+    def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
+        return -self.mass * (omega * omega), -self.mass * self.gamma * omega, False
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,9 @@ class TabulatedSusceptibility(Susceptibility):
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
         return self.table(omega)
+
+    def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
+        return self.table._on_grid(omega)
 
 
 def chi_inv_at(model: Union[Susceptibility, complex], omega: float | None = None) -> complex:
@@ -181,6 +202,10 @@ class ThermalModel:
 
     def temperature_at(self, omega: float) -> float:
         raise NotImplementedError
+
+    def _temperature_grid(self, omega: np.ndarray) -> tuple:
+        """temperature_at per frequency, bit for bit: (values, raises-mask), or the error."""
+        return np.array([self.temperature_at(w) for w in omega.tolist()], float), False
 
 
 @dataclass(frozen=True)
@@ -222,6 +247,9 @@ class EffectiveTemperature(ThermalModel):
 
     def temperature_at(self, omega: float) -> float:
         return self.table(omega).real
+
+    def _temperature_grid(self, omega: np.ndarray) -> tuple:
+        return self.table._on_grid(omega)[::2]  # (Re T_eff, outside)
 
 
 def sql(model: Union[Susceptibility, complex], omega: float | None = None, hbar: float = 1.0) -> float:

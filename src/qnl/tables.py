@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
@@ -37,6 +37,7 @@ SPIN_FIGURE_COLUMNS = (
     "s_sum_spin_matched",
     "regime_full",
 )
+_BUDGET_FLOATS = tuple(c for c in BUDGET_COLUMNS if c != "regime")
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,12 @@ class BudgetPoint:
     im_s_xf_opt: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name == "regime":
-                object.__setattr__(self, "regime", str(self.regime))
-            else:
-                # + 0.0 normalizes -0.0 so emitted tables are stable
-                object.__setattr__(self, f.name, float(getattr(self, f.name)) + 0.0)
+        # via the instance dict (half the cost of object.__setattr__); + 0.0
+        # normalizes -0.0 so emitted tables are stable
+        v = self.__dict__
+        for name in _BUDGET_FLOATS:
+            v[name] = float(v[name]) + 0.0
+        v["regime"] = str(v["regime"])
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,10 @@ class SpinFigurePoint:
     regime_full: str
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name == "regime_full":
-                object.__setattr__(self, "regime_full", str(self.regime_full))
-            else:
-                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        v = self.__dict__  # as in BudgetPoint
+        for name in SPIN_FIGURE_COLUMNS[:4]:
+            v[name] = float(v[name])
+        v["regime_full"] = str(v["regime_full"])
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,10 @@ def _parse_csv(text: str, kind: str, columns: Sequence[str], str_columns: set[st
     if not lines[2].startswith("# transitions="):
         raise ConfigError(f"line 3: expected '# transitions=...', got {lines[2]!r}")
     raw = lines[2].split("=", 1)[1]
-    transitions = tuple(float(t) for t in raw.split(",")) if raw else ()
+    try:
+        transitions = tuple(float(t) for t in raw.split(",")) if raw else ()
+    except ValueError as exc:
+        raise ConfigError(f"line 3: malformed transitions: {exc}") from None
     header = lines[4]
     if header != ",".join(columns):
         raise ConfigError(f"line 5: unexpected column header {header!r}")
@@ -142,11 +145,13 @@ def _parse_csv(text: str, kind: str, columns: Sequence[str], str_columns: set[st
         parts = line.split(",")
         if len(parts) != len(columns):
             raise ConfigError(f"line {idx}: expected {len(columns)} fields, got {len(parts)}")
-        row = [
-            part if col in str_columns else float(part)
-            for col, part in zip(columns, parts)
-        ]
-        rows.append(row)
+        try:
+            rows.append([
+                part if col in str_columns else float(part)
+                for col, part in zip(columns, parts)
+            ])
+        except ValueError as exc:
+            raise ConfigError(f"line {idx}: {exc}") from None
     meta = TableMeta(kind=kind, version=version, config_hash=config_hash, transitions=transitions)
     return meta, rows
 
@@ -208,12 +213,41 @@ def _parse_json(payload: dict, kind: str, columns: Sequence[str], str_columns: s
     return meta, rows
 
 
-def _point_row(point, columns) -> list:
-    return [getattr(point, col) for col in columns]
+def _build(cls, rows) -> list:
+    """cls(*row) per row, minus the generated __init__, which only stores the
+    fields and calls __post_init__: half the cost of a row in bulk."""
+    points = []
+    for row in rows:
+        p = object.__new__(cls)
+        p.__dict__.update(zip(cls.__dataclass_fields__, row))
+        p.__post_init__()
+        points.append(p)
+    return points
+
+
+class _Table:
+    """Row access and parsing of both table kinds; each defines its emitters."""
+
+    def rows(self) -> list[list]:
+        return [[getattr(p, col) for col in self.COLUMNS] for p in self.points]
+
+    @classmethod
+    def _from_rows(cls, meta: TableMeta, rows):
+        return cls(points=tuple(_build(cls._POINT, rows)), meta=meta)
+
+    @classmethod
+    def from_csv(cls, text: str):
+        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls._from_rows(
+            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
+        )
 
 
 @dataclass(frozen=True)
-class BudgetTable:
+class BudgetTable(_Table):
     """Frequency-ordered budget rows plus run metadata."""
 
     points: tuple
@@ -222,9 +256,7 @@ class BudgetTable:
     COLUMNS = BUDGET_COLUMNS
     _KIND = "budget"
     _STR_COLUMNS = {"regime"}
-
-    def rows(self) -> list[list]:
-        return [_point_row(p, self.COLUMNS) for p in self.points]
+    _POINT = BudgetPoint
 
     def to_csv(self) -> str:
         return _emit_csv(self.meta, self.COLUMNS, self.rows())
@@ -232,24 +264,9 @@ class BudgetTable:
     def to_json(self) -> str:
         return _emit_json(self.meta, self.COLUMNS, self.rows())
 
-    @classmethod
-    def _from_rows(cls, meta: TableMeta, rows) -> "BudgetTable":
-        points = tuple(BudgetPoint(*row) for row in rows)
-        return cls(points=points, meta=meta)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BudgetTable":
-        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BudgetTable":
-        return cls._from_rows(
-            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
-        )
-
 
 @dataclass(frozen=True)
-class SpinFigureTable:
+class SpinFigureTable(_Table):
     """The three-series back-action sweep (full, sigma-zero, spin-matched)."""
 
     points: tuple
@@ -258,30 +275,13 @@ class SpinFigureTable:
     COLUMNS = SPIN_FIGURE_COLUMNS
     _KIND = "spin-figure"
     _STR_COLUMNS = {"regime_full"}
-
-    def rows(self) -> list[list]:
-        return [_point_row(p, self.COLUMNS) for p in self.points]
+    _POINT = SpinFigurePoint
 
     def to_csv(self) -> str:
         return _emit_csv(self.meta, self.COLUMNS, self.rows())
 
     def to_json(self) -> str:
         return _emit_json(self.meta, self.COLUMNS, self.rows())
-
-    @classmethod
-    def _from_rows(cls, meta: TableMeta, rows) -> "SpinFigureTable":
-        points = tuple(SpinFigurePoint(*row) for row in rows)
-        return cls(points=points, meta=meta)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SpinFigureTable":
-        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpinFigureTable":
-        return cls._from_rows(
-            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
-        )
 
 
 def load_table(text: str):
@@ -295,8 +295,7 @@ def load_table(text: str):
                 del payload  # peak memory holds the document or the row objects, not both
                 return cls._from_rows(meta, rows)
         raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
-    if stripped.startswith("# qnl budget"):
-        return BudgetTable.from_csv(text)
-    if stripped.startswith("# qnl spin-figure"):
-        return SpinFigureTable.from_csv(text)
+    for cls in (BudgetTable, SpinFigureTable):
+        if stripped.startswith(f"# qnl {cls._KIND}"):
+            return cls.from_csv(text)
     raise ConfigError("unrecognized table format")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,18 +8,28 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qnl import (
+    BudgetPoint,
     BudgetTable,
     ConfigError,
+    DomainError,
     FdtViolationError,
     LosslessProbeError,
+    RangeError,
+    SpinFigurePoint,
     SpinFigureTable,
+    Susceptibility,
+    dql,
+    fdt_psd,
     load_config,
     load_table,
+    matched_sum_noise,
     optimize_fixed_backaction,
     optimize_fixed_eff_backaction,
+    optimize_fixed_eff_backaction_sigma_zero,
     parse_config,
     run_budget,
     run_spin_figure,
+    sql,
     threshold_eff,
     verify,
 )
@@ -262,6 +273,17 @@ class TestRoundTrips:
         assert load_table(fig.to_csv()) == fig
         assert load_table(fig.to_json()) == fig
 
+    @pytest.mark.parametrize("line", [3, 6, 9])
+    def test_malformed_csv_number_raises_config_error(self, table, line):
+        lines = table.to_csv().splitlines()
+        if line == 3:
+            lines[2] = "# transitions=x"
+        else:
+            lines[line - 1] = "abc" + lines[line - 1][lines[line - 1].index(","):]
+        for loader in (load_table, BudgetTable.from_csv):
+            with pytest.raises(ConfigError, match=f"^line {line}: "):
+                loader("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize(
         "case", ["truncated", "not-an-object", "no-rows", "row-missing-column", "unknown-kind"]
     )
@@ -428,12 +450,175 @@ class TestVerify:
         assert report.passed, report.render()
 
 
+def scalar_rows(cfg) -> list:
+    """Every row of the config's table, one point at a time through the
+    scalar public API."""
+    hbar = cfg.constants.hbar
+    rows = []
+    if cfg.mode == "sweep_SFF_at_fixed_omega":
+        d = cfg.probe.chi_inv(cfg.omega)
+        for s in cfg.s_ff_sweep.values(threshold_eff(d, 0.0, hbar)):
+            s = float(s)
+            full = optimize_fixed_eff_backaction(d, 0.0, s, hbar)
+            zero = optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s, hbar)
+            matched = matched_sum_noise(s / hbar, d, hbar=hbar)
+            rows.append([s, full.s_sum, zero.s_sum, matched, full.regime.value])
+        return rows
+    for w in cfg.frequency.values():
+        w = float(w)
+        d = cfg.probe.chi_inv(w)
+        k = complex(cfg.k_of_omega(w))
+        if cfg.mode == "fixed_effective":
+            k = complex(k.real, 0.0)
+        r = optimize_fixed_backaction(d, k, cfg.s_ff, allow_sigma=not cfg.sigma_constrained,
+                                      hbar=hbar)
+        s_fdt = fdt_psd(cfg.probe, cfg.thermal, w, cfg.constants)
+        t = r.optimal_triad
+        rows.append([w, sql(d, hbar=hbar), dql(d, hbar=hbar), r.s_threshold, r.s_sum,
+                     r.regime.value, s_fdt, r.s_sum + s_fdt, r.sigma_opt, t.s_xx,
+                     t.s_xf.real, t.s_xf.imag])
+    return rows
+
+
+def tabulated_effective_config(**overrides):
+    """fixed_effective with tabulated chi_inv, K (Im K != 0) and T_eff."""
+    nodes = np.linspace(0.4, 1.6, 61)
+    chi = (1.0 - nodes**2) * (1.0 + 0.01 * np.sin(7.0 * nodes)) - 0.2j * nodes
+    return osc_config(
+        mode="fixed_effective", s_ff=0.25,
+        probe={"type": "tabulated", "omega": nodes.tolist(), "re": chi.real.tolist(),
+               "im": chi.imag.tolist()},
+        back_action={"type": "tabulated", "omega": nodes.tolist(),
+                     "re": (0.05 * np.cos(3.0 * nodes)).tolist(),
+                     "im": (0.02 * np.sin(2.0 * nodes)).tolist()},
+        thermal={"type": "effective", "omega": nodes.tolist(),
+                 "t_eff": (0.3 + 0.1 * np.sin(nodes) ** 2).tolist()},
+        **overrides,
+    )
+
+
+PINNED_CONFIGS = {
+    "oscillator_budget": lambda: load_config(str(CONFIGS / "oscillator_budget.json")),
+    "si_oscillator": lambda: load_config(str(CONFIGS / "si_oscillator.json")),
+    "spin_figure": lambda: load_config(str(CONFIGS / "spin_figure.json")),
+    "tabulated_fixed_effective": lambda: parse_config(tabulated_effective_config()),
+    "free_mass_lossless": lambda: parse_config(osc_config(
+        probe={"type": "free_mass", "mass": 1.0, "gamma": 0.0}, s_ff=0.3,
+        back_action={"type": "constant", "re": 0.1, "im": 0.05},
+        thermal={"type": "uniform", "temperature": 0.5})),
+    "sigma_zero": lambda: parse_config(osc_config(
+        sigma_zero=True, s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05})),
+    "complex_k": lambda: parse_config(osc_config(
+        s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05},
+        thermal={"type": "uniform", "temperature": 0.5},
+        frequency={"start": 0.5, "stop": 1.5, "points": 4001})),
+    "spin_si": lambda: parse_config(spin_config(
+        probe={"type": "oscillator", "mass": 1e-3, "omega0": 1e6, "gamma": 100.0},
+        hbar=1.054e-34, k_boltzmann=1.380649e-23, omega=1.0001e6,
+        s_ff={"start": 0.01, "stop": 100.0, "points": 2001})),
+}
+
+
+def as_emitted(table) -> list:
+    return [[repr(v) for v in row] for row in table.rows()]
+
+
+def scalar_table(cfg):
+    """The table as the scalar rows would emit it (row classes coerce)."""
+    if cfg.mode == "sweep_SFF_at_fixed_omega":
+        kind, point = SpinFigureTable, SpinFigurePoint
+    else:
+        kind, point = BudgetTable, BudgetPoint
+    return kind(points=tuple(point(*row) for row in scalar_rows(cfg)), meta=None)
+
+
 def test_budget_matches_module_level_optimizer_pointwise():
-    cfg = parse_config(osc_config(back_action={"type": "constant", "re": 0.1, "im": 0.05},
-                                  s_ff=0.3))
-    table = run_budget(cfg)
-    for row in (table.points[10], table.points[50], table.points[90]):
-        d = complex(1.0 - row.omega**2, -0.2 * row.omega)
-        report = optimize_fixed_backaction(d, complex(0.1, 0.05), 0.3)
-        assert row.s_sum_opt == report.s_sum
-        assert row.s_xx_opt == report.optimal_triad.s_xx
+    # the array sweep against the scalar public API, every row and column,
+    # compared through repr so a signed zero or a last-bit change shows
+    for name, make in PINNED_CONFIGS.items():
+        cfg = make()
+        got = as_emitted(run_budget(cfg))
+        assert got == as_emitted(scalar_table(cfg)), name
+        assert len(got) == (cfg.frequency or cfg.s_ff_sweep).points, name
+
+
+class TestArraySweepErrors:
+    """A point the scalar path rejects is re-run through it: same error type,
+    same text, at the same first frequency."""
+
+    def test_fdt_violation_names_the_first_offending_frequency(self):
+        # Im K grows with omega and crosses s_ff = 0.1 inside the grid
+        nodes = [0.5, 1.5]
+        cfg = parse_config(osc_config(
+            s_ff=0.1, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
+                                   "im": [0.0, 0.2]}))
+        omegas = [float(w) for w in cfg.frequency.values()]
+        first = next(w for w in omegas if abs(cfg.k_of_omega(w).imag) > 0.1)
+        assert omegas[0] < first < omegas[-1]
+        floor = abs(cfg.k_of_omega(first).imag)
+        with pytest.raises(FdtViolationError) as exc:
+            run_budget(cfg)
+        assert str(exc.value) == (
+            f"omega={first!r}: s_ff=0.1 below the meter FDT floor hbar*|Im K|={floor!r}"
+        )
+
+    @pytest.mark.parametrize("table", ["probe", "back_action", "thermal"])
+    def test_out_of_range_tabulated_frequency(self, table):
+        raw = tabulated_effective_config()
+        short = {"omega": [0.4, 1.2]}
+        if table == "thermal":
+            raw["thermal"] = dict(raw["thermal"], **short, t_eff=[0.3, 0.3])
+        else:
+            raw[table] = dict(raw[table], **short, re=[0.1, 0.2], im=[-0.1, -0.3])
+        raw["frequency"] = {"start": 0.5, "stop": 1.5, "points": 101}
+        cfg = parse_config(raw)
+        first = next(float(w) for w in cfg.frequency.values() if w > 1.2)
+        with pytest.raises(RangeError) as exc:
+            run_budget(cfg)
+        assert str(exc.value) == f"frequency {first!r} outside tabulated range [0.4, 1.2]"
+
+    def test_vanishing_chi_inv_plus_k(self):
+        # lossless oscillator and real K = -chi_inv at the 31st grid point
+        w = float(np.linspace(0.5, 1.5, 101)[30])
+        cfg = parse_config(osc_config(
+            probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
+            back_action=-(1.0 - w * w)))
+        d = cfg.probe.chi_inv(w)
+        with pytest.raises(DomainError) as exc:
+            run_budget(cfg)
+        assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
+
+
+class _Wobbly(Susceptibility):
+    """A probe with no array form: evaluated point by point."""
+
+    def chi_inv(self, omega):
+        if omega > 1.3:
+            raise DomainError(f"no response above 1.3, got {omega!r}")
+        return complex(1.0 - omega * omega + 0.1 * math.sin(9.0 * omega), -0.2 * omega)
+
+
+def test_probe_without_array_form_is_evaluated_pointwise():
+    raw = osc_config(s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05},
+                     frequency={"start": 0.5, "stop": 1.3, "points": 81})
+    cfg = dataclasses.replace(parse_config(raw), probe=_Wobbly())
+    assert as_emitted(run_budget(cfg)) == as_emitted(scalar_table(cfg))
+    bad = dataclasses.replace(cfg, frequency=dataclasses.replace(cfg.frequency, stop=1.5))
+    first = next(float(w) for w in bad.frequency.values() if w > 1.3)
+    with pytest.raises(DomainError, match=f"got {first!r}$"):
+        run_budget(bad)
+
+
+def test_rows_coerce_numbers_and_regime():
+    p = BudgetPoint(1, -0.0, 0.0, np.float64(2.5), 3, np.str_("dql"), -0.0, 1.0, -0.0, 2.0,
+                    -0.0, np.float32(0.5))
+    values = [getattr(p, c) for c in BudgetTable.COLUMNS]
+    assert all(type(v) is float for i, v in enumerate(values) if i != 5)
+    assert type(p.regime) is str and p.regime == "dql"
+    # -0.0 becomes 0.0, so emitted tables never show "-0.0"
+    assert all(math.copysign(1.0, v) == 1.0 for i, v in enumerate(values) if i != 5)
+    q = SpinFigurePoint(np.float64(0.5), 1, 2.0, np.float32(3.0), np.str_("qcrb"))
+    assert [type(getattr(q, c)) for c in SpinFigureTable.COLUMNS] == [float] * 4 + [str]
+    # rows built in bulk by a sweep go through the same coercion
+    table = run_budget(parse_config(osc_config()))
+    assert table.points[3] == BudgetPoint(*table.rows()[3])

@@ -117,6 +117,18 @@ def test_verify_malformed_golden_exits_1(config_path, tmp_path, capsys):
     assert "config error: line " in capsys.readouterr().err
 
 
+def test_verify_golden_csv_with_a_malformed_number_exits_1(config_path, tmp_path, capsys):
+    golden = tmp_path / "golden.csv"
+    assert main(["budget", config_path, "--output", str(golden)]) == 0
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    lines[6] = "abc" + lines[6][lines[6].index(","):]
+    golden.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", config_path, "--golden", str(golden)]) == 1
+    assert "config error: line 7: could not convert string to float: 'abc'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_verify_golden_failure_exits_2(config_path, tmp_path, capsys):
     golden = tmp_path / "golden.csv"
     assert main(["budget", config_path, "--output", str(golden)]) == 0

@@ -21,6 +21,7 @@ from qnl import (
     threshold_full,
     uncertainty_slack,
 )
+from qnl.optimize import _optimum_grid
 from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
 
 D_RES = complex(0.0, -0.2)  # oscillator at resonance
@@ -371,3 +372,72 @@ class TestPhaseTransition:
     def test_lossless_probe_rejected(self):
         with pytest.raises(LosslessProbeError):
             phase_transition_probe(complex(-3.0, 0.0), 0.0)
+
+
+def _kernel_draws(n: int, seed: int):
+    """Conftest draws; a third with Im K = 0, every seventh probe lossless,
+    every eleventh lossy budget exactly at the threshold."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        d, k = draw_lossy_chi_inv(rng), draw_back_action(rng)
+        if i % 3 == 0:
+            k = complex(k.real, 0.0)
+        if i % 7 == 0:
+            d = complex(d.real, 0.0)
+            s = max(abs(k.imag), 0.01) * 10.0 ** rng.uniform(0.0, 1.5)
+        elif i % 11 == 0:
+            s = threshold_full(d, k)
+        else:
+            s = draw_budget(rng, d, k)
+        draws.append((d, k, s))
+    return draws
+
+
+def _bits(x: float) -> tuple:
+    return float(x), math.copysign(1.0, x)  # == on the value and on the sign of a zero
+
+
+@pytest.mark.parametrize("allow_sigma", [True, False])
+def test_array_kernel_matches_scalar_optimizer_bit_for_bit(allow_sigma):
+    # the sweep kernel repeats optimize_fixed_backaction op for op; compared
+    # with ==, never a tolerance, so a float ** or math.hypot in the scalar
+    # path (or any reordering) shows up as a mismatch
+    draws = _kernel_draws(20000, 2024)
+    d, k, s = (np.array(col) for col in zip(*draws))
+    got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, 1.0)
+    assert not got["bad"].any()
+    regimes, mismatches = set(), []
+    for i, (di, ki, si) in enumerate(draws):
+        r = optimize_fixed_backaction(di, ki, si, allow_sigma=allow_sigma)
+        want = (r.s_sum, r.s_threshold, r.sigma_opt, r.optimal_triad.s_xx,
+                r.optimal_triad.s_xf.real, r.optimal_triad.s_xf.imag)
+        have = tuple(got[key][i] for key in
+                     ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im"))
+        if [_bits(x) for x in have] != [_bits(x) for x in want] or \
+                got["regime"][i] != r.regime.value:
+            mismatches.append((di, ki, si))
+        regimes.add((r.regime, math.isinf(r.s_threshold), r.sigma_opt != 0.0))
+    assert mismatches == []
+    # every branch was exercised: lossless, both lossy regimes, and (sigma
+    # free) the dissipation-limited plateau with sigma != 0
+    assert (Regime.QCRB_LIMITED, True, False) in regimes
+    assert (Regime.QCRB_LIMITED, False, False) in regimes
+    assert (Regime.DQL_LIMITED, False, allow_sigma) in regimes
+
+
+def test_array_kernel_marks_every_point_the_scalar_optimizer_rejects():
+    d = np.array([complex(0.3, -0.2), complex(0.3, -0.2), complex(-0.1, 0.0), complex(0.3, -0.2),
+                  complex(0.3, -0.2), complex(0.3, -0.2)])
+    k = np.array([complex(0.1, 0.5), complex(-0.3, 0.2), complex(0.2, 0.0), 0j, 0j, 0j])
+    s = np.array([0.1, 0.5, 0.4, 0.0, math.inf, math.nan])
+    got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, True, 1.0)
+    for i, bad in enumerate(got["bad"]):
+        try:
+            optimize_fixed_backaction(d[i], k[i], s[i])
+            raised = False
+        except (DomainError, FdtViolationError):
+            raised = True
+        assert bool(bad) == raised, i
+    # the FDT violation, a vanishing chi_inv + K, and three invalid budgets
+    assert got["bad"].tolist() == [True, True, False, True, True, True]
