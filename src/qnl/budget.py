@@ -45,14 +45,7 @@ from .spectra import (
     sql,
 )
 from .spin import matched_sum_noise
-from .tables import (
-    BudgetPoint,
-    BudgetTable,
-    SpinFigurePoint,
-    SpinFigureTable,
-    TableMeta,
-    _build,
-)
+from .tables import BudgetTable, SpinFigureTable, TableMeta, load_table
 
 log = logging.getLogger("qnl.budget")
 
@@ -335,7 +328,7 @@ def load_config(path: str) -> SweepConfig:
         return parse_config(fh.read(), name=path)
 
 
-def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
+def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
     hbar = cfg.constants.hbar
     d = cfg.probe.chi_inv(omega)
     kv = complex(cfg.k_of_omega(omega))
@@ -351,7 +344,7 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
 
     s_fdt = fdt_psd(cfg.probe, cfg.thermal, omega, cfg.constants)
     t = report.optimal_triad
-    return BudgetPoint(  # the BUDGET_COLUMNS in order
+    return (  # the BUDGET_COLUMNS in order
         omega, sql(d, hbar=hbar), dql(d, hbar=hbar), report.s_threshold, report.s_sum,
         report.regime.value, s_fdt, report.s_sum + s_fdt, report.sigma_opt, t.s_xx,
         t.s_xf.real, t.s_xf.imag)
@@ -359,7 +352,8 @@ def _budget_point(cfg: SweepConfig, omega: float) -> BudgetPoint:
 
 def _meta(cfg: SweepConfig, kind: str, values: Sequence[float], regimes: Sequence[str]) -> TableMeta:
     """Table metadata; the transitions are the swept values where the regime changes."""
-    transitions = tuple(float(v) for a, b, v in zip(regimes, regimes[1:], values[1:]) if a != b)
+    r = np.array(regimes, dtype=object)
+    transitions = tuple(float(values[i]) for i in (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist())
     return TableMeta(kind, __version__, cfg.config_hash, transitions)
 
 
@@ -419,13 +413,13 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
     try:
         columns, bad = _budget_columns(cfg, grid)
-        points = _build(BudgetPoint, zip(*columns))
     except QnlError:  # a model evaluated per point raised: re-run all points in order
-        points, bad = [None] * len(omegas), np.ones(len(omegas), bool)
+        columns = [[None] * len(omegas) for _ in BudgetTable.COLUMNS]
+        bad = np.ones(len(omegas), bool)
     for i in np.flatnonzero(bad).tolist():
-        points[i] = _budget_point(cfg, omegas[i])  # raises the scalar path's error
-    meta = _meta(cfg, "budget", omegas, [p.regime for p in points])
-    return BudgetTable(points=tuple(points), meta=meta)
+        for col, v in zip(columns, _budget_point(cfg, omegas[i])):  # raises the scalar error
+            col[i] = v
+    return BudgetTable._of(columns, _meta(cfg, "budget", omegas, columns[5]))
 
 
 def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
@@ -444,11 +438,11 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     d, thr0, budgets = _spin_budgets(cfg)
     log.debug("spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
 
-    def point(s: float) -> SpinFigurePoint:
+    def point(s: float) -> tuple:
         full = optimize_fixed_eff_backaction(d, 0.0, s, hbar)
         zero = optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s, hbar)
         matched = matched_sum_noise(s / hbar, d, hbar=hbar)
-        return SpinFigurePoint(s, full.s_sum, zero.s_sum, matched, full.regime.value)
+        return s, full.s_sum, zero.s_sum, matched, full.regime.value
 
     full = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, True, hbar)
     zero = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, False, hbar)
@@ -459,13 +453,12 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
         matched = hbar * abs(d.imag) + scale / (4.0 * (hbar * theta))
     bad = full["bad"] | zero["bad"] | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
     s_list = budgets.tolist()
-    points = _build(SpinFigurePoint, zip(
-        s_list, full["s_sum"].tolist(), zero["s_sum"].tolist(), matched.tolist(),
-        full["regime"].tolist()))
+    columns = [s_list, full["s_sum"].tolist(), zero["s_sum"].tolist(), matched.tolist(),
+               full["regime"].tolist()]
     for i in np.flatnonzero(bad).tolist():
-        points[i] = point(s_list[i])  # raises the scalar path's error
-    meta = _meta(cfg, "spin-figure", s_list, [p.regime_full for p in points])
-    return SpinFigureTable(points=tuple(points), meta=meta)
+        for col, v in zip(columns, point(s_list[i])):  # raises the scalar path's error
+            col[i] = v
+    return SpinFigureTable._of(columns, _meta(cfg, "spin-figure", s_list, columns[4]))
 
 
 @dataclass(frozen=True)
@@ -641,25 +634,19 @@ def verify(
 
 
 def _golden_check(cfg: SweepConfig, golden_path: str) -> CheckResult:
-    from .tables import load_table
-
     with open(golden_path, "r", encoding="utf-8") as fh:
         golden = load_table(fh.read())
     fresh = run_budget(cfg)
     if type(golden) is not type(fresh):
         return CheckResult("golden-match", False, 1.0, 0.0, "table kind differs")
-    golden_rows = golden.rows()
-    fresh_rows = fresh.rows()
-    if len(golden_rows) != len(fresh_rows):
-        return CheckResult(
-            "golden-match", False, float(abs(len(golden_rows) - len(fresh_rows))), 0.0,
-            f"row count {len(golden_rows)} vs {len(fresh_rows)}",
-        )
-    for i, (a, b) in enumerate(zip(golden_rows, fresh_rows)):
-        if a != b:
-            cols = [c for c, (x, y) in zip(fresh.COLUMNS, zip(a, b)) if x != y]
-            return CheckResult(
-                "golden-match", False, 1.0, 0.0,
-                f"first differing row {i} (columns: {', '.join(cols)})",
-            )
-    return CheckResult("golden-match", True, 0.0, 0.0, f"{len(fresh_rows)} rows identical")
+    n_golden, n_fresh = len(golden.columns[0]), len(fresh.columns[0])
+    if n_golden != n_fresh:
+        return CheckResult("golden-match", False, float(abs(n_golden - n_fresh)), 0.0,
+                           f"row count {n_golden} vs {n_fresh}")
+    differ = [(c, a, b) for c, a, b in zip(fresh.COLUMNS, golden.columns, fresh.columns) if a != b]
+    if differ:
+        i = min(next(i for i, (x, y) in enumerate(zip(a, b)) if x != y) for _, a, b in differ)
+        cols = [c for c, a, b in differ if a[i] != b[i]]
+        return CheckResult("golden-match", False, 1.0, 0.0,
+                           f"first differing row {i} (columns: {', '.join(cols)})")
+    return CheckResult("golden-match", True, 0.0, 0.0, f"{n_fresh} rows identical")

@@ -1,9 +1,15 @@
 """Budget tables and their CSV/JSON serialization.
 
+A table is its columns: one Python list per column, coerced as the row
+class coerces that field, plus its TableMeta.  Sweeps and loads fill the
+columns directly and emit writes them out; `.points`, the rows as
+BudgetPoint/SpinFigurePoint objects, is a view built once, when first read.
+
 Number formatting is the shortest round-trip decimal (Python float repr),
 column order is fixed, and emit(parse(text)) == text byte for byte.
 Lossless-probe thresholds are infinite; they serialize as the string "inf"
-in CSV and as null in JSON.
+in CSV and as null in JSON.  The JSON text is json.dumps(payload, indent=2),
+written directly from a fixed per-row template.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -91,30 +99,39 @@ class TableMeta:
     transitions: tuple
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
-def _meta_lines(meta: TableMeta) -> list[str]:
-    return [
+def _emit_csv(table) -> str:
+    meta = table.meta
+    lines = [
         f"# qnl {meta.kind} v{meta.version}",
         f"# config_hash={meta.config_hash}",
         "# transitions=" + ",".join(repr(float(t)) for t in meta.transitions),
         "# lossless thresholds serialize as inf (null in JSON)",
+        ",".join(table.COLUMNS),
     ]
-
-
-def _emit_csv(meta: TableMeta, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = _meta_lines(meta)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    cols = [c if n in table._STR_COLUMNS else list(map(repr, c))
+            for n, c in zip(table.COLUMNS, table.columns)]
+    lines += map(",".join, zip(*cols))
     return "\n".join(lines) + "\n"
 
 
-def _parse_csv(text: str, kind: str, columns: Sequence[str], str_columns: set[str]):
+def _emit_json(table) -> str:
+    """json.dumps(payload, indent=2) + "\\n" with non-finite numbers as null,
+    byte for byte; the rows are written from a fixed template, because with
+    indent json.dumps runs its pure-Python encoder."""
+    meta, names = table.meta, table.COLUMNS
+    head = json.dumps({"kind": meta.kind, "version": meta.version, "config_hash": meta.config_hash,
+                       "transitions": list(meta.transitions), "columns": list(names)}, indent=2)
+    cols = [list(map(encode_basestring_ascii, c)) if n in table._STR_COLUMNS  # as json.dumps
+            else [repr(v) if math.isfinite(v) else "null" for v in c]
+            for n, c in zip(names, table.columns)]
+    row = "    {\n" + ",\n".join(f"      {json.dumps(n)}: %s" for n in names) + "\n    }"
+    rows = ",\n".join(map(row.__mod__, zip(*cols)))
+    # head ends "\n}": the rows go in as the payload's last key
+    return head[:-2] + ',\n  "rows": ' + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n"
+
+
+def _parse_csv(cls, text: str):
+    kind, columns = cls._KIND, cls.COLUMNS
     lines = text.splitlines()
     if len(lines) < 5:
         raise ConfigError(f"{kind} CSV too short to contain header and metadata")
@@ -138,40 +155,22 @@ def _parse_csv(text: str, kind: str, columns: Sequence[str], str_columns: set[st
     header = lines[4]
     if header != ",".join(columns):
         raise ConfigError(f"line 5: unexpected column header {header!r}")
-    rows = []
-    for idx, line in enumerate(lines[5:], start=6):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ConfigError(f"line {idx}: expected {len(columns)} fields, got {len(parts)}")
-        try:
-            rows.append([
-                part if col in str_columns else float(part)
-                for col, part in zip(columns, parts)
-            ])
-        except ValueError as exc:
-            raise ConfigError(f"line {idx}: {exc}") from None
     meta = TableMeta(kind=kind, version=version, config_hash=config_hash, transitions=transitions)
-    return meta, rows
-
-
-def _emit_json(meta: TableMeta, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    payload = {
-        "kind": meta.kind,
-        "version": meta.version,
-        "config_hash": meta.config_hash,
-        "transitions": list(meta.transitions),
-        "columns": list(columns),
-        "rows": [
-            {
-                col: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                for col, v in zip(columns, row)
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    rows = [line.split(",") for line in lines[5:] if line]
+    try:
+        if any(len(parts) != len(columns) for parts in rows):
+            raise ValueError
+        return cls._of(list(zip(*rows)) or [()] * len(columns), meta)  # float() raises
+    except ValueError:  # malformed: read row by row, for the first offending line
+        for idx, line in ((i, line) for i, line in enumerate(lines[5:], start=6) if line):
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise ConfigError(f"line {idx}: expected {len(columns)} fields, got {len(parts)}")
+            try:
+                cls._of([[p] for p in parts], None)
+            except ValueError as exc:
+                raise ConfigError(f"line {idx}: {exc}") from None
+        raise
 
 
 def _decode_json(text: str) -> dict:
@@ -184,33 +183,31 @@ def _decode_json(text: str) -> dict:
     return payload
 
 
-def _parse_json(payload: dict, kind: str, columns: Sequence[str], str_columns: set[str]):
+def _parse_json(cls, payload: dict):
+    kind, columns, str_columns = cls._KIND, cls.COLUMNS, cls._STR_COLUMNS
     if payload.get("kind") != kind:
         raise ConfigError(f"expected a {kind!r} table, got {payload.get('kind')!r}")
     if tuple(payload.get("columns", ())) != tuple(columns):
         raise ConfigError(f"unexpected columns {payload.get('columns')!r}")
     try:
-        rows = []
-        for entry in payload["rows"]:
-            row = []
-            for col in columns:
-                value = entry[col]
-                if col in str_columns:
-                    row.append(str(value))
-                else:
-                    row.append(math.inf if value is None else float(value))
-            rows.append(row)
-        meta = TableMeta(
-            kind=kind,
-            version=str(payload["version"]),
-            config_hash=str(payload["config_hash"]),
-            transitions=tuple(float(t) for t in payload["transitions"]),
-        )
+        entries = payload["rows"]
+        try:
+            table = cls._of([[entry[c] for entry in entries] if c in str_columns else
+                             [math.inf if (v := entry[c]) is None else v for entry in entries]
+                             for c in columns], None)
+        except (KeyError, TypeError, ValueError):  # malformed: the first bad entry, row by row
+            for entry in entries:
+                for c in columns:
+                    if (value := entry[c]) is not None and c not in str_columns:
+                        float(value)
+            raise
+        table.meta = TableMeta(kind, str(payload["version"]), str(payload["config_hash"]),
+                               tuple(float(t) for t in payload["transitions"]))
     except KeyError as exc:
         raise ConfigError(f"malformed {kind} table: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {kind} table: {exc}") from None
-    return meta, rows
+    return table
 
 
 def _build(cls, rows) -> list:
@@ -226,62 +223,79 @@ def _build(cls, rows) -> list:
 
 
 class _Table:
-    """Row access and parsing of both table kinds; each defines its emitters."""
+    """Columns, meta, the row view and parsing of both table kinds; each
+    kind defines its emitters and how its float columns are coerced."""
+
+    def __init__(self, points: Iterable, meta: TableMeta):
+        self.points = tuple(points)  # row objects, which coerced their fields
+        self.columns = tuple([getattr(p, c) for p in self.points] for c in self.COLUMNS)
+        self.meta = meta
+
+    @classmethod
+    def _of(cls, columns, meta: TableMeta | None):
+        """The table of these columns, coerced as the row class coerces its fields."""
+        table = object.__new__(cls)
+        table.meta = meta
+        table.columns = tuple(list(map(str, col)) if name in cls._STR_COLUMNS
+                              else cls._floats(col) for name, col in zip(cls.COLUMNS, columns))
+        return table
+
+    @cached_property
+    def points(self) -> tuple:
+        """The rows as point objects, built on first read; rows() is cheaper."""
+        return tuple(_build(self._POINT, zip(*self.columns)))
 
     def rows(self) -> list[list]:
-        return [[getattr(p, col) for col in self.COLUMNS] for p in self.points]
+        return [list(r) for r in zip(*self.columns)]
 
-    @classmethod
-    def _from_rows(cls, meta: TableMeta, rows):
-        return cls(points=tuple(_build(cls._POINT, rows)), meta=meta)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.columns, self.meta) == (other.columns, other.meta)
 
-    @classmethod
-    def from_csv(cls, text: str):
-        return cls._from_rows(*_parse_csv(text, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS))
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(<{len(self.columns[0])} rows>, meta={self.meta!r})"
+
+    from_csv = classmethod(_parse_csv)
 
     @classmethod
     def from_json(cls, text: str):
-        return cls._from_rows(
-            *_parse_json(_decode_json(text), cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
-        )
+        return _parse_json(cls, _decode_json(text))
 
 
-@dataclass(frozen=True)
 class BudgetTable(_Table):
     """Frequency-ordered budget rows plus run metadata."""
-
-    points: tuple
-    meta: TableMeta
 
     COLUMNS = BUDGET_COLUMNS
     _KIND = "budget"
     _STR_COLUMNS = {"regime"}
     _POINT = BudgetPoint
 
+    # as BudgetPoint's float(v) + 0.0, which turns -0.0 into 0.0 (falsy), minus a new float each
+    _floats = staticmethod(lambda col: [float(v) or 0.0 for v in col])
+
     def to_csv(self) -> str:
-        return _emit_csv(self.meta, self.COLUMNS, self.rows())
+        return _emit_csv(self)
 
     def to_json(self) -> str:
-        return _emit_json(self.meta, self.COLUMNS, self.rows())
+        return _emit_json(self)
 
 
-@dataclass(frozen=True)
 class SpinFigureTable(_Table):
     """The three-series back-action sweep (full, sigma-zero, spin-matched)."""
-
-    points: tuple
-    meta: TableMeta
 
     COLUMNS = SPIN_FIGURE_COLUMNS
     _KIND = "spin-figure"
     _STR_COLUMNS = {"regime_full"}
     _POINT = SpinFigurePoint
 
+    _floats = staticmethod(lambda col: list(map(float, col)))
+
     def to_csv(self) -> str:
-        return _emit_csv(self.meta, self.COLUMNS, self.rows())
+        return _emit_csv(self)
 
     def to_json(self) -> str:
-        return _emit_json(self.meta, self.COLUMNS, self.rows())
+        return _emit_json(self)
 
 
 def load_table(text: str):
@@ -291,9 +305,7 @@ def load_table(text: str):
         payload = _decode_json(text)  # decoded once, then dispatched on its kind
         for cls in (BudgetTable, SpinFigureTable):
             if payload.get("kind") == cls._KIND:
-                meta, rows = _parse_json(payload, cls._KIND, cls.COLUMNS, cls._STR_COLUMNS)
-                del payload  # peak memory holds the document or the row objects, not both
-                return cls._from_rows(meta, rows)
+                return _parse_json(cls, payload)
         raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
     for cls in (BudgetTable, SpinFigureTable):
         if stripped.startswith(f"# qnl {cls._KIND}"):

@@ -306,6 +306,142 @@ class TestRoundTrips:
             with pytest.raises(ConfigError):
                 loader(text)
 
+    @pytest.mark.parametrize("case", ["value-then-count", "count-then-value", "two-columns"])
+    def test_malformed_csv_reports_the_first_bad_line_and_field(self, table, case):
+        # columns are parsed whole, but the error is the one a row-by-row read meets first
+        lines = table.to_csv().splitlines()
+        first, second = (6, 7) if case != "count-then-value" else (7, 6)
+        row = lines[first].split(",")
+        row[3 if case == "two-columns" else 1] = "abc"
+        row[4] = "xyz" if case == "two-columns" else row[4]
+        lines[first] = ",".join(row)
+        if case == "two-columns":
+            lines[second] = lines[second].replace(",", ",pqr", 1)
+        else:
+            lines[second] = lines[second].rsplit(",", 1)[0]
+        expected = {
+            "value-then-count": "line 7: could not convert string to float: 'abc'",
+            "count-then-value": "line 7: expected 12 fields, got 11",
+            "two-columns": "line 7: could not convert string to float: 'abc'",
+        }[case]
+        for loader in (load_table, BudgetTable.from_csv):
+            with pytest.raises(ConfigError) as exc:
+                loader("\n".join(lines) + "\n")
+            assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("case", ["value-then-missing", "missing-then-value", "row-order"])
+    def test_malformed_json_reports_the_first_bad_entry(self, table, case):
+        payload = json.loads(table.to_json())
+        rows = payload["rows"]
+        if case == "value-then-missing":
+            rows[1]["regime"], rows[1]["s_fdt"] = "qcrb", "abc"
+            del rows[2]["omega"]
+            expected = "could not convert string to float: 'abc'"
+        elif case == "missing-then-value":
+            del rows[1]["im_s_xf_opt"]
+            rows[2]["omega"] = "abc"
+            expected = "missing field 'im_s_xf_opt'"
+        else:
+            rows[1]["s_total"] = [1.0]
+            rows[2]["omega"] = "abc"
+            expected = "float() argument must be a string or a real number, not 'list'"
+        for loader in (load_table, BudgetTable.from_json):
+            with pytest.raises(ConfigError) as exc:
+                loader(json.dumps(payload))
+            assert str(exc.value) == f"malformed budget table: {expected}"
+
+
+def reference_csv(table) -> str:
+    """The row-by-row CSV writer the column writer replaced."""
+    meta = table.meta
+    lines = [f"# qnl {meta.kind} v{meta.version}", f"# config_hash={meta.config_hash}",
+             "# transitions=" + ",".join(repr(float(t)) for t in meta.transitions),
+             "# lossless thresholds serialize as inf (null in JSON)", ",".join(table.COLUMNS)]
+    for p in table.points:
+        values = [getattr(p, c) for c in table.COLUMNS]
+        lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(table) -> str:
+    """json.dumps of the whole payload, non-finite numbers as null."""
+    meta = table.meta
+    payload = {
+        "kind": meta.kind,
+        "version": meta.version,
+        "config_hash": meta.config_hash,
+        "transitions": list(meta.transitions),
+        "columns": list(table.COLUMNS),
+        "rows": [
+            {c: (None if isinstance(v, float) and not math.isfinite(v) else v)
+             for c in table.COLUMNS for v in [getattr(p, c)]}
+            for p in table.points
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestColumnarTables:
+    """Tables hold columns; the writers emit them in the fixed layout, and
+    row objects are built only when .points is read."""
+
+    @staticmethod
+    def tables():
+        meta = run_budget(parse_config(osc_config())).meta
+        odd = BudgetPoint(0.5, -0.0, 5e-324, math.inf, 1.7976931348623157e308, 'dql"é\\',
+                          -math.inf, math.nan, 1e-320, 2.5, -1.25e-17, 3)
+        spin_meta = run_spin_figure(parse_config(spin_config())).meta
+        return {
+            "multi_transitions": run_budget(load_config(str(CONFIGS / "oscillator_budget.json"))),
+            "no_transitions_si": run_budget(load_config(str(CONFIGS / "si_oscillator.json"))),
+            "lossless_inf_thresholds": run_budget(parse_config(osc_config(
+                probe={"type": "free_mass", "mass": 1.0}))),
+            "sigma_zero": run_budget(PINNED_CONFIGS["sigma_zero"]()),
+            "spin": run_spin_figure(load_config(str(CONFIGS / "spin_figure.json"))),
+            "spin_si": run_budget(PINNED_CONFIGS["spin_si"]()),
+            "points_odd_values": BudgetTable(points=(odd, odd), meta=meta),
+            "points_empty": BudgetTable(points=(), meta=meta),
+            "spin_points": SpinFigureTable(
+                points=[SpinFigurePoint(-0.0, math.nan, 1e300, -math.inf, "qcrb")], meta=spin_meta),
+        }
+
+    def test_writers_match_the_reference_encoders_byte_for_byte(self):
+        tables = self.tables()
+        assert len(tables["multi_transitions"].meta.transitions) > 1
+        assert tables["no_transitions_si"].meta.transitions == ()
+        assert math.isinf(tables["lossless_inf_thresholds"].columns[3][0])
+        for name, table in tables.items():
+            assert table.to_csv() == reference_csv(table), name
+            assert table.to_json() == reference_json(table), name
+
+    def test_built_from_points_equals_built_from_columns(self):
+        table = run_budget(parse_config(osc_config()))
+        again = BudgetTable(points=table.points, meta=table.meta)
+        assert again == table and again.rows() == table.rows()
+        assert again.to_csv() == table.to_csv() and again.to_json() == table.to_json()
+        assert table != BudgetTable(points=table.points[:-1], meta=table.meta)
+
+    def test_hot_paths_build_no_row_objects(self, monkeypatch):
+        calls = []
+        for point in (BudgetPoint, SpinFigurePoint):
+            original = point.__post_init__
+            monkeypatch.setattr(point, "__post_init__",
+                                lambda self, _o=original: (calls.append(1), _o(self))[1])
+        for table in (run_budget(parse_config(osc_config())),
+                      run_spin_figure(load_config(str(CONFIGS / "spin_figure.json")))):
+            csv, js = table.to_csv(), table.to_json()
+            loaded = [load_table(csv), load_table(js), type(table).from_csv(csv),
+                      type(table).from_json(js)]
+            assert calls == []
+            n = len(table.rows())
+            points = table.points
+            assert len(calls) == n
+            assert table.points is points and len(calls) == n  # built once
+            assert points == tuple(table._POINT(*r) for r in table.rows())
+            for again in loaded:
+                assert again == table
+            calls.clear()
+
 
 class TestSpinFigure:
     def test_default_grid_hits_the_threshold_exactly(self):
@@ -383,6 +519,28 @@ class TestVerify:
         assert failing[0].name == "golden-match"
         assert "row 2" in failing[0].detail
         assert "s_sum_opt" in failing[0].detail
+
+    def test_golden_check_texts(self, tmp_path):
+        cfg = parse_config(osc_config(frequency={"start": 0.5, "stop": 1.5, "points": 11}))
+        lines = run_budget(cfg).to_csv().splitlines()
+
+        def golden_detail(text):
+            path = tmp_path / "golden.csv"
+            path.write_text(text, encoding="utf-8")
+            check = verify(cfg, samples=1, golden_path=str(path)).checks[-1]
+            assert check.name == "golden-match"
+            return check.passed, check.detail
+
+        assert golden_detail("\n".join(lines) + "\n") == (True, "11 rows identical")
+        tampered = [line.split(",") for line in lines]
+        tampered[9][0] = "0.75"  # row 4: omega
+        tampered[8][8] = "1.5"  # row 3: sigma_opt, s_xx_opt
+        tampered[8][9] = "2.5"
+        assert golden_detail("\n".join(map(",".join, tampered)) + "\n") == (
+            False, "first differing row 3 (columns: sigma_opt, s_xx_opt)")
+        assert golden_detail("\n".join(lines[:-2]) + "\n") == (False, "row count 9 vs 11")
+        spin = run_spin_figure(parse_config(spin_config()))
+        assert golden_detail(spin.to_csv()) == (False, "table kind differs")
 
     def test_fdt_violation_reported_with_frequency(self):
         cfg = parse_config(
@@ -622,3 +780,13 @@ def test_rows_coerce_numbers_and_regime():
     # rows built in bulk by a sweep go through the same coercion
     table = run_budget(parse_config(osc_config()))
     assert table.points[3] == BudgetPoint(*table.rows()[3])
+    # columns loaded from text coerce as the rows do: -0.0 becomes 0.0 in a budget table only
+    payload = json.loads(table.to_json())
+    payload["rows"][0].update(sql=-0.0, dql=2)
+    loaded = BudgetTable.from_json(json.dumps(payload))
+    assert repr(loaded.columns[1][0]) == "0.0" and repr(loaded.columns[2][0]) == "2.0"
+    assert loaded.points[0] == BudgetPoint(*loaded.rows()[0])
+    fig = run_spin_figure(parse_config(spin_config()))
+    text = fig.to_csv().splitlines()
+    text[5] = "-0.0" + text[5][text[5].index(","):]
+    assert repr(SpinFigureTable.from_csv("\n".join(text)).columns[0][0]) == "-0.0"
