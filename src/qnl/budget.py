@@ -172,16 +172,28 @@ def _parse_probe(spec, path: str) -> Susceptibility:
     raise ConfigError(f"{path}.type: unknown probe type {kind!r}")
 
 
+@dataclass(frozen=True)
+class _ConstantK:
+    """A frequency-independent K, callable, with a ComplexTable's array form."""
+
+    value: complex
+
+    def __call__(self, omega: float) -> complex:
+        return self.value
+
+    def _on_grid(self, omega: np.ndarray) -> tuple:
+        return np.full(omega.shape, self.value.real), np.full(omega.shape, self.value.imag), False
+
+
 def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = complex(float(spec), 0.0)
-        return lambda omega: value
+        return _ConstantK(complex(float(spec), 0.0))
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or a number, got {spec!r}")
     kind = _expect(spec, "type", str, path, required=True)
     if kind == "constant":
-        value = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
-        return lambda omega: value
+        re, im = _expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0)
+        return _ConstantK(complex(re, im))
     if kind == "tabulated":
         omega, values = _tabulated(spec, path)
         try:
@@ -371,7 +383,7 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
     d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
     k_of = cfg.k_of_omega
-    if isinstance(k_of, ComplexTable):
+    if isinstance(k_of, (ComplexTable, _ConstantK)):
         k_re, k_im, k_bad = k_of._on_grid(omegas)
     else:
         kv = np.array([k_of(w) for w in omegas.tolist()], complex)
@@ -498,11 +510,8 @@ def _verify_instances(cfg: SweepConfig, rng: np.random.Generator, samples: int):
         return [(cfg.omega, d, 0j, float(budgets[i])) for i in sorted(picks)]
     omegas = cfg.frequency.values()
     picks = rng.choice(len(omegas), size=min(samples, len(omegas)), replace=False)
-    out = []
-    for i in sorted(picks):
-        w = float(omegas[i])
-        out.append((w, cfg.probe.chi_inv(w), complex(cfg.k_of_omega(w)), float(cfg.s_ff)))
-    return out
+    return [(w, cfg.probe.chi_inv(w), complex(cfg.k_of_omega(w)), float(cfg.s_ff))
+            for w in omegas[np.sort(picks)].tolist()]
 
 
 def verify(
@@ -528,11 +537,16 @@ def verify(
 
     if cfg.mode == "fixed_SFF":
         # infeasible configs are an input error, not a failed check
-        for w in cfg.frequency.values():
-            floor = hbar * abs(complex(cfg.k_of_omega(float(w))).imag)
+        omegas, k_of = cfg.frequency.values(), cfg.k_of_omega
+        flagged = np.ones(len(omegas), bool)  # with no array form of K, every point
+        if isinstance(k_of, (ComplexTable, _ConstantK)):
+            _, k_im, k_bad = k_of._on_grid(omegas)
+            flagged = k_bad | (cfg.s_ff < hbar * np.abs(k_im))
+        for w in omegas[flagged].tolist():  # the first one raises
+            floor = hbar * abs(complex(k_of(w)).imag)
             if cfg.s_ff < floor:
                 raise FdtViolationError(
-                    f"omega={float(w)!r}: s_ff={cfg.s_ff!r} below the meter FDT floor {floor!r}"
+                    f"omega={w!r}: s_ff={cfg.s_ff!r} below the meter FDT floor {floor!r}"
                 )
 
     instances = _verify_instances(cfg, rng, samples)

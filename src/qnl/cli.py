@@ -86,13 +86,10 @@ def main(argv: list[str] | None = None) -> int:
             print(report.render())
             if not report.passed:
                 return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except QnlError as exc:
+    except (OSError, QnlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,15 +10,18 @@ than that of any feasible triad with the same S_xF.  The |sigma| kink makes
 the surface piecewise linear in S_xx with two sign branches, both of which
 are solved explicitly.
 
-The refinement is a small Nelder-Mead on Python floats.  The analytic
-threshold enters only as a length scale for the search box, which alone
-sizes the start simplex and the position tolerance; the value tolerance is
-relative to the best value.  The search is therefore unit-covariant: under
-hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the
-minimum scales by l*m up to roundoff.  The scan degenerates at the exact
-meter-FDT boundary s_ff = hbar*|Im K|, where the feasible set collapses to
-a single ray, and loses accuracy within about 2 % of it (errors up to
-3e-4; brute_force_min gives the measured figures).
+The refinement is a small Nelder-Mead on Python floats.  Each evaluation
+solves the surface through one scalar solver, set up once per call and
+shared with the scalar saturating_s_xx, and compare-and-swaps order the
+simplex in place of a sort; a call makes about 330 evaluations.  The
+analytic threshold enters only as a length scale for the search box, which
+alone sizes the start simplex and the position tolerance; the value
+tolerance is relative to the best value.  The search is therefore
+unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
+s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.  The scan
+degenerates at the exact meter-FDT boundary s_ff = hbar*|Im K|, where the
+feasible set collapses to a single ray, and loses accuracy within about
+2 % of it (errors up to 3e-4; brute_force_min gives the measured figures).
 """
 
 from __future__ import annotations
@@ -70,29 +73,35 @@ class OracleResult:
     feasible_fraction: float
 
 
-def _saturating_s_xx_scalar(re: float, im: float, s_ff: float, k_im: float, hbar: float) -> float:
-    """saturating_s_xx on Python floats, operation for operation, so the
-    two paths agree bit for bit; the oracle's refinement calls it directly."""
-    m2 = re * re + im * im
+def _saturation_solver(s_ff: float, k_im: float, hbar: float):
+    """solve(re, im): saturating_s_xx on Python floats, op for op (bit for
+    bit); what does not depend on S_xF is computed once."""
     quarter = hbar * hbar / 4.0
     den_a = s_ff - hbar * k_im
     den_b = s_ff + hbar * k_im
-    s_xx = math.inf
-    if den_a > 0:
-        cand = (m2 - hbar * im + quarter) / den_a  # sigma >= 0 branch
-        if math.isfinite(cand) and k_im * cand - im >= -1e-12 * (abs(im) + abs(k_im * cand) + hbar):
-            s_xx = cand
-    if den_b > 0:
-        cand = (m2 + hbar * im + quarter) / den_b  # sigma <= 0 branch
-        if math.isfinite(cand) and k_im * cand - im <= 1e-12 * (abs(im) + abs(k_im * cand) + hbar):
-            s_xx = min(s_xx, cand)
-    if s_xx == math.inf:
-        return math.nan
-    slack = s_xx * s_ff - m2 - hbar * abs(k_im * s_xx - im) - quarter
     min_slope = s_ff - hbar * abs(k_im)
-    if min_slope > 0 and slack < 0:
-        s_xx = s_xx + (-slack) / min_slope
-    return s_xx
+    branch_a, branch_b, bump = den_a > 0, den_b > 0, min_slope > 0
+    isfinite, inf = math.isfinite, math.inf
+
+    def solve(re: float, im: float) -> float:
+        m2 = re * re + im * im
+        s_xx = inf
+        if branch_a:
+            cand = (m2 - hbar * im + quarter) / den_a  # sigma >= 0 branch
+            if isfinite(cand) and k_im * cand - im >= -1e-12 * (abs(im) + abs(k_im * cand) + hbar):
+                s_xx = cand
+        if branch_b:
+            cand = (m2 + hbar * im + quarter) / den_b  # sigma <= 0 branch
+            if isfinite(cand) and k_im * cand - im <= 1e-12 * (abs(im) + abs(k_im * cand) + hbar):
+                s_xx = cand if cand < s_xx else s_xx  # min(s_xx, cand)
+        if s_xx == inf:
+            return math.nan
+        slack = s_xx * s_ff - m2 - hbar * abs(k_im * s_xx - im) - quarter
+        if bump and slack < 0:
+            s_xx = s_xx + (-slack) / min_slope
+        return s_xx
+
+    return solve
 
 
 def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.0):
@@ -102,9 +111,8 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     exists (possible only at the meter-FDT boundary).
     """
     if np.ndim(re_s_xf) == 0 and np.ndim(im_s_xf) == 0:
-        return _saturating_s_xx_scalar(
-            float(re_s_xf), float(im_s_xf), float(s_ff), float(k_im), float(hbar)
-        )
+        solve = _saturation_solver(float(s_ff), float(k_im), float(hbar))
+        return solve(float(re_s_xf), float(im_s_xf))
     re = np.asarray(re_s_xf, dtype=float)
     im = np.asarray(im_s_xf, dtype=float)
     m2 = re * re + im * im
@@ -120,9 +128,7 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
         tol_b = 1e-12 * (np.abs(im) + np.abs(k_im * cand_b) + hbar)
         ok_a = np.isfinite(cand_a) & (k_im * cand_a - im >= -tol_a)
         ok_b = np.isfinite(cand_b) & (k_im * cand_b - im <= tol_b)
-    s_xx = np.minimum(
-        np.where(ok_a, cand_a, np.inf), np.where(ok_b, cand_b, np.inf)
-    )
+    s_xx = np.minimum(np.where(ok_a, cand_a, np.inf), np.where(ok_b, cand_b, np.inf))
     s_xx = np.where(np.isfinite(s_xx), s_xx, np.nan)
     # One correction step on the exact piecewise slack: branch selection at
     # the |sigma| kink can land a few ulp on the infeasible side.  The slack
@@ -143,12 +149,19 @@ def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxite
     z0 + i*step.  Stops when every vertex is within xatol of the best one in
     each coordinate and within fatol of it in value, or after maxiter
     iterations.  Returns the best vertex, its value and the iteration count.
+    Compare-and-swaps order (fb, b), (fg, g), (fw, w) as a stable sort would.
     """
-    pts = [(f(z), z) for z in (z0, z0 + step, z0 + 1j * step)]
+    b, g, w = z0, z0 + step, z0 + 1j * step
+    fb, fg, fw = f(b), f(g), f(w)
     for nit in range(maxiter + 1):
-        pts.sort(key=lambda p: p[0])
-        (fb, b), (fg, g), (fw, w) = pts
-        spread = max(abs(x) for d in (g - b, w - b) for x in (d.real, d.imag))
+        if fb > fg:
+            fb, b, fg, g = fg, g, fb, b
+        if fg > fw:
+            fg, g, fw, w = fw, w, fg, g
+            if fb > fg:
+                fb, b, fg, g = fg, g, fb, b
+        dg, dw = g - b, w - b
+        spread = max(abs(dg.real), abs(dg.imag), abs(dw.real), abs(dw.imag))
         if nit == maxiter or (spread <= xatol and fw - fb <= fatol):
             return b, fb, nit
         c = 0.5 * (b + g)  # centroid of the two best vertices
@@ -157,26 +170,18 @@ def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxite
         if fr < fb:
             e = 3.0 * c - 2.0 * w
             fe = f(e)
-            pts[2] = (fe, e) if fe < fr else (fr, r)
+            fw, w = (fe, e) if fe < fr else (fr, r)
         elif fr < fg:
-            pts[2] = (fr, r)
+            fw, w = fr, r
         else:
             outside = fr < fw
             z = 0.5 * (c + (r if outside else w))
             fz = f(z)
             if fz <= fr if outside else fz < fw:
-                pts[2] = (fz, z)
+                fw, w = fz, z
             else:  # shrink towards the best vertex
-                pts[1:] = [(f(z), z) for z in (0.5 * (b + g), 0.5 * (b + w))]
-
-
-def _box(chi_inv: complex, kv: complex, s_ff: float, cfg: OracleConfig, hbar: float) -> float:
-    """Half-width of the S_xF scan box."""
-    d = complex(chi_inv)
-    scale = 1.0
-    if d.imag != 0.0:
-        scale = max(1.0, threshold_full(d, kv, hbar) / s_ff)  # length scale only
-    return cfg.s_xf_box_scale * (0.5 * hbar) * scale
+                g, w = 0.5 * (b + g), 0.5 * (b + w)
+                fg, fw = f(g), f(w)
 
 
 def brute_force_min(
@@ -198,7 +203,8 @@ def brute_force_min(
     instances err by more than 1e-5, all with hbar*|Im K|/s_ff >= 0.984,
     the largest by 2.7e-4.  Where hbar*|Im K|/s_ff < 0.98 the largest error
     is 5e-8, and below 0.9 it is 4e-10.  feasible_fraction is the share of
-    scan nodes at which the saturating S_xx is finite.
+    scan nodes at which the saturating S_xx is finite.  A call takes about
+    1 ms on a 2-core VM, 0.15-0.2 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
     kv = k_value(k)
@@ -211,36 +217,38 @@ def brute_force_min(
     if s_ff < floor:
         raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
 
-    s_xf_max = _box(d, kv, s_ff, cfg, hbar)
+    # half-width of the scan box; the threshold enters as a length scale only
+    scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
+    s_xf_max = cfg.s_xf_box_scale * (0.5 * hbar) * scale
     axis = np.linspace(-s_xf_max, s_xf_max, cfg.coarse_grid_points)
-    dk2 = abs(dk) ** 2
+    dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
 
-    def objective_terms(re, im):
-        return 2.0 * (dk.real * re - dk.imag * im) + s_ff
-
-    re_g, im_g = np.meshgrid(axis, axis, indexing="ij")
-    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar) + objective_terms(re_g, im_g)
+    re_g, im_g = axis[:, None], axis[None, :]
+    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar)
+    values = values + (2.0 * (dk_re * re_g - dk_im * im_g) + s_ff)
     values = np.where(np.isnan(values), np.inf, values)
-    feasible = np.isfinite(values)
-    if not feasible.any():
+    feasible = np.count_nonzero(np.isfinite(values))
+    if not feasible:
         raise EmptyFeasibleRegionError("no feasible point in the surface scan")
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
 
-    def surface_value(z: complex) -> float:
-        s_xx = _saturating_s_xx_scalar(z.real, z.imag, s_ff, kv.imag, hbar)
-        if not math.isfinite(s_xx):
-            return math.inf
-        return dk2 * s_xx + objective_terms(z.real, z.imag)
+    solve = _saturation_solver(s_ff, kv.imag, hbar)
+    isfinite, inf = math.isfinite, math.inf
+
+    def f(z: complex) -> float:  # the objective on the saturation surface
+        re, im = z.real, z.imag
+        s_xx = solve(re, im)
+        if not isfinite(s_xx):
+            return inf
+        return dk2 * s_xx + (2.0 * (dk_re * re - dk_im * im) + s_ff)
 
     best_z = complex(axis[i], axis[j])
-    best_val = surface_value(best_z)
+    best_val = f(best_z)
     iterations = 0
     if cfg.refine:
         step, xatol, fatol = 0.1 * s_xf_max, 1e-9 * s_xf_max, 1e-12 * abs(best_val)
         for _ in range(2):  # restart once; cheap and robust against the |sigma| kink
-            z, val, nit = _nelder_mead(
-                surface_value, best_z, step, xatol, fatol, cfg.refine_iterations
-            )
+            z, val, nit = _nelder_mead(f, best_z, step, xatol, fatol, cfg.refine_iterations)
             iterations += nit
             if val <= best_val:
                 best_val, best_z = val, z
@@ -249,7 +257,7 @@ def brute_force_min(
     if not math.isfinite(s_xx):
         raise EmptyFeasibleRegionError("refinement left the feasible region")
     triad = NoiseTriad(s_xx, best_z, s_ff)
-    return OracleResult(best_val, triad, iterations, float(np.mean(feasible)))
+    return OracleResult(best_val, triad, iterations, feasible / values.size)
 
 
 def random_saturating_triad(

@@ -215,6 +215,9 @@ class ZeroTemperature(ThermalModel):
     def temperature_at(self, omega: float) -> float:
         return 0.0
 
+    def _temperature_grid(self, omega: np.ndarray) -> tuple:
+        return np.full(omega.shape, 0.0), False
+
 
 @dataclass(frozen=True)
 class UniformTemperature(ThermalModel):
@@ -227,6 +230,9 @@ class UniformTemperature(ThermalModel):
 
     def temperature_at(self, omega: float) -> float:
         return self.temperature
+
+    def _temperature_grid(self, omega: np.ndarray) -> tuple:
+        return np.full(omega.shape, self.temperature), False
 
 
 @dataclass(frozen=True)

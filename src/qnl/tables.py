@@ -23,30 +23,6 @@ from typing import Iterable
 
 from .errors import ConfigError
 
-BUDGET_COLUMNS = (
-    "omega",
-    "sql",
-    "dql",
-    "s_thr",
-    "s_sum_opt",
-    "regime",
-    "s_fdt",
-    "s_total",
-    "sigma_opt",
-    "s_xx_opt",
-    "re_s_xf_opt",
-    "im_s_xf_opt",
-)
-
-SPIN_FIGURE_COLUMNS = (
-    "s_ff",
-    "s_sum_full",
-    "s_sum_sigma_zero",
-    "s_sum_spin_matched",
-    "regime_full",
-)
-_BUDGET_FLOATS = tuple(c for c in BUDGET_COLUMNS if c != "regime")
-
 
 @dataclass(frozen=True)
 class BudgetPoint:
@@ -89,6 +65,12 @@ class SpinFigurePoint:
         for name in SPIN_FIGURE_COLUMNS[:4]:
             v[name] = float(v[name])
         v["regime_full"] = str(v["regime_full"])
+
+
+# the column order of each table is its row class's field order
+BUDGET_COLUMNS = tuple(BudgetPoint.__dataclass_fields__)
+SPIN_FIGURE_COLUMNS = tuple(SpinFigurePoint.__dataclass_fields__)
+_BUDGET_FLOATS = tuple(c for c in BUDGET_COLUMNS if c != "regime")
 
 
 @dataclass(frozen=True)
@@ -274,11 +256,7 @@ class BudgetTable(_Table):
     # as BudgetPoint's float(v) + 0.0, which turns -0.0 into 0.0 (falsy), minus a new float each
     _floats = staticmethod(lambda col: [float(v) or 0.0 for v in col])
 
-    def to_csv(self) -> str:
-        return _emit_csv(self)
-
-    def to_json(self) -> str:
-        return _emit_json(self)
+    to_csv, to_json = _emit_csv, _emit_json
 
 
 class SpinFigureTable(_Table):
@@ -291,11 +269,7 @@ class SpinFigureTable(_Table):
 
     _floats = staticmethod(lambda col: list(map(float, col)))
 
-    def to_csv(self) -> str:
-        return _emit_csv(self)
-
-    def to_json(self) -> str:
-        return _emit_json(self)
+    to_csv, to_json = _emit_csv, _emit_json
 
 
 def load_table(text: str):

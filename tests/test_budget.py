@@ -35,6 +35,7 @@ from qnl import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
 
 
 def osc_config(**overrides):
@@ -607,6 +608,12 @@ class TestVerify:
         report = verify(load_config(str(CONFIGS / "si_oscillator.json")), samples=6)
         assert report.passed, report.render()
 
+    @pytest.mark.parametrize("name", ["oscillator_budget.json", "si_oscillator.json"])
+    def test_report_text_is_pinned(self, name):
+        # every check's measured value as rendered, so drift in any of them shows
+        expected = json.loads(REPORTS.read_text())[name]
+        assert verify(load_config(str(CONFIGS / name)), seed=1).render() == expected
+
 
 def scalar_rows(cfg) -> list:
     """Every row of the config's table, one point at a time through the
@@ -734,6 +741,43 @@ class TestArraySweepErrors:
         with pytest.raises(RangeError) as exc:
             run_budget(cfg)
         assert str(exc.value) == f"frequency {first!r} outside tabulated range [0.4, 1.2]"
+
+    @pytest.mark.parametrize("stop", [1.5, 1.2])
+    def test_verify_names_the_first_infeasible_frequency(self, stop):
+        # Im K falls through s_ff = 0.1 inside the grid; with stop=1.2 the K
+        # table also ends before the grid does, after the first violation
+        nodes = [0.4, stop]
+        cfg = parse_config(osc_config(
+            s_ff=0.1, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
+                                   "im": [0.3, 0.0]}))
+        first = next(float(w) for w in cfg.frequency.values()
+                     if abs(cfg.k_of_omega(float(w)).imag) > 0.1)
+        floor = abs(cfg.k_of_omega(first).imag)
+        with pytest.raises(FdtViolationError) as exc:
+            verify(cfg, samples=2)
+        assert str(exc.value) == f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
+        cfg = parse_config(osc_config(
+            s_ff=0.4, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
+                                   "im": [0.3, 0.0]}))
+        beyond = [float(w) for w in cfg.frequency.values() if w > stop]
+        if beyond:
+            with pytest.raises(RangeError) as exc:
+                verify(cfg, samples=2)
+            assert str(exc.value) == f"frequency {beyond[0]!r} outside tabulated range [0.4, 1.2]"
+
+    @pytest.mark.parametrize("thermal", [{"type": "zero"}, {"type": "uniform", "temperature": 0.5}])
+    def test_constant_k_and_bath_are_not_evaluated_per_point(self, thermal, monkeypatch):
+        cfg = parse_config(osc_config(back_action={"type": "constant", "re": 0.1, "im": 0.05},
+                                      thermal=thermal))
+        expected = run_budget(cfg).to_csv()
+        calls = []
+        for cls, name in ((type(cfg.k_of_omega), "__call__"), (type(cfg.thermal), "temperature_at")):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, w, m=method: calls.append(w) or m(self, w))
+        assert run_budget(cfg).to_csv() == expected
+        assert calls == []
+        verify(cfg, samples=3)  # the sampled checks call K and the bath at their points only
+        assert 0 < len(calls) <= 2 * 3
 
     def test_vanishing_chi_inv_plus_k(self):
         # lossless oscillator and real K = -chi_inv at the 31st grid point

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from qnl import (
 from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
 
 D_RES = complex(0.0, -0.2)
+PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
 
 
 def test_agrees_with_closed_form_below_threshold():
@@ -82,6 +86,30 @@ def test_grid_refinement_converges_monotonically():
             errors.append(brute_force_min(d, k, s_ff, cfg).s_sum_min - closed)
         assert all(e >= -1e-12 for e in errors)
         assert errors[1] <= errors[0] and errors[2] <= errors[1]
+
+
+def test_results_are_pinned_bit_for_bit():
+    # 40 calls with every result field stored as float.hex: 33 draws of the
+    # seeded 900-draw set (default_rng(12345), decades=1.5), 14 of them with
+    # hbar*|Im K|/s_ff >= 0.98, where shrink steps and the iteration cap
+    # occur; 5 of those scaled to SI (hbar=1.054e-34, chi_inv and K x 1e3);
+    # a lossless probe; and one refine=False call
+    def unhex(pair):
+        return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+    h = float.hex
+    for case in json.loads(PINS.read_text()):
+        result = brute_force_min(
+            unhex(case["chi_inv"]), unhex(case["k"]), float.fromhex(case["s_ff"]),
+            OracleConfig(refine=case["refine"]), hbar=float.fromhex(case["hbar"]),
+        )
+        t = result.argmin_triad
+        got = {
+            "s_sum_min": h(result.s_sum_min), "s_xx": h(t.s_xx),
+            "s_xf": [h(t.s_xf.real), h(t.s_xf.imag)], "s_ff_out": h(t.s_ff),
+            "iterations": result.iterations, "feasible_fraction": h(result.feasible_fraction),
+        }
+        assert got == {key: case[key] for key in got}, case["label"]
 
 
 def test_fdt_violation_rejected():
