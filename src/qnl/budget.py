@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -362,11 +362,18 @@ def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
         t.s_xf.real, t.s_xf.imag)
 
 
-def _meta(cfg: SweepConfig, kind: str, values: Sequence[float], regimes: Sequence[str]) -> TableMeta:
-    """Table metadata; the transitions are the swept values where the regime changes."""
-    r = np.array(regimes, dtype=object)
-    transitions = tuple(float(values[i]) for i in (np.flatnonzero(r[1:] != r[:-1]) + 1).tolist())
-    return TableMeta(kind, __version__, cfg.config_hash, transitions)
+def _sweep_table(cls, cfg: SweepConfig, columns: list, regimes, bad, point):
+    """The cls table of a sweep's columns and regimes (an array).  Rows flagged bad are re-run
+    in order through the scalar point(i), so its first error is raised; what it returns is coerced."""
+    idx = np.flatnonzero(bad).tolist()
+    for name, col, new in zip(cls.COLUMNS, columns, cls._coerced(zip(*map(point, idx)))):
+        for i, v in zip(idx, new):
+            col[i] = v
+        if name in cls._STR_COLUMNS:
+            regimes[idx] = new
+    changes = (np.flatnonzero(regimes[1:] != regimes[:-1]) + 1).tolist()  # the transitions
+    meta = TableMeta(cls._KIND, __version__, cfg.config_hash, tuple(columns[0][i] for i in changes))
+    return cls._of(columns, meta)
 
 
 def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
@@ -377,9 +384,9 @@ def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
     return d, thr0, (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)
 
 
-def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
-    """_budget_point over the whole grid, bit for bit, as columns, and a mask
-    True wherever it raises.  A model with no array form raises from here."""
+def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """_budget_point over the grid, bit for bit: the table's columns, the regimes as an
+    array and a mask True where it raises; a model with no array form raises from here."""
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
     d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
     k_of = cfg.k_of_omega
@@ -398,16 +405,16 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
         x = hbar * omegas / (2.0 * k_b * temperature)
         tanh = np.fromiter(map(math.tanh, x.tolist()), float, len(x))
         s_fdt = np.where(temperature == 0.0, dql_col, dql_col / tanh)
-        columns = (
-            omegas, hbar * np.hypot(d_re, d_im), dql_col, opt["s_threshold"], opt["s_sum"],
-            opt["regime"], s_fdt, opt["s_sum"] + s_fdt, opt["sigma_opt"], opt["s_xx"],
-            opt["s_xf_re"], opt["s_xf_im"],
-        )
+        floats = [omegas, hbar * np.hypot(d_re, d_im), dql_col, opt["s_threshold"], opt["s_sum"],
+                  s_fdt, opt["s_sum"] + s_fdt, opt["sigma_opt"], opt["s_xx"], opt["s_xf_re"],
+                  opt["s_xf_im"]]
         bad = bad | k_bad | t_bad | opt["bad"] | ~(np.isfinite(omegas) & (omegas > 0.0))
         # a zero divisor raises in Python; numpy's x/0 can end up finite
         bad |= (temperature != 0.0) & (2.0 * k_b * temperature == 0.0)
-        bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(columns[i] for i in (1, 2, 6, 7)))
-    return [c.tolist() for c in columns], bad
+        bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(floats[i] for i in (1, 2, 5, 6)))
+    columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 turns -0.0 into 0.0, as _floats does
+    columns.insert(5, opt["regime"].tolist())
+    return columns, opt["regime"], bad
 
 
 def run_budget(cfg: SweepConfig, jobs: int = 1):
@@ -424,14 +431,12 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     omegas = grid.tolist()
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
     try:
-        columns, bad = _budget_columns(cfg, grid)
+        columns, regimes, bad = _budget_columns(cfg, grid)
     except QnlError:  # a model evaluated per point raised: re-run all points in order
         columns = [[None] * len(omegas) for _ in BudgetTable.COLUMNS]
-        bad = np.ones(len(omegas), bool)
-    for i in np.flatnonzero(bad).tolist():
-        for col, v in zip(columns, _budget_point(cfg, omegas[i])):  # raises the scalar error
-            col[i] = v
-    return BudgetTable._of(columns, _meta(cfg, "budget", omegas, columns[5]))
+        regimes, bad = np.empty(len(omegas), object), np.ones(len(omegas), bool)
+    return _sweep_table(BudgetTable, cfg, columns, regimes, bad,
+                        lambda i: _budget_point(cfg, omegas[i]))
 
 
 def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
@@ -439,11 +444,10 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     sigma-zero optimum, and the back-action-matched spin configuration, all
     against the effective back-action budget (zero gauge kernel, K = 0).
     The sigma-zero series lies below the matched one only up to
-    S_FF = 2*thr0 and above it beyond that point.
-    All budgets go through the optimizer kernel at once, and the matched
-    series through matched_sum_noise's formula on the array, bit-identical
-    to the scalar calls; a budget where one raises is re-run through them.
-    jobs is accepted for compatibility and has no effect."""
+    S_FF = 2*thr0 and above it beyond that point.  Both optima come from one
+    kernel pass (allow_sigma as the column [True, False]) and the matched
+    series from matched_sum_noise's formula on the array, bit-identical to
+    the scalar calls.  jobs has no effect."""
     if cfg.omega is None:
         raise ConfigError("spin-figure sweep requires a fixed omega in the config")
     hbar = cfg.constants.hbar
@@ -456,21 +460,17 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
         matched = matched_sum_noise(s / hbar, d, hbar=hbar)
         return s, full.s_sum, zero.s_sum, matched, full.regime.value
 
-    full = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, True, hbar)
-    zero = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, False, hbar)
+    opt = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, np.array([[True], [False]]), hbar)
     # abs(d) ** 2 raises OverflowError only where thr0 = inf makes every budget invalid
     scale = hbar * hbar * abs(d) ** 2 if math.isfinite(thr0) else math.inf
     with np.errstate(all="ignore"):
         theta = budgets / hbar  # matched_sum_noise(s / hbar, ...) with S_FF = hbar*theta_i
         matched = hbar * abs(d.imag) + scale / (4.0 * (hbar * theta))
-    bad = full["bad"] | zero["bad"] | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
+    bad = opt["bad"].any(axis=0) | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
     s_list = budgets.tolist()
-    columns = [s_list, full["s_sum"].tolist(), zero["s_sum"].tolist(), matched.tolist(),
-               full["regime"].tolist()]
-    for i in np.flatnonzero(bad).tolist():
-        for col, v in zip(columns, point(s_list[i])):  # raises the scalar path's error
-            col[i] = v
-    return SpinFigureTable._of(columns, _meta(cfg, "spin-figure", s_list, columns[4]))
+    columns = [s_list, *opt["s_sum"].tolist(), matched.tolist(), opt["regime"][0].tolist()]
+    return _sweep_table(SpinFigureTable, cfg, columns, opt["regime"][0], bad,
+                        lambda i: point(s_list[i]))
 
 
 @dataclass(frozen=True)
@@ -607,7 +607,6 @@ def verify(
     checks.append(CheckResult("commutator-residual", worst <= 1e-14, worst, 1e-14))
 
     # Threshold derivative structure at the first lossy sampled point.
-    probe_done = False
     for w, d, kv, s_ff in instances:
         if d.imag == 0.0:
             continue
@@ -625,12 +624,10 @@ def verify(
         checks.append(CheckResult("threshold-flat-above", above <= 1e-6, above, 1e-6))
         jump = abs(probe.d1_jump)
         checks.append(CheckResult("threshold-slope-continuity", jump <= 1e-6, jump, 1e-6))
-        probe_done = True
         break
-    if not probe_done:
-        checks.append(
-            CheckResult("threshold-derivatives", True, 0.0, 0.0, "no probeable lossy point sampled")
-        )
+    else:
+        checks.append(CheckResult("threshold-derivatives", True, 0.0, 0.0,
+                                  "no probeable lossy point sampled"))
 
     # Thermal force PSD never below the dissipation floor.
     worst = -math.inf

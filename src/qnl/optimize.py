@@ -277,12 +277,13 @@ def optimize_fixed_backaction(
     return OptimumReport(s_sum, regime, thr, triad, 0.0, not allow_sigma)
 
 
-def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma: bool, hbar: float) -> dict:
-    """optimize_fixed_backaction over arrays of Re/Im chi_inv, Re/Im K and
-    s_ff, broadcast, op for op: each value equals the scalar call's bit for
-    bit.  Returns the report's fields (regime as its value, the triad as
-    s_xx, s_xf_re, s_xf_im) and "bad", True wherever the scalar call raises."""
-    d_re, d_im, k_re, k_im, s = np.broadcast_arrays(d_re, d_im, k_re, k_im, s)
+def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
+    """optimize_fixed_backaction over arrays of Re/Im chi_inv, Re/Im K, s_ff
+    and allow_sigma, op for op: each value equals the scalar call's bit for bit.
+    Returns the report's fields (regime as its value, the triad as s_xx, s_xf_re,
+    s_xf_im) and "bad", True where the scalar call raises, in the broadcast shape.
+    Each operation broadcasts only its own operands, so scalar work runs once."""
+    d_re, d_im, k_re, k_im, s = map(np.asarray, (d_re, d_im, k_re, k_im, s))  # ~ stays logical
     with np.errstate(all="ignore"):
         dk_re = d_re + k_re
         m = np.hypot(dk_re, d_im + k_im)  # abs(dk)
@@ -315,11 +316,9 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma: bool, hbar: float) -> 
         bad = ~(np.isfinite(s) & (s > 0.0)) | (m == 0.0) | (s < c) | ~(den > 0.0)
         bad |= ~(s_xx >= 0.0) | ~np.isfinite(s_sum + sig + s_xx + s_xf_re + s_xf_im)
         dql = ~lossless & (s_sum <= dql_val)
-    return {
-        "s_sum": s_sum, "s_threshold": thr, "sigma_opt": sig, "s_xx": s_xx, "s_xf_re": s_xf_re,
-        "s_xf_im": s_xf_im, "bad": bad,
-        "regime": np.where(dql, Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value),
-    }
+    regime = np.where(dql, Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value)
+    names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "regime")
+    return dict(zip(names, np.broadcast_arrays(s_sum, thr, sig, s_xx, s_xf_re, s_xf_im, bad, regime)))
 
 
 @dataclass(frozen=True)

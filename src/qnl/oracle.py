@@ -67,6 +67,8 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """brute_force_min's result; feasible_fraction is always 1.0 (see there)."""
+
     s_sum_min: float
     argmin_triad: NoiseTriad
     iterations: int
@@ -202,9 +204,11 @@ def brute_force_min(
     against the closed form.  It is worst near the meter FDT floor: 13
     instances err by more than 1e-5, all with hbar*|Im K|/s_ff >= 0.984,
     the largest by 2.7e-4.  Where hbar*|Im K|/s_ff < 0.98 the largest error
-    is 5e-8, and below 0.9 it is 4e-10.  feasible_fraction is the share of
-    scan nodes at which the saturating S_xx is finite.  A call takes about
-    1 ms on a 2-core VM, 0.15-0.2 ms of it in the scan.
+    is 5e-8, and below 0.9 it is 4e-10.  feasible_fraction, the share of scan
+    nodes with a finite saturating S_xx, is 1.0 whenever a result is returned:
+    above the meter FDT floor every node is finite, and at the floor the call
+    raises EmptyFeasibleRegionError.  A call takes about 1 ms on a 2-core VM,
+    0.15-0.2 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
     kv = k_value(k)

@@ -1,9 +1,9 @@
 """Budget tables and their CSV/JSON serialization.
 
-A table is its columns: one Python list per column, coerced as the row
-class coerces that field, plus its TableMeta.  Sweeps and loads fill the
-columns directly and emit writes them out; `.points`, the rows as
-BudgetPoint/SpinFigurePoint objects, is a view built once, when first read.
+A table is its columns, one Python list each in the row class's form (float
+or str; no -0.0 in a budget table), plus its TableMeta.  Sweeps build them in
+that form in numpy; only loaded and scalar-path values are coerced (_coerced).
+`.points`, the rows as BudgetPoint/SpinFigurePoint objects, is built on first read.
 
 Number formatting is the shortest round-trip decimal (Python float repr),
 column order is fixed, and emit(parse(text)) == text byte for byte.
@@ -142,14 +142,14 @@ def _parse_csv(cls, text: str):
     try:
         if any(len(parts) != len(columns) for parts in rows):
             raise ValueError
-        return cls._of(list(zip(*rows)) or [()] * len(columns), meta)  # float() raises
+        return cls._of(cls._coerced(list(zip(*rows)) or [()] * len(columns)), meta)  # float() raises
     except ValueError:  # malformed: read row by row, for the first offending line
         for idx, line in ((i, line) for i, line in enumerate(lines[5:], start=6) if line):
             parts = line.split(",")
             if len(parts) != len(columns):
                 raise ConfigError(f"line {idx}: expected {len(columns)} fields, got {len(parts)}")
             try:
-                cls._of([[p] for p in parts], None)
+                cls._coerced([[p] for p in parts])
             except ValueError as exc:
                 raise ConfigError(f"line {idx}: {exc}") from None
         raise
@@ -174,9 +174,9 @@ def _parse_json(cls, payload: dict):
     try:
         entries = payload["rows"]
         try:
-            table = cls._of([[entry[c] for entry in entries] if c in str_columns else
-                             [math.inf if (v := entry[c]) is None else v for entry in entries]
-                             for c in columns], None)
+            table = cls._of(cls._coerced([[entry[c] for entry in entries] if c in str_columns else
+                                          [math.inf if (v := entry[c]) is None else v
+                                           for entry in entries] for c in columns]), None)
         except (KeyError, TypeError, ValueError):  # malformed: the first bad entry, row by row
             for entry in entries:
                 for c in columns:
@@ -192,18 +192,6 @@ def _parse_json(cls, payload: dict):
     return table
 
 
-def _build(cls, rows) -> list:
-    """cls(*row) per row, minus the generated __init__, which only stores the
-    fields and calls __post_init__: half the cost of a row in bulk."""
-    points = []
-    for row in rows:
-        p = object.__new__(cls)
-        p.__dict__.update(zip(cls.__dataclass_fields__, row))
-        p.__post_init__()
-        points.append(p)
-    return points
-
-
 class _Table:
     """Columns, meta, the row view and parsing of both table kinds; each
     kind defines its emitters and how its float columns are coerced."""
@@ -215,17 +203,29 @@ class _Table:
 
     @classmethod
     def _of(cls, columns, meta: TableMeta | None):
-        """The table of these columns, coerced as the row class coerces its fields."""
+        """The table of these columns, lists already in the row class's form."""
         table = object.__new__(cls)
         table.meta = meta
-        table.columns = tuple(list(map(str, col)) if name in cls._STR_COLUMNS
-                              else cls._floats(col) for name, col in zip(cls.COLUMNS, columns))
+        table.columns = tuple(columns)
         return table
+
+    @classmethod
+    def _coerced(cls, columns) -> list:
+        """Loaded or scalar-path columns, coerced as the row class coerces its fields."""
+        return [list(map(str, col)) if name in cls._STR_COLUMNS else cls._floats(col)
+                for name, col in zip(cls.COLUMNS, columns)]
 
     @cached_property
     def points(self) -> tuple:
-        """The rows as point objects, built on first read; rows() is cheaper."""
-        return tuple(_build(self._POINT, zip(*self.columns)))
+        """The rows as point objects, built on first read (rows() is cheaper), minus
+        the generated __init__, which only stores the fields and calls __post_init__."""
+        cls, points = self._POINT, []
+        for row in zip(*self.columns):
+            p = object.__new__(cls)
+            p.__dict__.update(zip(cls.__dataclass_fields__, row))
+            p.__post_init__()
+            points.append(p)
+        return tuple(points)
 
     def rows(self) -> list[list]:
         return [list(r) for r in zip(*self.columns)]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,7 @@ from qnl import (
     BudgetPoint,
     BudgetTable,
     ConfigError,
+    DampedOscillator,
     DomainError,
     FdtViolationError,
     LosslessProbeError,
@@ -36,6 +38,7 @@ from qnl import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
+DIGESTS = Path(__file__).resolve().parent / "data" / "table_digests.json"
 
 
 def osc_config(**overrides):
@@ -834,3 +837,61 @@ def test_rows_coerce_numbers_and_regime():
     text = fig.to_csv().splitlines()
     text[5] = "-0.0" + text[5][text[5].index(","):]
     assert repr(SpinFigureTable.from_csv("\n".join(text)).columns[0][0]) == "-0.0"
+
+
+@pytest.mark.parametrize("name", list(json.loads(DIGESTS.read_text(encoding="utf-8"))))
+def test_emitted_tables_match_the_pinned_digests(name):
+    # sha256 of both texts of every committed config and of four generated
+    # ones (1e4 analytic points, a lossless probe whose scalar triads hold
+    # -0.0, fixed_effective, 5e3 spin budgets), pinned from an earlier tree
+    pin = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    table = run_budget(parse_config(pin["config"]) if "config" in pin else
+                       load_config(str(CONFIGS.parent / name)))
+    assert hashlib.sha256(table.to_csv().encode()).hexdigest() == pin["csv"]
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == pin["json"]
+
+
+class _GridRaises(DampedOscillator):
+    """Its grid form raises, so a sweep re-runs every point through the
+    scalar path, where chi_inv does not."""
+
+    def _chi_inv_grid(self, omega):
+        raise DomainError("no grid form")
+
+
+def test_sweep_columns_are_in_the_table_form():
+    # sweeps hand their columns to the table as built: floats and str only,
+    # no -0.0 in a budget table, and unchanged by the coercion loads apply
+    lossless = parse_config(osc_config(
+        probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
+        back_action={"type": "constant", "re": 0.0, "im": 0.05}))
+    # at resonance the scalar path's triad has Re S_xF = -0.0
+    assert "-0.0" in [repr(row[10]) for row in scalar_rows(lossless)]
+    configs = [make() for make in PINNED_CONFIGS.values()] + [lossless]
+    for cfg in configs:
+        table = run_budget(cfg)
+        for name, col in zip(table.COLUMNS, table.columns):
+            kind = str if name in table._STR_COLUMNS else float
+            assert type(col) is list and all(type(v) is kind for v in col), name
+            if isinstance(table, BudgetTable) and kind is float:
+                assert all(math.copysign(1.0, v) == 1.0 for v in col if v == 0.0), name
+        coerced = type(table)._coerced(table.columns)
+        assert [list(map(repr, c)) for c in coerced] == [list(map(repr, c)) for c in table.columns]
+        assert table == type(table)._of(coerced, table.meta) == type(table)._of(table.columns,
+                                                                              table.meta)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2])
+def test_scalar_reruns_and_per_point_k_give_the_array_columns(gamma):
+    # the same physics through the kernel, through a K with no array form
+    # (called per point), and with every point re-run through the scalar
+    # path: the same columns, signs of zero included, and transitions
+    cfg = parse_config(osc_config(
+        probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": gamma}, s_ff=0.2,
+        back_action={"type": "constant", "re": 0.0, "im": 0.05}))
+    want = run_budget(cfg)
+    assert bool(want.meta.transitions) == (gamma > 0.0)
+    for other in (dataclasses.replace(cfg, k_of_omega=lambda w: complex(0.0, 0.05)),
+                  dataclasses.replace(cfg, probe=_GridRaises(1.0, 1.0, gamma))):
+        got = run_budget(other)
+        assert as_emitted(got) == as_emitted(want) and got == want

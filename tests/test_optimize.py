@@ -441,3 +441,25 @@ def test_array_kernel_marks_every_point_the_scalar_optimizer_rejects():
         assert bool(bad) == raised, i
     # the FDT violation, a vanishing chi_inv + K, and three invalid budgets
     assert got["bad"].tolist() == [True, True, False, True, True, True]
+
+
+def test_array_kernel_on_scalar_inputs_equals_the_fully_broadcast_call():
+    # each operation broadcasts only its own operands; scalar chi_inv and K
+    # with an array of budgets (the spin sweep), and arrays with one budget
+    # (the budget sweep, Im K dropped in the fixed-effective mode) must give
+    # what the fully broadcast call gives, bit for bit, in the full shape;
+    # allow_sigma as a column evaluates both series in one pass
+    d, k, s = (np.array(col) for col in zip(*_kernel_draws(2000, 7)))
+    cases = [(d[i].real, d[i].imag, k[i].real, k[i].imag, s) for i in (0, 1, 2)]
+    cases += [(d.real, d.imag, k.real, k.imag, s[i]) for i in (1, 11)]
+    cases += [(d.real, d.imag, k.real, 0.0, s[2])]
+    for args in cases:
+        for allow_sigma in (True, False, np.array([[True], [False]])):
+            got = _optimum_grid(*args, allow_sigma, 1.0)
+            full = np.broadcast_arrays(*args, allow_sigma)
+            want = _optimum_grid(*full, 1.0)
+            assert got.keys() == want.keys()
+            for key, value in got.items():
+                assert value.shape == full[0].shape, key
+                # bytes: the value and the sign of every zero
+                assert value.dtype == want[key].dtype and value.tobytes() == want[key].tobytes(), key

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from qnl import (
     DomainError,
+    EmptyFeasibleRegionError,
     FdtViolationError,
     OracleConfig,
     brute_force_min,
@@ -110,6 +111,17 @@ def test_results_are_pinned_bit_for_bit():
             "iterations": result.iterations, "feasible_fraction": h(result.feasible_fraction),
         }
         assert got == {key: case[key] for key in got}, case["label"]
+
+
+def test_feasible_fraction_is_one_whenever_a_result_is_returned():
+    # above the meter FDT floor every scan node has a finite saturating S_xx;
+    # exactly at the floor the call raises instead of returning a fraction
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        d, k = draw_lossy_chi_inv(rng), draw_back_action(rng)
+        assert brute_force_min(d, k, draw_budget(rng, d, k)).feasible_fraction == 1.0
+        with pytest.raises(EmptyFeasibleRegionError):
+            brute_force_min(d, k, abs(k.imag))
 
 
 def test_fdt_violation_rejected():
