@@ -35,9 +35,6 @@ from .spectra import (
     sql,
 )
 from .meter import (
-    BackAction,
-    CommutatorSpectra,
-    GaugeKernel,
     NoiseTriad,
     commutator_check,
     feedback_equivalent_gauge,

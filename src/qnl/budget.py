@@ -187,13 +187,15 @@ class _ConstantK:
 
 def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return _ConstantK(complex(float(spec), 0.0))
+        spec = {"type": "constant", "re": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object or a number, got {spec!r}")
     kind = _expect(spec, "type", str, path, required=True)
     if kind == "constant":
-        re, im = _expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0)
-        return _ConstantK(complex(re, im))
+        k = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
+        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
+            raise ConfigError(f"{path}: K must be finite, got {k!r}")
+        return _ConstantK(k)
     if kind == "tabulated":
         omega, values = _tabulated(spec, path)
         try:

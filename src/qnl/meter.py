@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
 
 from .errors import DomainError
 
@@ -47,64 +46,12 @@ class NoiseTriad:
         object.__setattr__(self, "s_ff", s_ff)
 
 
-@dataclass(frozen=True)
-class BackAction:
-    """Dynamic back action K at the working frequency (Hooke convention)."""
-
-    k: complex
-
-    def __post_init__(self) -> None:
-        k = complex(self.k)
-        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            raise DomainError(f"K must be finite, got {k!r}")
-        object.__setattr__(self, "k", k)
-
-
-@dataclass(frozen=True)
-class GaugeKernel:
-    """Effective back-action kernel used to reshuffle the sum noise between
-    imprecision and back action.  real_only marks the restricted class with
-    Im = 0 required by the fixed-effective-back-action optimizer."""
-
-    kappa_eff: complex
-    real_only: bool = False
-
-    def __post_init__(self) -> None:
-        kappa = complex(self.kappa_eff)
-        if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)):
-            raise DomainError(f"gauge kernel must be finite, got {kappa!r}")
-        if self.real_only and kappa.imag != 0.0:
-            raise DomainError(f"real-only gauge kernel has Im != 0: {kappa!r}")
-        object.__setattr__(self, "kappa_eff", kappa)
-
-    @classmethod
-    def real(cls, value: float) -> "GaugeKernel":
-        return cls(complex(float(value), 0.0), real_only=True)
-
-
-KLike = Union[BackAction, complex, float, int]
-KernelLike = Union[GaugeKernel, complex, float, int]
-
-
-def k_value(k: KLike) -> complex:
-    """Plain complex value of a back action given as BackAction or number."""
-    if isinstance(k, BackAction):
-        return k.k
-    return complex(k)
-
-
-def kernel_value(kernel: KernelLike) -> complex:
-    if isinstance(kernel, GaugeKernel):
-        return kernel.kappa_eff
-    return complex(kernel)
-
-
-def sigma(triad: NoiseTriad, k: KLike) -> float:
+def sigma(triad: NoiseTriad, k: complex) -> float:
     """Cross term Im{K*S_xx + conj(S_xF)} entering the uncertainty product."""
-    return k_value(k).imag * triad.s_xx - triad.s_xf.imag
+    return complex(k).imag * triad.s_xx - triad.s_xf.imag
 
 
-def uncertainty_slack(triad: NoiseTriad, k: KLike, hbar: float = 1.0) -> float:
+def uncertainty_slack(triad: NoiseTriad, k: complex, hbar: float = 1.0) -> float:
     """S_xx*S_FF - |S_xF|^2 - hbar*|sigma| - hbar^2/4.
 
     Non-negative iff the triad is physically allowed; zero for a
@@ -118,75 +65,47 @@ def uncertainty_slack(triad: NoiseTriad, k: KLike, hbar: float = 1.0) -> float:
     )
 
 
-def local_uncertainty_pair(triad: NoiseTriad, k: KLike, hbar: float = 1.0) -> Tuple[float, float]:
+def local_uncertainty_pair(triad: NoiseTriad, k: complex, hbar: float = 1.0) -> tuple[float, float]:
     """The two one-sided slacks whose joint non-negativity is equivalent to
     uncertainty_slack >= 0; their minimum equals uncertainty_slack."""
-    k_im = k_value(k).imag
+    k_im = complex(k).imag
     common = -abs(triad.s_xf) ** 2 - hbar * hbar / 4.0
     plus = triad.s_xx * (triad.s_ff - hbar * k_im) + hbar * triad.s_xf.imag + common
     minus = triad.s_xx * (triad.s_ff + hbar * k_im) - hbar * triad.s_xf.imag + common
     return plus, minus
 
 
-def sum_noise_psd(triad: NoiseTriad, chi_inv: complex, k: KLike = 0.0) -> float:
+def sum_noise_psd(triad: NoiseTriad, chi_inv: complex, k: complex = 0.0) -> float:
     """Force-referred sum noise |chi_K_inv|^2 S_xx + 2 Re{chi_K_inv S_xF} + S_FF
     with chi_K_inv = chi_inv + K."""
-    ck = complex(chi_inv) + k_value(k)
+    ck = complex(chi_inv) + complex(k)
     return abs(ck) ** 2 * triad.s_xx + 2.0 * (ck * triad.s_xf).real + triad.s_ff
 
 
 def gauge_transform(
-    triad: NoiseTriad, k: KLike, kernel: KernelLike
-) -> Tuple[NoiseTriad, complex]:
+    triad: NoiseTriad, k: complex, kernel: complex
+) -> tuple[NoiseTriad, complex]:
     """Reassign sum-noise terms between imprecision and effective back action.
 
     Returns the effective triad (S_xx unchanged) and the kernel value to use
     in the replacement chi_K_inv -> chi_inv + kernel.  The sum noise, the
     uncertainty slack and sigma (in effective variables) are invariant.
     """
-    kv = k_value(k)
-    gv = kernel_value(kernel)
-    d = kv - gv
+    gv = complex(kernel)
+    d = complex(k) - gv
     s_xf_eff = d.conjugate() * triad.s_xx + triad.s_xf
     s_ff_eff = abs(d) ** 2 * triad.s_xx + 2.0 * (d * triad.s_xf).real + triad.s_ff
     return NoiseTriad(triad.s_xx, s_xf_eff, s_ff_eff), gv
 
 
-def feedback_equivalent_gauge(k: KLike, kappa: complex) -> GaugeKernel:
+def feedback_equivalent_gauge(k: complex, kappa: complex) -> complex:
     """Gauge kernel K - kappa realized physically by feeding the meter output
     back onto the probe with feedback factor kappa; the sum noise of the
     fed-back sensor equals the gauge-transformed one."""
-    return GaugeKernel(k_value(k) - complex(kappa))
+    return complex(k) - complex(kappa)
 
 
-@dataclass(frozen=True)
-class CommutatorSpectra:
-    """Commutator spectra of the meter noise pair at one frequency.
-
-    For any simultaneously measurable linear meter: c_xx = 0, c_xf = -i*hbar,
-    and c_ff = -2*hbar*Im K (real).
-    """
-
-    c_xx: complex
-    c_ff: complex
-    c_xf: complex
-
-    def __post_init__(self) -> None:
-        if complex(self.c_xx) != 0:
-            raise DomainError("c_xx must vanish for a measurable meter output")
-        if complex(self.c_ff).imag != 0:
-            raise DomainError("c_ff must be real")
-        if complex(self.c_xf).real != 0 or complex(self.c_xf).imag > 0:
-            raise DomainError("c_xf must equal -i*hbar")
-        for name in ("c_xx", "c_ff", "c_xf"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
-    @classmethod
-    def for_meter(cls, k: KLike, hbar: float = 1.0) -> "CommutatorSpectra":
-        return cls(0j, complex(-2.0 * hbar * k_value(k).imag, 0.0), complex(0.0, -hbar))
-
-
-def commutator_check(chi_inv: complex, k: KLike, hbar: float = 1.0) -> Tuple[float, float, float]:
+def commutator_check(chi_inv: complex, k: complex, hbar: float = 1.0) -> tuple[float, float, float]:
     """Assemble the commutator spectrum of the force-referred sum noise and
     check that it cancels the probe thermal-force commutator.
 
@@ -194,12 +113,9 @@ def commutator_check(chi_inv: complex, k: KLike, hbar: float = 1.0) -> Tuple[flo
     which vanishes identically: the meter output is a classical record, so
     its total commutator must be zero.
     """
-    spectra = CommutatorSpectra.for_meter(k, hbar)
-    ck = complex(chi_inv) + k_value(k)
-    c_sum = (
-        (abs(ck) ** 2 * spectra.c_xx).real
-        + 2.0 * (ck * spectra.c_xf).real
-        + spectra.c_ff.real
-    )
+    # meter commutators: c_xx = 0, c_xF = -i*hbar, c_FF = -2*hbar*Im K (the
+    # leading 0.0 is the c_xx term; it turns a -0.0 sum into +0.0)
+    ck = complex(chi_inv) + complex(k)
+    c_sum = 0.0 + 2.0 * (ck * complex(0.0, -hbar)).real - 2.0 * hbar * complex(k).imag
     c_thermal = -2.0 * hbar * complex(chi_inv).imag
     return c_sum, c_thermal, c_sum + c_thermal

@@ -52,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, FdtViolationError, LosslessProbeError
-from .meter import KLike, KernelLike, NoiseTriad, k_value, kernel_value
+from .meter import NoiseTriad
 
 
 class Regime(str, Enum):
@@ -80,8 +80,8 @@ class OptimumReport:
     constrained_sigma_zero: bool
 
 
-def _real_kernel(kernel: KernelLike) -> float:
-    value = kernel_value(kernel)
+def _real_kernel(kernel: complex) -> float:
+    value = complex(kernel)
     if value.imag != 0.0:
         raise DomainError(f"a real gauge kernel is required here, got {value!r}")
     return value.real
@@ -94,7 +94,7 @@ def _validate_budget(s: float) -> float:
     return s
 
 
-def threshold_eff(chi_inv: complex, kernel: KernelLike = 0.0, hbar: float = 1.0) -> float:
+def threshold_eff(chi_inv: complex, kernel: complex = 0.0, hbar: float = 1.0) -> float:
     """Effective back-action threshold hbar*|chi_inv + kernel|^2 / (2|Im chi_inv|).
 
     Equals hbar / (2*|Im chi_eff|) with chi_eff = 1/(chi_inv + kernel); it is
@@ -104,14 +104,14 @@ def threshold_eff(chi_inv: complex, kernel: KernelLike = 0.0, hbar: float = 1.0)
     return threshold_full(chi_inv, _real_kernel(kernel), hbar)
 
 
-def threshold_full(chi_inv: complex, k: KLike, hbar: float = 1.0) -> float:
+def threshold_full(chi_inv: complex, k: complex, hbar: float = 1.0) -> float:
     """Physical back-action threshold for general complex K:
     (hbar/2) * (|chi_inv + K|^2 - 2 Im(chi_inv) Im(K)) / |Im chi_inv|.
 
     Reduces to threshold_eff with kernel = Re K when Im K = 0.  Never below
     hbar*|Im K|, the meter FDT floor.
     """
-    kv = k_value(k)
+    kv = complex(k)
     d = complex(chi_inv)
     if d.imag == 0.0:
         raise LosslessProbeError("lossless probe: threshold is infinite, use the QCRB branch")
@@ -119,17 +119,17 @@ def threshold_full(chi_inv: complex, k: KLike, hbar: float = 1.0) -> float:
     return 0.5 * hbar * (m * m - 2.0 * d.imag * kv.imag) / abs(d.imag)
 
 
-def qcrb_simple(chi_inv: complex, k: KLike, s_ff: float, hbar: float = 1.0) -> float:
+def qcrb_simple(chi_inv: complex, k: complex, s_ff: float, hbar: float = 1.0) -> float:
     """Power-limited bound hbar^2 |chi_inv + K|^2 / (4 S_FF).
 
     Not tight when Im K != 0; see qcrb_lossless for the exact lossless-probe
     optimum.
     """
     s_ff = _validate_budget(s_ff)
-    return hbar * hbar * abs(complex(chi_inv) + k_value(k)) ** 2 / (4.0 * s_ff)
+    return hbar * hbar * abs(complex(chi_inv) + complex(k)) ** 2 / (4.0 * s_ff)
 
 
-def qcrb_lossless(chi_inv: complex, k: KLike, s_ff: float, hbar: float = 1.0) -> float:
+def qcrb_lossless(chi_inv: complex, k: complex, s_ff: float, hbar: float = 1.0) -> float:
     """Exact optimum for a lossless probe (Im chi_inv = 0):
 
         (hbar^2/2) |chi_K_inv|^2 / (S_FF + sqrt(S_FF^2 - hbar^2 Im^2 K)).
@@ -140,7 +140,7 @@ def qcrb_lossless(chi_inv: complex, k: KLike, s_ff: float, hbar: float = 1.0) ->
     d = complex(chi_inv)
     if d.imag != 0.0:
         raise DomainError(f"qcrb_lossless requires Im chi_inv = 0, got {d!r}")
-    kv = k_value(k)
+    kv = complex(k)
     s_ff = _validate_budget(s_ff)
     c = hbar * abs(kv.imag)
     if s_ff < c:
@@ -192,7 +192,7 @@ def _subopt_triad(d: complex, kv: complex, s_ff: float, sig: float, hbar: float)
 
 def optimize_fixed_eff_backaction(
     chi_inv: complex,
-    kernel: KernelLike,
+    kernel: complex,
     s_eff_ff: float,
     hbar: float = 1.0,
 ) -> OptimumReport:
@@ -211,7 +211,7 @@ def optimize_fixed_eff_backaction(
 
 def optimize_fixed_eff_backaction_sigma_zero(
     chi_inv: complex,
-    kernel: KernelLike,
+    kernel: complex,
     s_eff_ff: float,
     hbar: float = 1.0,
 ) -> OptimumReport:
@@ -229,7 +229,7 @@ def optimize_fixed_eff_backaction_sigma_zero(
 
 def optimize_fixed_backaction(
     chi_inv: complex,
-    k: KLike,
+    k: complex,
     s_ff: float,
     allow_sigma: bool = True,
     hbar: float = 1.0,
@@ -247,7 +247,7 @@ def optimize_fixed_backaction(
     Requires s_ff >= hbar*|Im K| (meter FDT floor); boundary budgets equal
     to the threshold are classified as dissipation-limited.
     """
-    kv = k_value(k)
+    kv = complex(k)
     d = complex(chi_inv)
     dk = d + kv
     s = _validate_budget(s_ff)
@@ -340,7 +340,7 @@ class PhaseTransitionProbe:
 
 def phase_transition_probe(
     chi_inv: complex,
-    k: KLike = 0.0,
+    k: complex = 0.0,
     hbar: float = 1.0,
     h: float | None = None,
     allow_sigma: bool = True,
@@ -358,7 +358,7 @@ def phase_transition_probe(
     1e-4 * threshold.
     """
     d = complex(chi_inv)
-    kv = k_value(k)
+    kv = complex(k)
     if d.imag == 0.0:
         raise LosslessProbeError("lossless probe has no threshold to probe")
     thr = threshold_full(d, kv, hbar)

@@ -37,7 +37,7 @@ from .errors import (
     FdtViolationError,
     SamplerError,
 )
-from .meter import KLike, NoiseTriad, k_value
+from .meter import NoiseTriad
 from .optimize import threshold_full
 
 
@@ -188,7 +188,7 @@ def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxite
 
 def brute_force_min(
     chi_inv: complex,
-    k: KLike,
+    k: complex,
     s_ff: float,
     cfg: OracleConfig | None = None,
     hbar: float = 1.0,
@@ -211,7 +211,7 @@ def brute_force_min(
     0.15-0.2 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
-    kv = k_value(k)
+    kv = complex(k)
     d = complex(chi_inv)
     dk = d + kv
     s_ff = float(s_ff)
@@ -265,7 +265,7 @@ def brute_force_min(
 
 
 def random_saturating_triad(
-    k: KLike, s_ff: float, seed: int, hbar: float = 1.0
+    k: complex, s_ff: float, seed: int, hbar: float = 1.0
 ) -> NoiseTriad:
     """Sample a triad on the equality surface of the uncertainty relation.
 
@@ -274,7 +274,7 @@ def random_saturating_triad(
     zero-slack condition, branch by branch over the sign of sigma.
     Deterministic per seed; retries internally on the rare infeasible draw.
     """
-    kv = k_value(k)
+    kv = complex(k)
     s_ff = float(s_ff)
     if not (math.isfinite(s_ff) and s_ff > 0):
         raise DomainError(f"s_ff must be positive and finite, got {s_ff!r}")

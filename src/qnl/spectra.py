@@ -172,7 +172,10 @@ class FreeMass(Susceptibility):
 
 @dataclass(frozen=True)
 class TabulatedSusceptibility(Susceptibility):
-    """chi_inv sampled on a frequency grid, interpolated linearly."""
+    """chi_inv sampled on a frequency grid, interpolated linearly.  Where Im
+    chi_inv changes sign between nodes, rounding leaves a point near the zero
+    a tiny Im (5.55e-17 at 0.8 for Im = (0.3, -0.2, 0.1) at (0.5, 1, 1.5)): a
+    huge finite threshold, regime qcrb.  Only an exact 0 is lossless."""
 
     table: ComplexTable
 

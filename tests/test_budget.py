@@ -56,15 +56,27 @@ def osc_config(**overrides):
     return cfg
 
 
+def rescaled_config(raw: dict, lam: float, mu: float):
+    """The config in other units: hbar and k_B -> lam, the probe mass and a
+    constant K -> mu, a fixed s_ff -> lam*mu."""
+    raw = json.loads(json.dumps(raw))
+    raw["hbar"] = raw.get("hbar", 1.0) * lam
+    raw["k_boltzmann"] = raw.get("k_boltzmann", 1.0) * lam
+    raw["probe"]["mass"] *= mu
+    if "back_action" in raw:
+        raw["back_action"] = {"type": "constant", "re": raw["back_action"]["re"] * mu,
+                              "im": raw["back_action"]["im"] * mu}
+    if not isinstance(raw["s_ff"], dict):
+        raw["s_ff"] *= lam * mu
+    return parse_config(raw)
+
+
 def rescaled_oscillator(k, lam, mu):
     """configs/oscillator_budget.json with constant back action K, rescaled by
     hbar = k_B -> lam, chi_inv (mass) and K -> mu, s_ff -> lam*mu."""
     raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
-    raw["back_action"] = {"type": "constant", "re": k.real * mu, "im": k.imag * mu}
-    raw["probe"]["mass"] *= mu
-    raw["s_ff"] *= lam * mu
-    raw["hbar"] = raw["k_boltzmann"] = lam
-    return parse_config(raw)
+    raw["back_action"] = {"type": "constant", "re": k.real, "im": k.imag}
+    return rescaled_config(raw, lam, mu)
 
 
 def spin_config(**overrides):
@@ -116,6 +128,15 @@ class TestConfigParsing:
     def test_back_action_shorthand_number(self):
         cfg = parse_config(json.dumps(osc_config(back_action=0.25)))
         assert cfg.k_of_omega(1.0) == complex(0.25, 0.0)
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("form", ["number", "re", "im"])
+    def test_non_finite_constant_back_action_rejected(self, value, form):
+        # json.loads accepts these tokens, so the check sits in the config parser
+        spec = '{"type": "constant", "%s": %s}' % (form, value) if form != "number" else value
+        text = json.dumps(osc_config(back_action="K")).replace('"K"', spec)
+        with pytest.raises(ConfigError, match=r"config\.back_action: K must be finite"):
+            parse_config(text)
 
     def test_tabulated_back_action(self):
         spec = {"type": "tabulated", "omega": [0.5, 1.5], "re": [0.1, 0.3], "im": [0.0, 0.2]}
@@ -895,3 +916,46 @@ def test_scalar_reruns_and_per_point_k_give_the_array_columns(gamma):
                   dataclasses.replace(cfg, probe=_GridRaises(1.0, 1.0, gamma))):
         got = run_budget(other)
         assert as_emitted(got) == as_emitted(want) and got == want
+
+
+@pytest.mark.parametrize("lam, mu", [(2.0**40, 2.0**-10), (2.0**-100, 2.0**20), (2.0**7, 2.0**7)])
+@pytest.mark.parametrize("name", ["oscillator_budget.json", "si_oscillator.json",
+                                  "spin_figure.json"])
+def test_tables_are_exactly_unit_covariant(name, lam, mu):
+    # power-of-two scales are exact in floating point, so every column is the
+    # unscaled one times its dimension factor, bit for bit
+    raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    base, scaled = run_budget(parse_config(raw)), run_budget(rescaled_config(raw, lam, mu))
+    if isinstance(base, BudgetTable):
+        factors = {"omega": 1.0, "sigma_opt": lam, "re_s_xf_opt": lam, "im_s_xf_opt": lam,
+                   "s_xx_opt": lam / mu, "regime": None}
+        assert scaled.meta.transitions == base.meta.transitions
+    else:
+        factors = {"regime_full": None}
+        assert scaled.meta.transitions == tuple(t * (lam * mu) for t in base.meta.transitions)
+    for column, want, got in zip(base.COLUMNS, base.columns, scaled.columns):
+        factor = factors.get(column, lam * mu)
+        assert got == (want if factor is None else [v * factor for v in want]), column
+
+
+def test_tabulated_chi_inv_whose_im_part_changes_sign():
+    # linear interpolation lands near, not on, Im chi_inv = 0 between nodes of
+    # opposite sign: that row keeps a huge finite threshold and stays qcrb;
+    # only a node with Im chi_inv = 0 exactly is a lossless row (s_thr = inf)
+    def config(im):
+        probe = {"type": "tabulated", "omega": [0.5, 1.0, 1.5], "re": [1.0, 1.0, 1.0], "im": im}
+        return parse_config(osc_config(probe=probe, s_ff=0.5, frequency={
+            "start": 0.5, "stop": 1.5, "points": 11, "spacing": "linear"}))
+
+    cfg = config([0.3, -0.2, 0.1])
+    assert abs(cfg.probe.chi_inv(0.8).imag) == pytest.approx(5.55e-17, rel=1e-3)
+    table = run_budget(cfg)
+    omega, s_thr, regime = (table.rows()[3][i] for i in (0, 3, 5))
+    assert omega == pytest.approx(0.8) and regime == "qcrb"
+    assert s_thr == pytest.approx(9.0e15, rel=1e-2)
+    assert all(math.isfinite(v) for v in table.columns[3])
+    assert set(table.columns[5]) == {"qcrb"} and table.meta.transitions == ()
+    at_node = run_budget(config([0.3, 0.0, 0.1]))
+    assert [omega for omega, s_thr in zip(at_node.columns[0], at_node.columns[3])
+            if s_thr == math.inf] == [1.0]
+    assert set(at_node.columns[5]) == {"qcrb"}

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from qnl import (
     DomainError,
     FdtViolationError,
-    GaugeKernel,
     LosslessProbeError,
     Regime,
     optimize_fixed_backaction,
@@ -78,7 +77,7 @@ class TestThresholds:
             threshold_eff(complex(-3.0, 0.0), 0.0)
         with pytest.raises(DomainError):
             threshold_eff(D_RES, complex(0.0, 0.1))
-        assert threshold_eff(D_RES, GaugeKernel.real(0.0)) == threshold_eff(D_RES, 0.0)
+        assert threshold_eff(D_RES, 0.0 + 0.0j) == threshold_eff(D_RES, 0.0)
 
     def test_threshold_full_reduces_to_eff_at_k_zero(self):
         assert threshold_full(D_RES, 0.0) == threshold_eff(D_RES, 0.0)
