@@ -7,6 +7,8 @@ an independent brute-force verification oracle, the auxiliary-spin meter
 worked example, and a noise-budget CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -29,7 +31,6 @@ from .spectra import (
     ThermalModel,
     UniformTemperature,
     ZeroTemperature,
-    chi_inv_at,
     dql,
     fdt_psd,
     sql,
@@ -92,4 +93,5 @@ from .tables import (
     load_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))

@@ -120,6 +120,16 @@ class SweepConfig:
         return self.sigma_zero or not self.allow_sigma
 
 
+def _number(value, where: str) -> float:
+    """value as a float: a JSON number that is no bool and fits a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: number too large for a float") from None
+
+
 def _expect(obj: dict, key: str, types, path: str, default=None, required=False):
     if key not in obj:
         if required:
@@ -127,9 +137,7 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
         return default
     value = obj[key]
     if types is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        return _number(value, f"{path}.{key}")
     if types is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
@@ -139,11 +147,15 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
     return value
 
 
+def _numbers(spec: dict, key: str, path: str) -> list:
+    """The required list of numbers spec[key], each as a float."""
+    values = _expect(spec, key, list, path, required=True)
+    return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _tabulated(spec: dict, path: str) -> tuple[list, list]:
     """The {omega, re, im} sample lists of a tabulated spec, as (omega, values)."""
-    omega = _expect(spec, "omega", list, path, required=True)
-    re = _expect(spec, "re", list, path, required=True)
-    im = _expect(spec, "im", list, path, required=True)
+    omega, re, im = (_numbers(spec, key, path) for key in ("omega", "re", "im"))
     if len(re) != len(im):
         raise ConfigError(f"{path}: re and im must have equal length")
     return omega, [complex(a, b) for a, b in zip(re, im)]
@@ -167,7 +179,7 @@ def _parse_probe(spec, path: str) -> Susceptibility:
             )
         if kind == "tabulated":
             return TabulatedSusceptibility(*_tabulated(spec, path))
-    except QnlError as exc:
+    except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: unknown probe type {kind!r}")
 
@@ -200,7 +212,7 @@ def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
         omega, values = _tabulated(spec, path)
         try:
             return ComplexTable(omega, values)
-        except QnlError as exc:
+        except DomainError as exc:
             raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
 
@@ -217,11 +229,9 @@ def _parse_thermal(spec, path: str) -> ThermalModel:
         if kind == "uniform":
             return UniformTemperature(_expect(spec, "temperature", float, path, required=True))
         if kind == "effective":
-            return EffectiveTemperature(
-                _expect(spec, "omega", list, path, required=True),
-                _expect(spec, "t_eff", list, path, required=True),
-            )
-    except QnlError as exc:
+            return EffectiveTemperature(_numbers(spec, "omega", path),
+                                        _numbers(spec, "t_eff", path))
+    except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: unknown thermal type {kind!r}")
 
@@ -263,7 +273,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
             _expect(raw, "hbar", float, name, 1.0),
             _expect(raw, "k_boltzmann", float, name, 1.0),
         )
-    except QnlError as exc:
+    except DomainError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
     mode = _expect(raw, "mode", str, name, required=True)
@@ -356,7 +366,7 @@ def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
     except FdtViolationError as exc:
         raise FdtViolationError(f"omega={omega!r}: {exc}") from None
 
-    s_fdt = fdt_psd(cfg.probe, cfg.thermal, omega, cfg.constants)
+    s_fdt = fdt_psd(d, cfg.thermal, omega, cfg.constants)
     t = report.optimal_triad
     return (  # the BUDGET_COLUMNS in order
         omega, sql(d, hbar=hbar), dql(d, hbar=hbar), report.s_threshold, report.s_sum,
@@ -635,7 +645,7 @@ def verify(
     worst = -math.inf
     for w, d, kv, _ in instances:
         floor = dql(d, hbar=hbar)
-        worst = max(worst, floor - fdt_psd(cfg.probe, cfg.thermal, w, cfg.constants))
+        worst = max(worst, floor - fdt_psd(d, cfg.thermal, w, cfg.constants))
     checks.append(CheckResult("fdt-floor", worst <= 0.0, worst, 0.0))
 
     if golden_path is not None:

@@ -28,8 +28,9 @@ class SamplerError(QnlError, RuntimeError):
 
 
 class EmptyFeasibleRegionError(QnlError, RuntimeError):
-    """No feasible point found in the oracle search box.  Cannot occur for
-    inputs that satisfy the FDT precondition; raised defensively."""
+    """No feasible point found in the oracle search box.  brute_force_min raises it at
+    exactly the meter FDT floor s_ff = hbar*|Im K|, which its precondition s_ff >=
+    hbar*|Im K| admits: there no scan node has a finite saturating S_xx."""
 
 
 class ConfigError(QnlError, ValueError):

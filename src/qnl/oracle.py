@@ -40,39 +40,37 @@ from .errors import (
 from .meter import NoiseTriad
 from .optimize import threshold_full
 
+S_XF_BOX_SCALE = 50.0 * math.sqrt(2.0)
+REFINE_ITERATIONS = 600
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Search parameters for brute_force_min.
 
     coarse_grid_points is the number of scan nodes per S_xF axis (>= 32).
-    The scan box is the square |Re S_xF|, |Im S_xF| <= s_xf_box_scale *
+    The scan box is the square |Re S_xF|, |Im S_xF| <= S_XF_BOX_SCALE *
     (hbar/2) * max(1, thr/s_ff), thr being the analytic threshold.  With
-    refine=False the best scan node is returned as is.
+    refine=False the best scan node is returned as is; otherwise two
+    Nelder-Mead runs of at most REFINE_ITERATIONS iterations each follow.
     """
 
     coarse_grid_points: int = 33
-    refine_iterations: int = 600
-    s_xf_box_scale: float = 50.0 * math.sqrt(2.0)
     refine: bool = True
 
     def __post_init__(self) -> None:
         if self.coarse_grid_points < 32:
             raise DomainError(f"coarse_grid_points must be >= 32, got {self.coarse_grid_points}")
-        if self.refine_iterations < 1:
-            raise DomainError("refine_iterations must be >= 1")
-        if not (self.s_xf_box_scale > 0):
-            raise DomainError(f"s_xf_box_scale must be > 0, got {self.s_xf_box_scale!r}")
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """brute_force_min's result; feasible_fraction is always 1.0 (see there)."""
+    """brute_force_min's minimum, the triad that attains it, and the
+    Nelder-Mead iterations summed over both runs (0 with refine=False)."""
 
     s_sum_min: float
     argmin_triad: NoiseTriad
     iterations: int
-    feasible_fraction: float
 
 
 def _saturation_solver(s_ff: float, k_im: float, hbar: float):
@@ -204,11 +202,10 @@ def brute_force_min(
     against the closed form.  It is worst near the meter FDT floor: 13
     instances err by more than 1e-5, all with hbar*|Im K|/s_ff >= 0.984,
     the largest by 2.7e-4.  Where hbar*|Im K|/s_ff < 0.98 the largest error
-    is 5e-8, and below 0.9 it is 4e-10.  feasible_fraction, the share of scan
-    nodes with a finite saturating S_xx, is 1.0 whenever a result is returned:
-    above the meter FDT floor every node is finite, and at the floor the call
-    raises EmptyFeasibleRegionError.  A call takes about 1 ms on a 2-core VM,
-    0.15-0.2 ms of it in the scan.
+    is 5e-8, and below 0.9 it is 4e-10.  Above the meter FDT floor every scan
+    node has a finite saturating S_xx; exactly at the floor, s_ff =
+    hbar*|Im K|, none has, and the call raises EmptyFeasibleRegionError.  A
+    call takes about 1 ms on a 2-core VM, 0.15-0.2 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
     kv = complex(k)
@@ -223,7 +220,7 @@ def brute_force_min(
 
     # half-width of the scan box; the threshold enters as a length scale only
     scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
-    s_xf_max = cfg.s_xf_box_scale * (0.5 * hbar) * scale
+    s_xf_max = S_XF_BOX_SCALE * (0.5 * hbar) * scale
     axis = np.linspace(-s_xf_max, s_xf_max, cfg.coarse_grid_points)
     dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
 
@@ -231,8 +228,7 @@ def brute_force_min(
     values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar)
     values = values + (2.0 * (dk_re * re_g - dk_im * im_g) + s_ff)
     values = np.where(np.isnan(values), np.inf, values)
-    feasible = np.count_nonzero(np.isfinite(values))
-    if not feasible:
+    if not np.isfinite(values).any():
         raise EmptyFeasibleRegionError("no feasible point in the surface scan")
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
 
@@ -252,7 +248,7 @@ def brute_force_min(
     if cfg.refine:
         step, xatol, fatol = 0.1 * s_xf_max, 1e-9 * s_xf_max, 1e-12 * abs(best_val)
         for _ in range(2):  # restart once; cheap and robust against the |sigma| kink
-            z, val, nit = _nelder_mead(f, best_z, step, xatol, fatol, cfg.refine_iterations)
+            z, val, nit = _nelder_mead(f, best_z, step, xatol, fatol, REFINE_ITERATIONS)
             iterations += nit
             if val <= best_val:
                 best_val, best_z = val, z
@@ -261,7 +257,7 @@ def brute_force_min(
     if not math.isfinite(s_xx):
         raise EmptyFeasibleRegionError("refinement left the feasible region")
     triad = NoiseTriad(s_xx, best_z, s_ff)
-    return OracleResult(best_val, triad, iterations, feasible / values.size)
+    return OracleResult(best_val, triad, iterations)
 
 
 def random_saturating_triad(

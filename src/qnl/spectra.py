@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -190,16 +190,6 @@ class TabulatedSusceptibility(Susceptibility):
         return self.table._on_grid(omega)
 
 
-def chi_inv_at(model: Union[Susceptibility, complex], omega: float | None = None) -> complex:
-    """Coerce either a susceptibility model (evaluated at omega) or a bare
-    complex chi_inv value to a complex number."""
-    if isinstance(model, Susceptibility):
-        if omega is None:
-            raise DomainError("a frequency is required to evaluate a susceptibility model")
-        return model.chi_inv(omega)
-    return complex(model)
-
-
 class ThermalModel:
     """Base class for bath models; subclasses implement temperature_at(omega)."""
 
@@ -261,31 +251,28 @@ class EffectiveTemperature(ThermalModel):
         return self.table._on_grid(omega)[::2]  # (Re T_eff, outside)
 
 
-def sql(model: Union[Susceptibility, complex], omega: float | None = None, hbar: float = 1.0) -> float:
-    """Standard quantum limit hbar*|chi_inv(omega)|: the force-noise floor of
-    an uncorrelated meter with balanced imprecision and back action."""
-    return hbar * abs(chi_inv_at(model, omega))
+def sql(chi_inv: complex, *, hbar: float = 1.0) -> float:
+    """Standard quantum limit hbar*|chi_inv|, chi_inv being the value at one frequency:
+    the force-noise floor of an uncorrelated meter with balanced imprecision and back action."""
+    return hbar * abs(chi_inv)
 
 
-def dql(model: Union[Susceptibility, complex], omega: float | None = None, hbar: float = 1.0) -> float:
-    """Dissipative quantum limit hbar*|Im chi_inv(omega)|: zero iff the probe
-    is lossless at omega, and a floor for every stationary meter."""
-    return hbar * abs(chi_inv_at(model, omega).imag)
+def dql(chi_inv: complex, *, hbar: float = 1.0) -> float:
+    """Dissipative quantum limit hbar*|Im chi_inv|, chi_inv being the value at one frequency:
+    zero iff the probe is lossless there, and a floor for every stationary meter."""
+    return hbar * abs(chi_inv.imag)
 
 
-def fdt_psd(
-    model: Union[Susceptibility, complex],
-    thermal: ThermalModel,
-    omega: float,
-    constants: PhysConstants = PhysConstants(),
-) -> float:
-    """Thermal force PSD hbar*|Im chi_inv|*coth(hbar*w / 2 kB T).
+def fdt_psd(chi_inv: complex, thermal: ThermalModel, omega: float,
+            constants: PhysConstants = PhysConstants()) -> float:
+    """Thermal force PSD hbar*|Im chi_inv|*coth(hbar*w / 2 kB T), chi_inv being the value
+    at omega; the bath's temperature T is also taken at omega.
 
     At T = 0 the coth factor is exactly 1 and the result coincides with the
     DQL at the same frequency.
     """
     omega = _check_omega(omega)
-    floor = constants.hbar * abs(chi_inv_at(model, omega).imag)
+    floor = constants.hbar * abs(chi_inv.imag)
     temperature = thermal.temperature_at(omega)
     if temperature == 0.0:
         return floor

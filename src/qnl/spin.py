@@ -2,11 +2,12 @@
 spin oscillator in series.
 
 The light probes the mechanical position and the spin-oscillator position
-with couplings theta_i and theta_s; the spin response chi_s is pluggable
-(a constant or any callable of frequency), since its detailed shape depends
-on the spin system at hand.  A broadband resonance-tuned optical meter with
-vacuum input (quadrature PSDs 1/2) is assumed, and the combined triads are
-the same whichever subsystem the light meets first.
+with couplings theta_i and theta_s.  The spin response chi_s and the probe's
+chi_inv enter as plain complex values at the working frequency; the caller
+evaluates a model of frequency such as negative_mass_oscillator, whose shape
+depends on the spin system at hand.  A broadband resonance-tuned optical
+meter with vacuum input (quadrature PSDs 1/2) is assumed, and the combined
+triads are the same whichever subsystem the light meets first.
 
 Two working points matter:
 
@@ -25,13 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import DomainError
 from .meter import NoiseTriad
-from .spectra import Susceptibility, chi_inv_at
-
-ChiS = Union[complex, Callable[[float], complex]]
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class SpinMeterParams:
 
     theta_i: float
     theta_s: float
-    chi_s: ChiS
+    chi_s: complex
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta_i) and self.theta_i >= 0):
@@ -54,6 +52,7 @@ class SpinMeterParams:
             raise DomainError(f"theta_s must be finite and >= 0, got {self.theta_s!r}")
         object.__setattr__(self, "theta_i", float(self.theta_i))
         object.__setattr__(self, "theta_s", float(self.theta_s))
+        object.__setattr__(self, "chi_s", complex(self.chi_s))
 
 
 def negative_mass_oscillator(mass: float, omega_s: float, gamma_s: float = 0.0) -> Callable[[float], complex]:
@@ -77,15 +76,7 @@ def negative_mass_oscillator(mass: float, omega_s: float, gamma_s: float = 0.0) 
     return chi_s
 
 
-def _chi_s_value(chi_s: ChiS, omega: float | None) -> complex:
-    if callable(chi_s):
-        if omega is None:
-            raise DomainError("a frequency is required to evaluate a chi_s model")
-        return complex(chi_s(omega))
-    return complex(chi_s)
-
-
-def spin_triad(params: SpinMeterParams, omega: float | None = None, hbar: float = 1.0) -> NoiseTriad:
+def spin_triad(params: SpinMeterParams, *, hbar: float = 1.0) -> NoiseTriad:
     """Noise triad of the combined meter:
 
         S_xx = (hbar/4 theta_i) (1 + 4 theta_s^2 |chi_s|^2 + 4 theta_s |Im chi_s|)
@@ -97,7 +88,7 @@ def spin_triad(params: SpinMeterParams, omega: float | None = None, hbar: float 
     """
     if params.theta_i <= 0:
         raise DomainError("theta_i must be > 0 for a functioning meter")
-    cs = _chi_s_value(params.chi_s, omega)
+    cs = params.chi_s
     s_xx = (
         hbar
         / (4.0 * params.theta_i)
@@ -106,12 +97,7 @@ def spin_triad(params: SpinMeterParams, omega: float | None = None, hbar: float 
     return NoiseTriad(s_xx, hbar * params.theta_s * cs, hbar * params.theta_i)
 
 
-def matched_sum_noise(
-    theta_i: float,
-    chi_inv: Union[Susceptibility, complex],
-    omega: float | None = None,
-    hbar: float = 1.0,
-) -> float:
+def matched_sum_noise(theta_i: float, chi_inv: complex, *, hbar: float = 1.0) -> float:
     """Sum noise of the back-action-matched configuration
     theta_s*chi_s = -theta_i*chi:
 
@@ -122,19 +108,14 @@ def matched_sum_noise(
     """
     if not (math.isfinite(theta_i) and theta_i > 0):
         raise DomainError(f"theta_i must be positive and finite, got {theta_i!r}")
-    d = chi_inv_at(chi_inv, omega)
+    d = complex(chi_inv)
     if not (math.isfinite(d.real) and math.isfinite(d.imag)):
         raise DomainError(f"chi_inv must be finite (chi = 0 is degenerate), got {d!r}")
     s_ff = hbar * theta_i
     return hbar * abs(d.imag) + hbar * hbar * abs(d) ** 2 / (4.0 * s_ff)
 
 
-def optimal_spin_response(
-    theta_i: float,
-    chi: complex,
-    omega: float | None = None,
-    hbar: float = 1.0,
-) -> complex:
+def optimal_spin_response(theta_i: float, chi: complex) -> complex:
     """Product theta_s*chi_s that minimizes the total sum noise at budget
     hbar*theta_i, given the probe susceptibility chi (not its inverse):
 
@@ -147,10 +128,7 @@ def optimal_spin_response(
     """
     if not (math.isfinite(theta_i) and theta_i >= 0):
         raise DomainError(f"theta_i must be finite and >= 0, got {theta_i!r}")
-    if isinstance(chi, Susceptibility):
-        x = 1.0 / chi_inv_at(chi, omega)
-    else:
-        x = complex(chi)
+    x = complex(chi)
     if theta_i * abs(x.imag) < 0.5:
         return complex(-theta_i * x.real, 0.0)
     return -theta_i * x + complex(0.0, 0.5 * math.copysign(1.0, x.imag))

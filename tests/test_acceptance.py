@@ -316,12 +316,13 @@ def test_criterion_09_fdt_consistency():
             omega = rng.uniform(grid[0], grid[-1])
         if kind != 2:
             omega = rng.uniform(0.05, 4.0)
-        if fdt_psd(model, zero, omega) != dql(model, omega):
+        d = model.chi_inv(omega)
+        if fdt_psd(d, zero, omega) != dql(d):
             failures.append(f"zero-temperature floor mismatch at draw {i}")
 
     ladder = np.linspace(0.0, 3.0, 10)
-    values = [fdt_psd(DampedOscillator(1.0, 1.0, 0.2), UniformTemperature(t), 0.8)
-              for t in ladder]
+    d = DampedOscillator(1.0, 1.0, 0.2).chi_inv(0.8)
+    values = [fdt_psd(d, UniformTemperature(t), 0.8) for t in ladder]
     if not all(b >= a for a, b in zip(values, values[1:])):
         failures.append("thermal PSD not monotone in temperature")
     report(9, "thermal-floor consistency", failures)

@@ -153,6 +153,31 @@ class TestConfigParsing:
         table = run_budget(cfg)
         assert all(p.s_fdt > p.dql for p in table.points)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"hbar": 10**400}, r"config\.hbar"),
+        ({"s_ff": 10**400}, r"config\.s_ff"),
+        ({"back_action": 10**400}, r"config\.back_action\.re"),
+        ({"probe": {"re": ["a", 1.0]}}, r"config\.probe\.re\[0\]"),
+        ({"probe": {"re": [None, 1.0]}}, r"config\.probe\.re\[0\]"),
+        ({"probe": {"re": [10**400, 1.0]}}, r"config\.probe\.re\[0\]"),
+        ({"probe": {"re": [True, 1.0]}}, r"config\.probe\.re\[0\]"),
+        ({"probe": {"omega": ["a", 1.5]}}, r"config\.probe\.omega\[0\]"),
+        ({"thermal": {"t_eff": ["a", 0.6]}}, r"config\.thermal\.t_eff\[0\]"),
+        ({"thermal": {"t_eff": [None, 0.6]}}, r"config\.thermal\.t_eff\[0\]"),
+        ({"thermal": {"t_eff": [10**400, 0.6]}}, r"config\.thermal\.t_eff\[0\]"),
+    ], ids=["hbar-huge", "s_ff-huge", "back_action-huge", "re-string", "re-null", "re-huge",
+            "re-bool", "omega-string", "t_eff-string", "t_eff-null", "t_eff-huge"])
+    def test_bad_numbers_raise_config_error_naming_the_field(self, overrides, field):
+        # a string, null, bool or an integer too large for a float, in a scalar
+        # field or in a tabulated list
+        cfg = osc_config(
+            probe={"type": "tabulated", "omega": [0.5, 1.5], "re": [1.0, 1.0], "im": [-0.1, -0.1]},
+            thermal={"type": "effective", "omega": [0.5, 1.5], "t_eff": [0.2, 0.6]})
+        for key, value in overrides.items():
+            cfg[key] = dict(cfg[key], **value) if isinstance(value, dict) else value
+        with pytest.raises(ConfigError, match=field):
+            parse_config(json.dumps(cfg))
+
 
 class TestRunBudget:
     def test_canonical_resonance_row(self):
@@ -661,7 +686,7 @@ def scalar_rows(cfg) -> list:
             k = complex(k.real, 0.0)
         r = optimize_fixed_backaction(d, k, cfg.s_ff, allow_sigma=not cfg.sigma_constrained,
                                       hbar=hbar)
-        s_fdt = fdt_psd(cfg.probe, cfg.thermal, w, cfg.constants)
+        s_fdt = fdt_psd(d, cfg.thermal, w, cfg.constants)
         t = r.optimal_triad
         rows.append([w, sql(d, hbar=hbar), dql(d, hbar=hbar), r.s_threshold, r.s_sum,
                      r.regime.value, s_fdt, r.s_sum + s_fdt, r.sigma_opt, t.s_xx,
@@ -918,13 +943,22 @@ def test_scalar_reruns_and_per_point_k_give_the_array_columns(gamma):
         assert as_emitted(got) == as_emitted(want) and got == want
 
 
+LOSSLESS = {  # oscillator_budget.json with gamma = 0 and K = 0.1+0.05i, in both modes
+    f"lossless-{mode}": {"probe": {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
+                         "back_action": {"type": "constant", "re": 0.1, "im": 0.05}, "mode": mode}
+    for mode in ("fixed_SFF", "fixed_effective")
+}
+
+
 @pytest.mark.parametrize("lam, mu", [(2.0**40, 2.0**-10), (2.0**-100, 2.0**20), (2.0**7, 2.0**7)])
 @pytest.mark.parametrize("name", ["oscillator_budget.json", "si_oscillator.json",
-                                  "spin_figure.json"])
+                                  "spin_figure.json", *LOSSLESS])
 def test_tables_are_exactly_unit_covariant(name, lam, mu):
     # power-of-two scales are exact in floating point, so every column is the
     # unscaled one times its dimension factor, bit for bit
-    raw = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    base = "oscillator_budget.json" if name in LOSSLESS else name
+    raw = json.loads((CONFIGS / base).read_text(encoding="utf-8"))
+    raw.update(LOSSLESS.get(name, {}))
     base, scaled = run_budget(parse_config(raw)), run_budget(rescaled_config(raw, lam, mu))
     if isinstance(base, BudgetTable):
         factors = {"omega": 1.0, "sigma_opt": lam, "re_s_xf_opt": lam, "im_s_xf_opt": lam,

@@ -157,6 +157,13 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert "config error" in err and "line 1" in err
 
 
+def test_number_too_large_for_a_float_exits_1(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(BASE, hbar=10**400)), encoding="utf-8")
+    assert main(["budget", str(path)]) == 1
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_infeasible_config_exits_1(tmp_path, capsys):
     cfg = dict(BASE, back_action={"type": "constant", "re": 0.0, "im": 0.9})
     path = tmp_path / "infeasible.json"
@@ -182,3 +189,28 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_are_pinned():
+    # every addition to or removal from the public API shows up in this list;
+    # submodules are not part of it, so `from qnl import *` binds no module
+    assert qnl.__all__ == [
+        "BudgetPoint", "BudgetTable", "CheckResult", "ComplexTable", "ConfigError",
+        "DampedOscillator", "DomainError", "EffectiveTemperature", "EmptyFeasibleRegionError",
+        "FdtViolationError", "FreeMass", "GridSpec", "LosslessProbeError", "NoiseTriad",
+        "OptimumReport", "OracleConfig", "OracleResult", "PhaseTransitionProbe", "PhysConstants",
+        "QnlError", "RangeError", "Regime", "SamplerError", "SffSweepSpec", "SpinFigurePoint",
+        "SpinFigureTable", "SpinMeterParams", "Susceptibility", "SweepConfig", "TableMeta",
+        "TabulatedSusceptibility", "ThermalModel", "UniformTemperature", "VerificationReport",
+        "ZeroTemperature", "brute_force_min", "commutator_check", "dql", "fdt_psd",
+        "feedback_equivalent_gauge", "gauge_transform", "load_config", "load_table",
+        "local_uncertainty_pair", "matched_sum_noise", "negative_mass_oscillator",
+        "optimal_spin_response", "optimize_fixed_backaction", "optimize_fixed_eff_backaction",
+        "optimize_fixed_eff_backaction_sigma_zero", "parse_config", "phase_transition_probe",
+        "qcrb_lossless", "qcrb_simple", "random_saturating_triad", "run_budget",
+        "run_spin_figure", "saturating_s_xx", "sigma", "spin_triad", "sql", "sum_noise_psd",
+        "threshold_eff", "threshold_full", "uncertainty_slack", "verify",
+    ]
+    namespace = {}
+    exec("from qnl import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == qnl.__all__

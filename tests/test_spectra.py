@@ -67,16 +67,16 @@ def test_eval_rejects_nonpositive_frequency():
 
 
 def test_sql_examples():
-    assert sql(OSC, 1.0) == 0.2
-    assert_allclose(sql(OSC, 2.0), math.sqrt(9.16), rtol=1e-15)
+    assert sql(OSC.chi_inv(1.0)) == 0.2
+    assert_allclose(sql(OSC.chi_inv(2.0)), math.sqrt(9.16), rtol=1e-15)
     lossless = DampedOscillator(mass=1.0, omega0=1.0, gamma=0.0)
-    assert sql(lossless, 2.0) == abs(lossless.chi_inv(2.0).real)
+    assert sql(lossless.chi_inv(2.0)) == abs(lossless.chi_inv(2.0).real)
 
 
 def test_dql_examples():
-    assert dql(OSC, 1.0) == 0.2
-    assert dql(OSC, 2.0) == 0.4
-    assert dql(DampedOscillator(1.0, 1.0, 0.0), 1.7) == 0.0
+    assert dql(OSC.chi_inv(1.0)) == 0.2
+    assert dql(OSC.chi_inv(2.0)) == 0.4
+    assert dql(DampedOscillator(1.0, 1.0, 0.0).chi_inv(1.7)) == 0.0
 
 
 def test_dql_below_sql_with_equality_iff_reactive_part_vanishes():
@@ -88,7 +88,7 @@ def test_dql_below_sql_with_equality_iff_reactive_part_vanishes():
             gamma=rng.uniform(0.0, 1.0),
         )
         omega = rng.uniform(0.05, 4.0)
-        lo, hi = dql(model, omega), sql(model, omega)
+        lo, hi = dql(model.chi_inv(omega)), sql(model.chi_inv(omega))
         assert lo <= hi
         if model.chi_inv(omega).real == 0.0:
             assert lo == hi
@@ -108,7 +108,7 @@ def test_fdt_frozen_value():
     # oracle: 0.2 * coth(1) = 0.26260705709986624 via the continued fraction
     expected = 0.26260705709986624
     assert_allclose(coth_continued_fraction(1.0) * 0.2, expected, rtol=1e-13)
-    got = fdt_psd(OSC, UniformTemperature(0.5), 1.0)
+    got = fdt_psd(OSC.chi_inv(1.0), UniformTemperature(0.5), 1.0)
     assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -118,24 +118,26 @@ def test_fdt_zero_temperature_is_exactly_the_dissipative_limit():
     for _ in range(200):
         model = DampedOscillator(rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))
         omega = rng.uniform(0.05, 3.0)
-        assert fdt_psd(model, zero, omega) == dql(model, omega)
-    assert fdt_psd(OSC, UniformTemperature(0.0), 1.0) == dql(OSC, 1.0)
+        d = model.chi_inv(omega)
+        assert fdt_psd(d, zero, omega) == dql(d)
+    assert fdt_psd(OSC.chi_inv(1.0), UniformTemperature(0.0), 1.0) == dql(OSC.chi_inv(1.0))
 
 
 def test_fdt_high_temperature_limit():
     temperature = 1e8
-    got = fdt_psd(OSC, UniformTemperature(temperature), 1.0)
+    got = fdt_psd(OSC.chi_inv(1.0), UniformTemperature(temperature), 1.0)
     assert_allclose(got, 2.0 * temperature * 0.2 / 1.0, rtol=1e-9)
 
 
 def test_fdt_monotone_in_temperature():
-    values = [fdt_psd(OSC, UniformTemperature(t), 0.7) for t in np.linspace(0.0, 3.0, 13)]
+    d = OSC.chi_inv(0.7)
+    values = [fdt_psd(d, UniformTemperature(t), 0.7) for t in np.linspace(0.0, 3.0, 13)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_fdt_respects_custom_constants():
     consts = PhysConstants(hbar=0.5, k_b=2.0)
-    got = fdt_psd(OSC, UniformTemperature(0.25), 1.0, consts)
+    got = fdt_psd(OSC.chi_inv(1.0), UniformTemperature(0.25), 1.0, consts)
     x = 0.5 * 1.0 / (2.0 * 2.0 * 0.25)
     assert_allclose(got, 0.5 * 0.2 / math.tanh(x), rtol=1e-14)
 
@@ -145,7 +147,7 @@ def test_effective_temperature_interpolates_and_rejects_outside():
     assert thermal.temperature_at(1.0) == 0.4
     assert_allclose(thermal.temperature_at(0.75), 0.25, rtol=1e-15)
     with pytest.raises(RangeError):
-        fdt_psd(OSC, thermal, 3.0)
+        fdt_psd(OSC.chi_inv(3.0), thermal, 3.0)
 
 
 def test_tabulated_reproduces_nodes_bit_for_bit():
