@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,7 @@ from .tables import BudgetTable, SpinFigureTable, TableMeta, load_table
 log = logging.getLogger("qnl.budget")
 
 MODES = ("fixed_SFF", "fixed_effective", "sweep_SFF_at_fixed_omega")
+MAX_GRID_POINTS = 10**6  # ten times the largest sweep the package is sized for
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,8 @@ class GridSpec:
             raise ConfigError(f"grid start must be < stop, got {self.start!r}..{self.stop!r}")
         if self.points < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.points}")
+        if self.points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid has at most {MAX_GRID_POINTS} points, got {self.points}")
         if self.spacing not in ("linear", "log"):
             raise ConfigError(f"grid spacing must be linear or log, got {self.spacing!r}")
         if self.spacing == "log" and self.start <= 0:
@@ -76,7 +79,7 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SffSweepSpec:
+class SffSweepSpec(GridSpec):
     """Back-action budget range for the fixed-frequency sweep; with
     units="threshold" the bounds are multiples of the effective threshold."""
 
@@ -87,19 +90,22 @@ class SffSweepSpec:
     units: str = "threshold"
 
     def __post_init__(self) -> None:
-        GridSpec(self.start, self.stop, self.points, self.spacing)
+        super().__post_init__()
         if self.units not in ("threshold", "absolute"):
             raise ConfigError(f"s_ff units must be threshold or absolute, got {self.units!r}")
 
     def values(self, threshold: float) -> np.ndarray:
-        grid = GridSpec(self.start, self.stop, self.points, self.spacing).values()
-        if self.units == "threshold":
-            return grid * threshold
-        return grid
+        grid = super().values()
+        return grid * threshold if self.units == "threshold" else grid
 
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A parsed configuration with its mode's rules applied.  k_of_omega is the K
+    that the optimizer sees: Re K under the effective-budget convention.
+    allow_sigma is False when either JSON key allow_sigma or sigma_zero pins
+    sigma.  s_ff_sweep is set exactly in the sweep mode, which requires omega."""
+
     probe: Susceptibility
     k_of_omega: Callable[[float], complex]
     thermal: ThermalModel
@@ -110,14 +116,9 @@ class SweepConfig:
     s_ff_sweep: SffSweepSpec | None
     omega: float | None
     allow_sigma: bool
-    sigma_zero: bool
     output_format: str | None
     output_path: str | None
     config_hash: str
-
-    @property
-    def sigma_constrained(self) -> bool:
-        return self.sigma_zero or not self.allow_sigma
 
 
 def _number(value, where: str) -> float:
@@ -197,7 +198,8 @@ class _ConstantK:
         return np.full(omega.shape, self.value.real), np.full(omega.shape, self.value.imag), False
 
 
-def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
+def _parse_back_action(spec, path: str, real: bool) -> Callable[[float], complex]:
+    """K(omega) from its spec; with real, its real part Re K (Im K is still validated)."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         spec = {"type": "constant", "re": spec}
     if not isinstance(spec, dict):
@@ -207,14 +209,24 @@ def _parse_back_action(spec, path: str) -> Callable[[float], complex]:
         k = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
         if not (math.isfinite(k.real) and math.isfinite(k.imag)):
             raise ConfigError(f"{path}: K must be finite, got {k!r}")
-        return _ConstantK(k)
+        return _ConstantK(complex(k.real, 0.0) if real else k)
     if kind == "tabulated":
         omega, values = _tabulated(spec, path)
         try:
-            return ComplexTable(omega, values)
+            table = ComplexTable(omega, values)
         except DomainError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        return ComplexTable(omega, [v.real for v in values]) if real else table
     raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
+
+
+def _k_on_grid(k_of: Callable[[float], complex], omegas: np.ndarray) -> tuple:
+    """k_of over the grid, bit for bit: (re, im, True where it raises), or the error
+    of a callable with no array form, which is evaluated point by point."""
+    if isinstance(k_of, (ComplexTable, _ConstantK)):
+        return k_of._on_grid(omegas)
+    kv = np.array([k_of(w) for w in omegas.tolist()], complex)
+    return kv.real, kv.imag, False
 
 
 def _parse_thermal(spec, path: str) -> ThermalModel:
@@ -234,6 +246,19 @@ def _parse_thermal(spec, path: str) -> ThermalModel:
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     raise ConfigError(f"{path}.type: unknown thermal type {kind!r}")
+
+
+_GRID_FIELDS = {"start": float, "stop": float, "points": int, "spacing": str, "units": str}
+
+
+def _parse_grid(cls, spec: dict, path: str):
+    """A cls grid from spec: each field of cls in order, those with no default required."""
+    kwargs = {}
+    for f in fields(cls):
+        required = f.default is MISSING
+        if required or f.name in spec:
+            kwargs[f.name] = _expect(spec, f.name, _GRID_FIELDS[f.name], path, required=required)
+    return cls(**kwargs)
 
 
 def config_hash(raw: dict) -> str:
@@ -265,8 +290,12 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         if key not in known:
             raise ConfigError(f"{name}.{key}: unknown field")
 
+    mode = _expect(raw, "mode", str, name, required=True)
+    if mode not in MODES:
+        raise ConfigError(f"{name}.mode: must be one of {MODES}, got {mode!r}")
     probe = _parse_probe(raw.get("probe"), f"{name}.probe")
-    k_of_omega = _parse_back_action(raw.get("back_action", 0.0), f"{name}.back_action")
+    k_of_omega = _parse_back_action(raw.get("back_action", 0.0), f"{name}.back_action",
+                                    real=mode == "fixed_effective")
     thermal = _parse_thermal(raw.get("thermal"), f"{name}.thermal")
     try:
         constants = PhysConstants(
@@ -276,19 +305,10 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     except DomainError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
-    mode = _expect(raw, "mode", str, name, required=True)
-    if mode not in MODES:
-        raise ConfigError(f"{name}.mode: must be one of {MODES}, got {mode!r}")
-
     frequency = None
     if mode != "sweep_SFF_at_fixed_omega":
         spec = _expect(raw, "frequency", dict, name, required=True)
-        frequency = GridSpec(
-            _expect(spec, "start", float, f"{name}.frequency", required=True),
-            _expect(spec, "stop", float, f"{name}.frequency", required=True),
-            _expect(spec, "points", int, f"{name}.frequency", required=True),
-            _expect(spec, "spacing", str, f"{name}.frequency", "linear"),
-        )
+        frequency = _parse_grid(GridSpec, spec, f"{name}.frequency")
 
     s_ff = None
     s_ff_sweep = None
@@ -301,18 +321,9 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         if omega is None:
             raise ConfigError(f"{name}.omega: required for mode {mode!r}")
         spec = raw.get("s_ff")
-        if spec is None:
-            s_ff_sweep = SffSweepSpec()
-        elif isinstance(spec, dict):
-            s_ff_sweep = SffSweepSpec(
-                _expect(spec, "start", float, f"{name}.s_ff", 0.01),
-                _expect(spec, "stop", float, f"{name}.s_ff", 100.0),
-                _expect(spec, "points", int, f"{name}.s_ff", 201),
-                _expect(spec, "spacing", str, f"{name}.s_ff", "log"),
-                _expect(spec, "units", str, f"{name}.s_ff", "threshold"),
-            )
-        else:
+        if spec is not None and not isinstance(spec, dict):
             raise ConfigError(f"{name}.s_ff: expected an object (range) for mode {mode!r}")
+        s_ff_sweep = _parse_grid(SffSweepSpec, spec or {}, f"{name}.s_ff")
     else:
         s_ff = _expect(raw, "s_ff", float, name, required=True)
         if not (math.isfinite(s_ff) and s_ff > 0):
@@ -328,6 +339,8 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         if output_format is not None and output_format not in ("csv", "json"):
             raise ConfigError(f"{name}.output.format: must be csv or json, got {output_format!r}")
         output_path = _expect(out, "path", str, f"{name}.output", None)
+    allow_sigma = _expect(raw, "allow_sigma", bool, name, True)
+    sigma_zero = _expect(raw, "sigma_zero", bool, name, False)
 
     return SweepConfig(
         probe=probe,
@@ -339,8 +352,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         s_ff=s_ff,
         s_ff_sweep=s_ff_sweep,
         omega=omega,
-        allow_sigma=_expect(raw, "allow_sigma", bool, name, True),
-        sigma_zero=_expect(raw, "sigma_zero", bool, name, False),
+        allow_sigma=allow_sigma and not sigma_zero,
         output_format=output_format,
         output_path=output_path,
         config_hash=config_hash(raw),
@@ -356,13 +368,8 @@ def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
     hbar = cfg.constants.hbar
     d = cfg.probe.chi_inv(omega)
     kv = complex(cfg.k_of_omega(omega))
-    if cfg.mode == "fixed_effective":
-        # the effective convention is the real-K case: the gauge kernel is Re K
-        kv = complex(kv.real, 0.0)
     try:
-        report = optimize_fixed_backaction(
-            d, kv, cfg.s_ff, allow_sigma=not cfg.sigma_constrained, hbar=hbar
-        )
+        report = optimize_fixed_backaction(d, kv, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
     except FdtViolationError as exc:
         raise FdtViolationError(f"omega={omega!r}: {exc}") from None
 
@@ -393,7 +400,7 @@ def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
     threshold, and the back-action budgets of the spin sweep."""
     d = cfg.probe.chi_inv(cfg.omega)
     thr0 = threshold_eff(d, 0.0, cfg.constants.hbar)  # LosslessProbeError for a lossless probe
-    return d, thr0, (cfg.s_ff_sweep or SffSweepSpec()).values(thr0)
+    return d, thr0, cfg.s_ff_sweep.values(thr0)
 
 
 def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -401,28 +408,19 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
     array and a mask True where it raises; a model with no array form raises from here."""
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
     d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
-    k_of = cfg.k_of_omega
-    if isinstance(k_of, (ComplexTable, _ConstantK)):
-        k_re, k_im, k_bad = k_of._on_grid(omegas)
-    else:
-        kv = np.array([k_of(w) for w in omegas.tolist()], complex)
-        k_re, k_im, k_bad = kv.real, kv.imag, False
-    if cfg.mode == "fixed_effective":
-        k_im = 0.0  # the effective convention's gauge kernel is Re K
-    opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, not cfg.sigma_constrained, hbar)
+    k_re, k_im, k_bad = _k_on_grid(cfg.k_of_omega, omegas)
+    opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, cfg.allow_sigma, hbar)
     temperature, t_bad = cfg.thermal._temperature_grid(omegas)
     dql_col = hbar * np.abs(d_im)
     with np.errstate(all="ignore"):
         # fdt_psd, with math.tanh: np.tanh differs from it in the last bit
-        x = hbar * omegas / (2.0 * k_b * temperature)
-        tanh = np.fromiter(map(math.tanh, x.tolist()), float, len(x))
-        s_fdt = np.where(temperature == 0.0, dql_col, dql_col / tanh)
+        two_kt = 2.0 * k_b * temperature
+        tanh = np.fromiter(map(math.tanh, (hbar * omegas / two_kt).tolist()), float, len(omegas))
+        s_fdt = np.where(two_kt == 0.0, dql_col, dql_col / tanh)
         floats = [omegas, hbar * np.hypot(d_re, d_im), dql_col, opt["s_threshold"], opt["s_sum"],
                   s_fdt, opt["s_sum"] + s_fdt, opt["sigma_opt"], opt["s_xx"], opt["s_xf_re"],
                   opt["s_xf_im"]]
         bad = bad | k_bad | t_bad | opt["bad"] | ~(np.isfinite(omegas) & (omegas > 0.0))
-        # a zero divisor raises in Python; numpy's x/0 can end up finite
-        bad |= (temperature != 0.0) & (2.0 * k_b * temperature == 0.0)
         bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(floats[i] for i in (1, 2, 5, 6)))
     columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 turns -0.0 into 0.0, as _floats does
     columns.insert(5, opt["regime"].tolist())
@@ -460,8 +458,8 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     kernel pass (allow_sigma as the column [True, False]) and the matched
     series from matched_sum_noise's formula on the array, bit-identical to
     the scalar calls.  jobs has no effect."""
-    if cfg.omega is None:
-        raise ConfigError("spin-figure sweep requires a fixed omega in the config")
+    if cfg.mode != "sweep_SFF_at_fixed_omega":
+        raise ConfigError(f"spin-figure needs mode 'sweep_SFF_at_fixed_omega', got {cfg.mode!r}")
     hbar = cfg.constants.hbar
     d, thr0, budgets = _spin_budgets(cfg)
     log.debug("spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
@@ -550,10 +548,11 @@ def verify(
     if cfg.mode == "fixed_SFF":
         # infeasible configs are an input error, not a failed check
         omegas, k_of = cfg.frequency.values(), cfg.k_of_omega
-        flagged = np.ones(len(omegas), bool)  # with no array form of K, every point
-        if isinstance(k_of, (ComplexTable, _ConstantK)):
-            _, k_im, k_bad = k_of._on_grid(omegas)
+        try:
+            _, k_im, k_bad = _k_on_grid(k_of, omegas)
             flagged = k_bad | (cfg.s_ff < hbar * np.abs(k_im))
+        except QnlError:  # K raised at some point: check every point in order
+            flagged = np.ones(len(omegas), bool)
         for w in omegas[flagged].tolist():  # the first one raises
             floor = hbar * abs(complex(k_of(w)).imag)
             if cfg.s_ff < floor:

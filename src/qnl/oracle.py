@@ -40,6 +40,7 @@ from .errors import (
 from .meter import NoiseTriad
 from .optimize import threshold_full
 
+COARSE_GRID_POINTS = 33
 S_XF_BOX_SCALE = 50.0 * math.sqrt(2.0)
 REFINE_ITERATIONS = 600
 
@@ -48,19 +49,14 @@ REFINE_ITERATIONS = 600
 class OracleConfig:
     """Search parameters for brute_force_min.
 
-    coarse_grid_points is the number of scan nodes per S_xF axis (>= 32).
-    The scan box is the square |Re S_xF|, |Im S_xF| <= S_XF_BOX_SCALE *
-    (hbar/2) * max(1, thr/s_ff), thr being the analytic threshold.  With
-    refine=False the best scan node is returned as is; otherwise two
-    Nelder-Mead runs of at most REFINE_ITERATIONS iterations each follow.
+    The scan has COARSE_GRID_POINTS nodes per S_xF axis over the square
+    |Re S_xF|, |Im S_xF| <= S_XF_BOX_SCALE * (hbar/2) * max(1, thr/s_ff),
+    thr being the analytic threshold.  With refine=False the best scan node
+    is returned as is; otherwise two Nelder-Mead runs of at most
+    REFINE_ITERATIONS iterations each follow.
     """
 
-    coarse_grid_points: int = 33
     refine: bool = True
-
-    def __post_init__(self) -> None:
-        if self.coarse_grid_points < 32:
-            raise DomainError(f"coarse_grid_points must be >= 32, got {self.coarse_grid_points}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def brute_force_min(
     # half-width of the scan box; the threshold enters as a length scale only
     scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
     s_xf_max = S_XF_BOX_SCALE * (0.5 * hbar) * scale
-    axis = np.linspace(-s_xf_max, s_xf_max, cfg.coarse_grid_points)
+    axis = np.linspace(-s_xf_max, s_xf_max, COARSE_GRID_POINTS)
     dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
 
     re_g, im_g = axis[:, None], axis[None, :]

@@ -268,13 +268,12 @@ def fdt_psd(chi_inv: complex, thermal: ThermalModel, omega: float,
     """Thermal force PSD hbar*|Im chi_inv|*coth(hbar*w / 2 kB T), chi_inv being the value
     at omega; the bath's temperature T is also taken at omega.
 
-    At T = 0 the coth factor is exactly 1 and the result coincides with the
-    DQL at the same frequency.
+    At T = 0, and where 2*kB*T underflows to 0, the coth factor is exactly 1
+    and the result coincides with the DQL at the same frequency.
     """
     omega = _check_omega(omega)
     floor = constants.hbar * abs(chi_inv.imag)
-    temperature = thermal.temperature_at(omega)
-    if temperature == 0.0:
+    two_kt = 2.0 * constants.k_b * thermal.temperature_at(omega)
+    if two_kt == 0.0:
         return floor
-    x = constants.hbar * omega / (2.0 * constants.k_b * temperature)
-    return floor / math.tanh(x)
+    return floor / math.tanh(constants.hbar * omega / two_kt)

@@ -17,9 +17,11 @@ from qnl import (
     FdtViolationError,
     LosslessProbeError,
     RangeError,
+    SffSweepSpec,
     SpinFigurePoint,
     SpinFigureTable,
     Susceptibility,
+    brute_force_min,
     dql,
     fdt_psd,
     load_config,
@@ -35,6 +37,7 @@ from qnl import (
     threshold_eff,
     verify,
 )
+from qnl import budget
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
@@ -138,6 +141,53 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"config\.back_action: K must be finite"):
             parse_config(text)
 
+    def test_fixed_effective_mode_keeps_only_re_k(self):
+        # the effective convention's gauge kernel is Re K, for the sweep and verify alike
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
+        cfg = parse_config(dict(raw, mode="fixed_effective", s_ff=0.3,
+                                back_action={"type": "constant", "re": 0.1, "im": 0.5}))
+        for w in cfg.frequency.values().tolist():
+            assert cfg.k_of_omega(w) == complex(0.1, 0.0) and cfg.k_of_omega(w).imag == 0.0
+        spec = {"type": "tabulated", "omega": [0.5, 1.5], "re": [0.1, 0.3], "im": [0.4, 0.2]}
+        cfg = parse_config(osc_config(mode="fixed_effective", back_action=spec))
+        assert [cfg.k_of_omega(w) for w in (0.5, 1.0, 1.5)] == [0.1, 0.2, 0.3]
+        assert all(cfg.k_of_omega(w).imag == 0.0 for w in cfg.frequency.values().tolist())
+        # Im K is still validated
+        text = json.dumps(osc_config(mode="fixed_effective", back_action=dict(spec, im="IM")))
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_config(text.replace('"IM"', "[1e400, 0.2]"))
+
+    @pytest.mark.parametrize("allow, zero", [(True, False), (False, False), (True, True),
+                                             (False, True)])
+    def test_either_sigma_key_pins_sigma(self, allow, zero):
+        cfg = parse_config(osc_config(allow_sigma=allow, sigma_zero=zero))
+        assert cfg.allow_sigma is (allow and not zero)
+
+    @pytest.mark.parametrize("key, other", [("allow_sigma", "sigma_zero"),
+                                            ("sigma_zero", "allow_sigma")])
+    def test_both_sigma_keys_are_validated(self, key, other):
+        # also when the other key already pins sigma
+        with pytest.raises(ConfigError, match=rf"config\.{key}"):
+            parse_config(osc_config(**{key: "yes", other: other == "sigma_zero"}))
+
+    @pytest.mark.parametrize("overrides", [{}, {"s_ff": None}, {"s_ff": {}}],
+                             ids=["missing", "null", "empty"])
+    def test_sweep_s_ff_missing_or_null_means_the_default_range(self, overrides):
+        assert parse_config(spin_config(**overrides)).s_ff_sweep == SffSweepSpec()
+
+    @pytest.mark.parametrize("points", [10**6 + 1, 2**63, 10**400], ids=["1e6+1", "2^63", "1e400"])
+    @pytest.mark.parametrize("grid", ["frequency", "s_ff"])
+    def test_grid_point_count_is_capped(self, grid, points):
+        # counts are checked at parse time; no sweep is built
+        if grid == "frequency":
+            cfg = osc_config(frequency={"start": 0.5, "stop": 1.5, "points": points})
+        else:
+            cfg = spin_config(s_ff={"points": points})
+        with pytest.raises(ConfigError, match="at most 1000000 points"):
+            parse_config(json.dumps(cfg))
+        assert parse_config(json.dumps(osc_config(
+            frequency={"start": 0.5, "stop": 1.5, "points": 10**6}))).frequency.points == 10**6
+
     def test_tabulated_back_action(self):
         spec = {"type": "tabulated", "omega": [0.5, 1.5], "re": [0.1, 0.3], "im": [0.0, 0.2]}
         cfg = parse_config(json.dumps(osc_config(back_action=spec)))
@@ -197,6 +247,14 @@ class TestRunBudget:
         for row in table.points:
             assert row.s_fdt == row.dql
             assert row.s_total == row.s_sum_opt + row.dql
+
+    def test_underflowing_bath_energy_gives_the_zero_temperature_rows(self):
+        # 2*kB*T underflows to 0 with T > 0: the T = 0 table, no ZeroDivisionError
+        cold = parse_config(osc_config(thermal={"type": "uniform", "temperature": 1e-300},
+                                       k_boltzmann=1e-30))
+        zero = parse_config(osc_config(k_boltzmann=1e-30))
+        assert run_budget(cold).columns == run_budget(zero).columns
+        assert verify(cold).passed
 
     def test_rows_internally_consistent(self):
         table = run_budget(parse_config(osc_config(thermal={"type": "uniform", "temperature": 0.7})))
@@ -544,6 +602,28 @@ class TestVerify:
         assert "[PASS] gauge-invariance" in rendered
         assert "oracle-agreement" in rendered
 
+    def test_verify_checks_the_kernel_the_table_uses(self, monkeypatch):
+        # fixed_effective with hbar*|Im K| > s_ff: the table is computed at Re K,
+        # so every sampled point reaches the oracle
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
+        cfg = parse_config(dict(raw, mode="fixed_effective", s_ff=0.3,
+                                back_action={"type": "constant", "re": 0.1, "im": 0.5}))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brute_force_min(*args, **kwargs)
+
+        monkeypatch.setattr(budget, "brute_force_min", counted)
+        report = verify(cfg, samples=20)
+        assert len(calls) == 20 and all(complex(k).imag == 0.0 for _, k, *_ in calls)
+        assert report.passed
+        assert next(c for c in report.checks if c.name == "oracle-agreement").measured > 0.0
+
+    def test_spin_figure_requires_the_sweep_mode(self):
+        with pytest.raises(ConfigError, match="sweep_SFF_at_fixed_omega.*'fixed_SFF'"):
+            run_spin_figure(parse_config(osc_config(omega=1.0)))
+
     def test_verify_spin_sweep_config(self):
         report = verify(parse_config(spin_config()), seed=1, samples=4)
         assert report.passed
@@ -682,10 +762,7 @@ def scalar_rows(cfg) -> list:
         w = float(w)
         d = cfg.probe.chi_inv(w)
         k = complex(cfg.k_of_omega(w))
-        if cfg.mode == "fixed_effective":
-            k = complex(k.real, 0.0)
-        r = optimize_fixed_backaction(d, k, cfg.s_ff, allow_sigma=not cfg.sigma_constrained,
-                                      hbar=hbar)
+        r = optimize_fixed_backaction(d, k, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
         s_fdt = fdt_psd(d, cfg.thermal, w, cfg.constants)
         t = r.optimal_triad
         rows.append([w, sql(d, hbar=hbar), dql(d, hbar=hbar), r.s_threshold, r.s_sum,
@@ -802,9 +879,12 @@ class TestArraySweepErrors:
         first = next(float(w) for w in cfg.frequency.values()
                      if abs(cfg.k_of_omega(float(w)).imag) > 0.1)
         floor = abs(cfg.k_of_omega(first).imag)
-        with pytest.raises(FdtViolationError) as exc:
-            verify(cfg, samples=2)
-        assert str(exc.value) == f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
+        message = f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
+        # the same K with no array form, called per point: the same first error
+        for k_of in (cfg.k_of_omega, lambda w, table=cfg.k_of_omega: table(w)):
+            with pytest.raises(FdtViolationError) as exc:
+                verify(dataclasses.replace(cfg, k_of_omega=k_of), samples=2)
+            assert str(exc.value) == message
         cfg = parse_config(osc_config(
             s_ff=0.4, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
                                    "im": [0.3, 0.0]}))

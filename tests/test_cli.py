@@ -1,7 +1,9 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ import qnl
 from qnl import BudgetTable, SpinFigureTable
 from qnl.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 BASE = {
     "probe": {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.2},
     "back_action": {"type": "constant", "re": 0.0, "im": 0.0},
@@ -164,6 +168,26 @@ def test_number_too_large_for_a_float_exits_1(tmp_path, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", [2**63, 10**400], ids=["2^63", "1e400"])
+def test_grid_point_count_above_the_cap_exits_1(tmp_path, capsys, points):
+    path = tmp_path / "huge_grid.json"
+    grid = dict(BASE["frequency"], points=points)
+    path.write_text(json.dumps(dict(BASE, frequency=grid)), encoding="utf-8")
+    assert main(["budget", str(path)]) == 1
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_spin_figure_needs_a_sweep_mode_config(tmp_path, capsys):
+    # omega alone does not make a fixed-frequency config a spin sweep
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
+    path = tmp_path / "fixed_with_omega.json"
+    path.write_text(json.dumps(dict(raw, omega=1.0)), encoding="utf-8")
+    assert main(["spin-figure", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweep_SFF_at_fixed_omega" in captured.err and "'fixed_SFF'" in captured.err
+
+
 def test_infeasible_config_exits_1(tmp_path, capsys):
     cfg = dict(BASE, back_action={"type": "constant", "re": 0.0, "im": 0.9})
     path = tmp_path / "infeasible.json"
@@ -214,3 +238,17 @@ def test_public_names_are_pinned():
     namespace = {}
     exec("from qnl import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == qnl.__all__
+
+
+def test_benchmark_tracer_hooks_every_target(monkeypatch):
+    # the benchmark's tracer wraps qnl's functions and methods by name: a rename
+    # of a hooked name fails here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    original = qnl.budget.verify
+    undo = tracing.install(qnl, tracing.Tracer())
+    try:
+        assert qnl.budget.verify is not original
+    finally:
+        tracing.uninstall(undo)
+    assert qnl.budget.verify is original

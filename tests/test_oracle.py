@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qnl import (
-    DomainError,
     EmptyFeasibleRegionError,
     FdtViolationError,
     OracleConfig,
@@ -20,6 +19,7 @@ from qnl import (
     saturating_s_xx,
     uncertainty_slack,
 )
+from qnl import oracle
 from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
 
 D_RES = complex(0.0, -0.2)
@@ -69,7 +69,7 @@ def test_argmin_lies_on_the_saturation_surface():
         assert abs(uncertainty_slack(triad, k)) <= 1e-6 * scale
 
 
-def test_grid_refinement_converges_monotonically():
+def test_grid_refinement_converges_monotonically(monkeypatch):
     # nested grids (n, 2n-1, ...) with refinement off: the best feasible
     # value can only improve, and approaches the closed form from above
     d = complex(0.4, -0.3)
@@ -82,8 +82,8 @@ def test_grid_refinement_converges_monotonically():
         closed = optimize_fixed_backaction(d, k, s_ff).s_sum
         errors = []
         for n in (33, 65, 129):
-            cfg = OracleConfig(coarse_grid_points=n, refine=False)
-            errors.append(brute_force_min(d, k, s_ff, cfg).s_sum_min - closed)
+            monkeypatch.setattr(oracle, "COARSE_GRID_POINTS", n)
+            errors.append(brute_force_min(d, k, s_ff, OracleConfig(refine=False)).s_sum_min - closed)
         assert all(e >= -1e-12 for e in errors)
         assert errors[1] <= errors[0] and errors[2] <= errors[1]
 
@@ -130,11 +130,6 @@ def test_fdt_violation_rejected():
         brute_force_min(D_RES, complex(0.0, 0.5), 0.4)
     with pytest.raises(FdtViolationError):
         random_saturating_triad(complex(0.0, 0.5), 0.4, seed=0)
-
-
-def test_config_validation():
-    with pytest.raises(DomainError):
-        OracleConfig(coarse_grid_points=16)
 
 
 class TestSaturatingSampler:

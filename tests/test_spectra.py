@@ -123,6 +123,13 @@ def test_fdt_zero_temperature_is_exactly_the_dissipative_limit():
     assert fdt_psd(OSC.chi_inv(1.0), UniformTemperature(0.0), 1.0) == dql(OSC.chi_inv(1.0))
 
 
+def test_fdt_underflowing_bath_energy_is_the_zero_temperature_limit():
+    # 2*kB*T underflows to 0 with T > 0: coth -> 1, the floor, and no ZeroDivisionError
+    consts = PhysConstants(hbar=1.0, k_b=1e-30)
+    d = OSC.chi_inv(1.0)
+    assert fdt_psd(d, UniformTemperature(1e-300), 1.0, consts) == dql(d)
+
+
 def test_fdt_high_temperature_limit():
     temperature = 1e8
     got = fdt_psd(OSC.chi_inv(1.0), UniformTemperature(temperature), 1.0)
