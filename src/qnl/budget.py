@@ -381,18 +381,18 @@ def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
         t.s_xf.real, t.s_xf.imag)
 
 
-def _sweep_table(cls, cfg: SweepConfig, columns: list, regimes, bad, point):
-    """The cls table of a sweep's columns and regimes (an array).  Rows flagged bad are re-run
-    in order through the scalar point(i), so its first error is raised; what it returns is coerced."""
-    idx = np.flatnonzero(bad).tolist()
-    for name, col, new in zip(cls.COLUMNS, columns, cls._coerced(zip(*map(point, idx)))):
-        for i, v in zip(idx, new):
-            col[i] = v
-        if name in cls._STR_COLUMNS:
-            regimes[idx] = new
-    changes = (np.flatnonzero(regimes[1:] != regimes[:-1]) + 1).tolist()  # the transitions
-    meta = TableMeta(cls._KIND, __version__, cfg.config_hash, tuple(columns[0][i] for i in changes))
-    return cls._of(columns, meta)
+def _sweep_table(cls, cfg: SweepConfig, arrays: list, bad, point):
+    """The cls table of a sweep's arrays.  Rows flagged bad are re-run in order through
+    the scalar point(i), so its first error is raised; what it returns is coerced."""
+    idx = np.flatnonzero(bad)
+    if idx.size:  # into copies: a sweep's arrays may be views of the kernel's
+        arrays = [np.array(a) for a in arrays]
+        for a, new in zip(arrays, cls._coerced(zip(*map(point, idx.tolist())))):
+            a[idx] = new
+    dql = arrays[cls.COLUMNS.index(cls._REGIME)]
+    changes = np.flatnonzero(dql[1:] != dql[:-1]) + 1  # the transitions
+    meta = TableMeta(cls._KIND, __version__, cfg.config_hash, tuple(arrays[0][changes].tolist()))
+    return cls._of(arrays, meta)
 
 
 def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
@@ -403,9 +403,9 @@ def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
     return d, thr0, cfg.s_ff_sweep.values(thr0)
 
 
-def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """_budget_point over the grid, bit for bit: the table's columns, the regimes as an
-    array and a mask True where it raises; a model with no array form raises from here."""
+def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
+    """_budget_point over the grid, bit for bit: the table's arrays and a mask True
+    where it raises; a model with no array form raises from here."""
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
     d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
     k_re, k_im, k_bad = _k_on_grid(cfg.k_of_omega, omegas)
@@ -422,9 +422,9 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
                   opt["s_xf_im"]]
         bad = bad | k_bad | t_bad | opt["bad"] | ~(np.isfinite(omegas) & (omegas > 0.0))
         bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(floats[i] for i in (1, 2, 5, 6)))
-    columns = [(c + 0.0).tolist() for c in floats]  # + 0.0 turns -0.0 into 0.0, as _floats does
-    columns.insert(5, opt["regime"].tolist())
-    return columns, opt["regime"], bad
+    arrays = [c + 0.0 for c in floats]  # + 0.0 turns -0.0 into 0.0, as _floats does
+    arrays.insert(5, opt["dql"])
+    return arrays, bad
 
 
 def run_budget(cfg: SweepConfig, jobs: int = 1):
@@ -432,8 +432,9 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
 
     Frequency-sweep modes return a BudgetTable; the fixed-frequency
     back-action sweep returns a SpinFigureTable.  The grid is evaluated as
-    arrays, bit-identical to the scalar functions; points where those raise
-    are re-run through them, for the same error.  jobs has no effect.
+    arrays, bit-identical to the scalar functions, and the table keeps them
+    as its storage; points where those raise are re-run through them, for
+    the same error.  jobs has no effect.
     """
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         return run_spin_figure(cfg)
@@ -441,12 +442,11 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     omegas = grid.tolist()
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
     try:
-        columns, regimes, bad = _budget_columns(cfg, grid)
+        arrays, bad = _budget_columns(cfg, grid)
     except QnlError:  # a model evaluated per point raised: re-run all points in order
-        columns = [[None] * len(omegas) for _ in BudgetTable.COLUMNS]
-        regimes, bad = np.empty(len(omegas), object), np.ones(len(omegas), bool)
-    return _sweep_table(BudgetTable, cfg, columns, regimes, bad,
-                        lambda i: _budget_point(cfg, omegas[i]))
+        arrays = [np.empty(len(omegas), bool if c == "regime" else float) for c in BudgetTable.COLUMNS]
+        bad = np.ones(len(omegas), bool)
+    return _sweep_table(BudgetTable, cfg, arrays, bad, lambda i: _budget_point(cfg, omegas[i]))
 
 
 def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
@@ -457,7 +457,7 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     S_FF = 2*thr0 and above it beyond that point.  Both optima come from one
     kernel pass (allow_sigma as the column [True, False]) and the matched
     series from matched_sum_noise's formula on the array, bit-identical to
-    the scalar calls.  jobs has no effect."""
+    the scalar calls; the table keeps these arrays.  jobs has no effect."""
     if cfg.mode != "sweep_SFF_at_fixed_omega":
         raise ConfigError(f"spin-figure needs mode 'sweep_SFF_at_fixed_omega', got {cfg.mode!r}")
     hbar = cfg.constants.hbar
@@ -477,10 +477,8 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
         theta = budgets / hbar  # matched_sum_noise(s / hbar, ...) with S_FF = hbar*theta_i
         matched = hbar * abs(d.imag) + scale / (4.0 * (hbar * theta))
     bad = opt["bad"].any(axis=0) | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
-    s_list = budgets.tolist()
-    columns = [s_list, *opt["s_sum"].tolist(), matched.tolist(), opt["regime"][0].tolist()]
-    return _sweep_table(SpinFigureTable, cfg, columns, opt["regime"][0], bad,
-                        lambda i: point(s_list[i]))
+    return _sweep_table(SpinFigureTable, cfg, [budgets, *opt["s_sum"], matched, opt["dql"][0]],
+                        bad, lambda i: point(float(budgets[i])))
 
 
 @dataclass(frozen=True)
@@ -661,14 +659,14 @@ def _golden_check(cfg: SweepConfig, golden_path: str) -> CheckResult:
     fresh = run_budget(cfg)
     if type(golden) is not type(fresh):
         return CheckResult("golden-match", False, 1.0, 0.0, "table kind differs")
-    n_golden, n_fresh = len(golden.columns[0]), len(fresh.columns[0])
+    n_golden, n_fresh = len(golden.arrays[0]), len(fresh.arrays[0])
     if n_golden != n_fresh:
         return CheckResult("golden-match", False, float(abs(n_golden - n_fresh)), 0.0,
                            f"row count {n_golden} vs {n_fresh}")
-    differ = [(c, a, b) for c, a, b in zip(fresh.COLUMNS, golden.columns, fresh.columns) if a != b]
-    if differ:
-        i = min(next(i for i, (x, y) in enumerate(zip(a, b)) if x != y) for _, a, b in differ)
-        cols = [c for c, a, b in differ if a[i] != b[i]]
+    differ = [(c, a != b) for c, a, b in zip(fresh.COLUMNS, golden.arrays, fresh.arrays)]
+    if any(ne.any() for _, ne in differ):
+        i = min(int(np.argmax(ne)) for _, ne in differ if ne.any())
+        cols = [c for c, ne in differ if ne[i]]
         return CheckResult("golden-match", False, 1.0, 0.0,
                            f"first differing row {i} (columns: {', '.join(cols)})")
     return CheckResult("golden-match", True, 0.0, 0.0, f"{n_fresh} rows identical")

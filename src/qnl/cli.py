@@ -18,6 +18,7 @@ import sys
 
 from .budget import load_config, run_budget, run_spin_figure, verify
 from .errors import ConfigError, QnlError
+from .tables import _emit_csv, _emit_json
 
 
 def _configure_logging() -> None:
@@ -61,14 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(table, args, cfg) -> None:
+    """Write the table block by block, the bytes of its to_csv()/to_json()."""
     fmt = args.fmt or cfg.output_format or "csv"
-    text = table.to_json() if fmt == "json" else table.to_csv()
+    blocks = _emit_json(table) if fmt == "json" else _emit_csv(table)
     path = args.output or cfg.output_path
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -280,8 +280,8 @@ def optimize_fixed_backaction(
 def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
     """optimize_fixed_backaction over arrays of Re/Im chi_inv, Re/Im K, s_ff
     and allow_sigma, op for op: each value equals the scalar call's bit for bit.
-    Returns the report's fields (regime as its value, the triad as s_xx, s_xf_re,
-    s_xf_im) and "bad", True where the scalar call raises, in the broadcast shape.
+    Returns the report's fields (the regime as "dql", True where the DQL binds, the triad
+    as s_xx, s_xf_re, s_xf_im) and "bad", True where the scalar call raises, in the broadcast shape.
     Each operation broadcasts only its own operands, so scalar work runs once."""
     d_re, d_im, k_re, k_im, s = map(np.asarray, (d_re, d_im, k_re, k_im, s))  # ~ stays logical
     with np.errstate(all="ignore"):
@@ -316,9 +316,8 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
         bad = ~(np.isfinite(s) & (s > 0.0)) | (m == 0.0) | (s < c) | ~(den > 0.0)
         bad |= ~(s_xx >= 0.0) | ~np.isfinite(s_sum + sig + s_xx + s_xf_re + s_xf_im)
         dql = ~lossless & (s_sum <= dql_val)
-    regime = np.where(dql, Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value)
-    names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "regime")
-    return dict(zip(names, np.broadcast_arrays(s_sum, thr, sig, s_xx, s_xf_re, s_xf_im, bad, regime)))
+    names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "dql")
+    return dict(zip(names, np.broadcast_arrays(s_sum, thr, sig, s_xx, s_xf_re, s_xf_im, bad, dql)))
 
 
 @dataclass(frozen=True)

@@ -269,11 +269,15 @@ def fdt_psd(chi_inv: complex, thermal: ThermalModel, omega: float,
     at omega; the bath's temperature T is also taken at omega.
 
     At T = 0, and where 2*kB*T underflows to 0, the coth factor is exactly 1
-    and the result coincides with the DQL at the same frequency.
+    and the result coincides with the DQL at the same frequency.  Where hbar*w / 2 kB T
+    underflows to 0 instead, coth overflows: DomainError names omega.
     """
     omega = _check_omega(omega)
     floor = constants.hbar * abs(chi_inv.imag)
     two_kt = 2.0 * constants.k_b * thermal.temperature_at(omega)
     if two_kt == 0.0:
         return floor
-    return floor / math.tanh(constants.hbar * omega / two_kt)
+    if (tanh := math.tanh(constants.hbar * omega / two_kt)) == 0.0:
+        raise DomainError(f"omega={omega!r}: hbar*omega/(2*k_B*T) underflows to 0, "
+                          "so the thermal PSD overflows (the bath is too hot for these units)")
+    return floor / tanh

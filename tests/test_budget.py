@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -37,7 +38,7 @@ from qnl import (
     threshold_eff,
     verify,
 )
-from qnl import budget
+from qnl import budget, tables
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
@@ -60,15 +61,18 @@ def osc_config(**overrides):
 
 
 def rescaled_config(raw: dict, lam: float, mu: float):
-    """The config in other units: hbar and k_B -> lam, the probe mass and a
-    constant K -> mu, a fixed s_ff -> lam*mu."""
+    """The config in other units: hbar and k_B -> lam, the probe mass (or its
+    tabulated chi_inv) and a constant or tabulated K -> mu, a fixed s_ff -> lam*mu;
+    temperatures and frequencies stay."""
     raw = json.loads(json.dumps(raw))
     raw["hbar"] = raw.get("hbar", 1.0) * lam
     raw["k_boltzmann"] = raw.get("k_boltzmann", 1.0) * lam
-    raw["probe"]["mass"] *= mu
-    if "back_action" in raw:
-        raw["back_action"] = {"type": "constant", "re": raw["back_action"]["re"] * mu,
-                              "im": raw["back_action"]["im"] * mu}
+    if raw["probe"]["type"] != "tabulated":
+        raw["probe"]["mass"] *= mu
+    for spec in (raw["probe"], raw.get("back_action", {})):
+        for part in ("re", "im"):
+            if part in spec:
+                spec[part] = np.multiply(spec[part], mu).tolist()
     if not isinstance(raw["s_ff"], dict):
         raw["s_ff"] *= lam * mu
     return parse_config(raw)
@@ -255,6 +259,18 @@ class TestRunBudget:
         zero = parse_config(osc_config(k_boltzmann=1e-30))
         assert run_budget(cold).columns == run_budget(zero).columns
         assert verify(cold).passed
+
+    def test_a_bath_too_hot_for_the_units_names_the_first_frequency(self):
+        # hbar*omega/(2*kB*T) underflows to 0 from the second grid point on: the
+        # sweep re-runs those rows through fdt_psd, which raises for the first
+        cfg = parse_config(osc_config(hbar=1e-30, thermal={
+            "type": "effective", "omega": [0.5, 1.5], "t_eff": [1.0, 1e300]}))
+        first = float(cfg.frequency.values()[1])
+        with pytest.raises(DomainError) as exc:
+            run_budget(cfg)
+        assert str(exc.value).startswith(f"omega={first!r}: hbar*omega/(2*k_B*T) underflows to 0")
+        with pytest.raises(DomainError, match="underflows to 0"):
+            verify(cfg)
 
     def test_rows_internally_consistent(self):
         table = run_budget(parse_config(osc_config(thermal={"type": "uniform", "temperature": 0.7})))
@@ -458,6 +474,33 @@ class TestRoundTrips:
                 loader(json.dumps(payload))
             assert str(exc.value) == f"malformed budget table: {expected}"
 
+    @pytest.mark.parametrize("regime", ["foo", None, 5, [1], "DQL"])
+    def test_a_regime_must_be_a_regime_value(self, table, regime):
+        # the regime column is stored as a dql mask: any other value is malformed,
+        # reported at the first bad line or entry in row order
+        lines = table.to_csv().splitlines()
+        row = lines[7].split(",")
+        row[5] = str(regime)
+        lines[7] = ",".join(row)
+        for loader in (load_table, BudgetTable.from_csv):
+            with pytest.raises(ConfigError) as exc:
+                loader("\n".join(lines) + "\n")
+            assert str(exc.value) == f"line 8: unknown regime {str(regime)!r}"
+        lines[8] = "abc" + lines[8][lines[8].index(","):]
+        lines[6], lines[8] = lines[8], lines[6]  # a bad number before the bad regime
+        with pytest.raises(ConfigError, match="^line 7: could not convert string to float: 'abc'$"):
+            load_table("\n".join(lines) + "\n")
+        payload = json.loads(table.to_json())
+        payload["rows"][1]["regime"] = regime
+        payload["rows"][2]["omega"] = "abc"
+        for loader in (load_table, BudgetTable.from_json):
+            with pytest.raises(ConfigError) as exc:
+                loader(json.dumps(payload))
+            assert str(exc.value) == f"malformed budget table: unknown regime {regime!r}"
+        odd = dataclasses.replace(table.points[0], regime=regime)
+        with pytest.raises(ValueError, match="^unknown regime "):
+            BudgetTable(points=[table.points[1], odd], meta=table.meta)
+
 
 def reference_csv(table) -> str:
     """The row-by-row CSV writer the column writer replaced."""
@@ -496,7 +539,7 @@ class TestColumnarTables:
     @staticmethod
     def tables():
         meta = run_budget(parse_config(osc_config())).meta
-        odd = BudgetPoint(0.5, -0.0, 5e-324, math.inf, 1.7976931348623157e308, 'dql"é\\',
+        odd = BudgetPoint(0.5, -0.0, 5e-324, math.inf, 1.7976931348623157e308, "dql",
                           -math.inf, math.nan, 1e-320, 2.5, -1.25e-17, 3)
         spin_meta = run_spin_figure(parse_config(spin_config())).meta
         return {
@@ -549,6 +592,18 @@ class TestColumnarTables:
             for again in loaded:
                 assert again == table
             calls.clear()
+
+    def test_hot_paths_build_no_list_view(self):
+        # the arrays are the storage: a sweep, both emits, both loads and their
+        # re-emits never build .columns, the list view (36 MB at 1e5 budget rows)
+        for table in (run_budget(parse_config(osc_config())),
+                      run_spin_figure(load_config(str(CONFIGS / "spin_figure.json")))):
+            loaded = [load_table(table.to_csv()), load_table(table.to_json())]
+            for t in (table, *loaded):
+                t.to_csv(), t.to_json()
+            assert loaded == [table, table]
+            assert all("columns" not in vars(t) for t in (table, *loaded))
+            assert table.columns is table.columns and "columns" in vars(table)  # built once
 
 
 class TestSpinFigure:
@@ -965,11 +1020,46 @@ def test_rows_coerce_numbers_and_regime():
     assert repr(SpinFigureTable.from_csv("\n".join(text)).columns[0][0]) == "-0.0"
 
 
+B = tables.BLOCK_ROWS
+
+
+@functools.cache
+def edge_table(kind: str):
+    """A 2B+1-row table; the budget one has lossless rows (s_thr = inf, null in
+    JSON) on block edges, set by hand: emit and load do not look at the physics."""
+    if kind == "spin":
+        return run_spin_figure(parse_config(spin_config(s_ff={"points": 2 * B + 1})))
+    table = run_budget(parse_config(osc_config(
+        thermal={"type": "uniform", "temperature": 0.5}, back_action=0.05,
+        frequency={"start": 0.5, "stop": 1.5, "points": 2 * B + 1})))
+    arrays = [np.array(a) for a in table.arrays]
+    arrays[3][[0, B - 1, B, 2 * B]] = math.inf
+    return BudgetTable._of(arrays, table.meta)
+
+
+@pytest.mark.parametrize("kind", ["budget", "spin"])
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_block_wise_emit_equals_the_whole_table_text(kind, rows):
+    # the texts are made BLOCK_ROWS rows at a time; joined, they are the
+    # row-by-row writers' text (json.dumps(payload, indent=2) + "\n" for JSON,
+    # nulls included) at every block edge, and each loads back to the table
+    whole = edge_table(kind)
+    table = type(whole)._of([a[:rows] for a in whole.arrays], whole.meta)
+    csv, js = table.to_csv(), table.to_json()
+    assert csv == reference_csv(table) and js == reference_json(table)
+    assert len(list(tables._emit_csv(table))) == 1 + -(-rows // B)  # the header, then blocks
+    assert (js.count("null") >= 1) == (kind == "budget" and rows > 0)
+    for text in (csv, js):
+        again = load_table(text)
+        assert again == table and again.to_csv() == csv and again.to_json() == js
+
+
 @pytest.mark.parametrize("name", list(json.loads(DIGESTS.read_text(encoding="utf-8"))))
 def test_emitted_tables_match_the_pinned_digests(name):
-    # sha256 of both texts of every committed config and of four generated
+    # sha256 of both texts of every committed config and of five generated
     # ones (1e4 analytic points, a lossless probe whose scalar triads hold
-    # -0.0, fixed_effective, 5e3 spin budgets), pinned from an earlier tree
+    # -0.0, fixed_effective, 5e3 spin budgets, oscillator_budget.json at 1e5
+    # points), pinned from earlier trees
     pin = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     table = run_budget(parse_config(pin["config"]) if "config" in pin else
                        load_config(str(CONFIGS.parent / name)))
@@ -986,8 +1076,8 @@ class _GridRaises(DampedOscillator):
 
 
 def test_sweep_columns_are_in_the_table_form():
-    # sweeps hand their columns to the table as built: floats and str only,
-    # no -0.0 in a budget table, and unchanged by the coercion loads apply
+    # sweeps hand their arrays to the table as built: float64 and one bool dql
+    # mask, no -0.0 in a budget table, and unchanged by the coercion loads apply
     lossless = parse_config(osc_config(
         probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
         back_action={"type": "constant", "re": 0.0, "im": 0.05}))
@@ -996,15 +1086,16 @@ def test_sweep_columns_are_in_the_table_form():
     configs = [make() for make in PINNED_CONFIGS.values()] + [lossless]
     for cfg in configs:
         table = run_budget(cfg)
+        for name, a in zip(table.COLUMNS, table.arrays):
+            assert a.dtype == (bool if name == table._REGIME else np.float64), name
+            if isinstance(table, BudgetTable) and a.dtype != bool:
+                assert not np.signbit(a[a == 0.0]).any(), name
         for name, col in zip(table.COLUMNS, table.columns):
-            kind = str if name in table._STR_COLUMNS else float
+            kind = str if name == table._REGIME else float
             assert type(col) is list and all(type(v) is kind for v in col), name
-            if isinstance(table, BudgetTable) and kind is float:
-                assert all(math.copysign(1.0, v) == 1.0 for v in col if v == 0.0), name
-        coerced = type(table)._coerced(table.columns)
-        assert [list(map(repr, c)) for c in coerced] == [list(map(repr, c)) for c in table.columns]
-        assert table == type(table)._of(coerced, table.meta) == type(table)._of(table.columns,
-                                                                              table.meta)
+        coerced = type(table)._coerced(table.columns)  # the list view, coerced back
+        assert [a.tobytes() for a in coerced] == [a.tobytes() for a in table.arrays]
+        assert table == type(table)._of(coerced, table.meta)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.2])
@@ -1028,17 +1119,24 @@ LOSSLESS = {  # oscillator_budget.json with gamma = 0 and K = 0.1+0.05i, in both
                          "back_action": {"type": "constant", "re": 0.1, "im": 0.05}, "mode": mode}
     for mode in ("fixed_SFF", "fixed_effective")
 }
+# tabulated chi_inv, K and T_eff, in both modes: linear interpolation is exact
+# under power-of-two scaling too
+TABULATED = {f"tabulated-{mode}": dict(tabulated_effective_config(), mode=mode)
+             for mode in ("fixed_SFF", "fixed_effective")}
 
 
 @pytest.mark.parametrize("lam, mu", [(2.0**40, 2.0**-10), (2.0**-100, 2.0**20), (2.0**7, 2.0**7)])
 @pytest.mark.parametrize("name", ["oscillator_budget.json", "si_oscillator.json",
-                                  "spin_figure.json", *LOSSLESS])
+                                  "spin_figure.json", *LOSSLESS, *TABULATED])
 def test_tables_are_exactly_unit_covariant(name, lam, mu):
     # power-of-two scales are exact in floating point, so every column is the
     # unscaled one times its dimension factor, bit for bit
-    base = "oscillator_budget.json" if name in LOSSLESS else name
-    raw = json.loads((CONFIGS / base).read_text(encoding="utf-8"))
-    raw.update(LOSSLESS.get(name, {}))
+    if name in TABULATED:
+        raw = TABULATED[name]
+    else:
+        base = "oscillator_budget.json" if name in LOSSLESS else name
+        raw = json.loads((CONFIGS / base).read_text(encoding="utf-8"))
+        raw.update(LOSSLESS.get(name, {}))
     base, scaled = run_budget(parse_config(raw)), run_budget(rescaled_config(raw, lam, mu))
     if isinstance(base, BudgetTable):
         factors = {"omega": 1.0, "sigma_opt": lam, "re_s_xf_opt": lam, "im_s_xf_opt": lam,

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import qnl
-from qnl import BudgetTable, SpinFigureTable
+from qnl import BudgetTable, SpinFigureTable, parse_config, run_budget
 from qnl.cli import main
+from qnl.tables import BLOCK_ROWS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -252,3 +253,29 @@ def test_benchmark_tracer_hooks_every_target(monkeypatch):
     finally:
         tracing.uninstall(undo)
     assert qnl.budget.verify is original
+
+
+@pytest.mark.parametrize("command", ["budget", "verify"])
+def test_a_bath_too_hot_for_the_units_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+    raw.update(hbar=1e-30, thermal={"type": "uniform", "temperature": 1e300})
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: omega=") and "underflows to 0" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_the_library_text_block_by_block(tmp_path, capsys, fmt):
+    # three blocks, the last of one row, to a file and to stdout
+    raw = dict(BASE, frequency={"start": 0.5, "stop": 1.5, "points": 2 * BLOCK_ROWS + 1})
+    path, out = tmp_path / "config.json", tmp_path / f"table.{fmt}"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    table = run_budget(parse_config(raw))
+    want = table.to_json() if fmt == "json" else table.to_csv()
+    assert main(["budget", str(path), "--format", fmt, "--output", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert main(["budget", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == want

@@ -130,6 +130,17 @@ def test_fdt_underflowing_bath_energy_is_the_zero_temperature_limit():
     assert fdt_psd(d, UniformTemperature(1e-300), 1.0, consts) == dql(d)
 
 
+def test_fdt_underflowing_coth_argument_raises_domain_error():
+    # hbar*omega/(2*kB*T) underflows to 0 (a hot bath in small units): coth of
+    # it overflows, so the PSD is no float; lossless or not, it names omega
+    consts = PhysConstants(hbar=1e-30, k_b=1.0)
+    for d in (OSC.chi_inv(0.5), complex(0.75, 0.0)):
+        with pytest.raises(DomainError) as exc:
+            fdt_psd(d, UniformTemperature(1e300), 0.5, consts)
+        assert str(exc.value) == ("omega=0.5: hbar*omega/(2*k_B*T) underflows to 0, so the "
+                                  "thermal PSD overflows (the bath is too hot for these units)")
+
+
 def test_fdt_high_temperature_limit():
     temperature = 1e8
     got = fdt_psd(OSC.chi_inv(1.0), UniformTemperature(temperature), 1.0)
