@@ -12,12 +12,11 @@ import json
 import logging
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, DomainError, FdtViolationError, QnlError
+from .errors import ConfigError, DomainError, FdtViolationError
 from .meter import commutator_check, gauge_transform, sigma, sum_noise_psd, uncertainty_slack
 from .optimize import (
     _optimum_grid,
@@ -104,10 +103,12 @@ class SweepConfig:
     """A parsed configuration with its mode's rules applied.  k_of_omega is the K
     that the optimizer sees: Re K under the effective-budget convention.
     allow_sigma is False when either JSON key allow_sigma or sigma_zero pins
-    sigma.  s_ff_sweep is set exactly in the sweep mode, which requires omega."""
+    sigma.  s_ff_sweep is set exactly in the sweep mode, which requires omega.
+    Sweeps and verify take the models a config describes, read through their
+    array forms; a custom probe, bath or K works with the scalar functions."""
 
     probe: Susceptibility
-    k_of_omega: Callable[[float], complex]
+    k_of_omega: ComplexTable | _ConstantK
     thermal: ThermalModel
     constants: PhysConstants
     mode: str
@@ -129,6 +130,13 @@ def _number(value, where: str) -> float:
         return float(value)
     except OverflowError:
         raise ConfigError(f"{where}: number too large for a float") from None
+
+
+def _known_only(obj: dict, known, path: str) -> None:
+    """Reject the first key of obj not in known: path.key: unknown field."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
 
 
 def _expect(obj: dict, key: str, types, path: str, default=None, required=False):
@@ -156,6 +164,7 @@ def _numbers(spec: dict, key: str, path: str) -> list:
 
 def _tabulated(spec: dict, path: str) -> tuple[list, list]:
     """The {omega, re, im} sample lists of a tabulated spec, as (omega, values)."""
+    _known_only(spec, ("type", "omega", "re", "im"), path)
     omega, re, im = (_numbers(spec, key, path) for key in ("omega", "re", "im"))
     if len(re) != len(im):
         raise ConfigError(f"{path}: re and im must have equal length")
@@ -168,12 +177,14 @@ def _parse_probe(spec, path: str) -> Susceptibility:
     kind = _expect(spec, "type", str, path, required=True)
     try:
         if kind == "oscillator":
+            _known_only(spec, ("type", "mass", "omega0", "gamma"), path)
             return DampedOscillator(
                 _expect(spec, "mass", float, path, required=True),
                 _expect(spec, "omega0", float, path, required=True),
                 _expect(spec, "gamma", float, path, 0.0),
             )
         if kind == "free_mass":
+            _known_only(spec, ("type", "mass", "gamma"), path)
             return FreeMass(
                 _expect(spec, "mass", float, path, required=True),
                 _expect(spec, "gamma", float, path, 0.0),
@@ -198,7 +209,7 @@ class _ConstantK:
         return np.full(omega.shape, self.value.real), np.full(omega.shape, self.value.imag), False
 
 
-def _parse_back_action(spec, path: str, real: bool) -> Callable[[float], complex]:
+def _parse_back_action(spec, path: str, real: bool) -> ComplexTable | _ConstantK:
     """K(omega) from its spec; with real, its real part Re K (Im K is still validated)."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         spec = {"type": "constant", "re": spec}
@@ -206,6 +217,7 @@ def _parse_back_action(spec, path: str, real: bool) -> Callable[[float], complex
         raise ConfigError(f"{path}: expected an object or a number, got {spec!r}")
     kind = _expect(spec, "type", str, path, required=True)
     if kind == "constant":
+        _known_only(spec, ("type", "re", "im"), path)
         k = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
         if not (math.isfinite(k.real) and math.isfinite(k.imag)):
             raise ConfigError(f"{path}: K must be finite, got {k!r}")
@@ -220,15 +232,6 @@ def _parse_back_action(spec, path: str, real: bool) -> Callable[[float], complex
     raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
 
 
-def _k_on_grid(k_of: Callable[[float], complex], omegas: np.ndarray) -> tuple:
-    """k_of over the grid, bit for bit: (re, im, True where it raises), or the error
-    of a callable with no array form, which is evaluated point by point."""
-    if isinstance(k_of, (ComplexTable, _ConstantK)):
-        return k_of._on_grid(omegas)
-    kv = np.array([k_of(w) for w in omegas.tolist()], complex)
-    return kv.real, kv.imag, False
-
-
 def _parse_thermal(spec, path: str) -> ThermalModel:
     if spec is None:
         return ZeroTemperature()
@@ -237,10 +240,13 @@ def _parse_thermal(spec, path: str) -> ThermalModel:
     kind = _expect(spec, "type", str, path, required=True)
     try:
         if kind == "zero":
+            _known_only(spec, ("type",), path)
             return ZeroTemperature()
         if kind == "uniform":
+            _known_only(spec, ("type", "temperature"), path)
             return UniformTemperature(_expect(spec, "temperature", float, path, required=True))
         if kind == "effective":
+            _known_only(spec, ("type", "omega", "t_eff"), path)
             return EffectiveTemperature(_numbers(spec, "omega", path),
                                         _numbers(spec, "t_eff", path))
     except DomainError as exc:
@@ -253,6 +259,7 @@ _GRID_FIELDS = {"start": float, "stop": float, "points": int, "spacing": str, "u
 
 def _parse_grid(cls, spec: dict, path: str):
     """A cls grid from spec: each field of cls in order, those with no default required."""
+    _known_only(spec, [f.name for f in fields(cls)], path)
     kwargs = {}
     for f in fields(cls):
         required = f.default is MISSING
@@ -282,13 +289,8 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: top level must be an object")
 
-    known = {
-        "probe", "back_action", "thermal", "hbar", "k_boltzmann", "mode",
-        "frequency", "s_ff", "omega", "allow_sigma", "sigma_zero", "output",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{name}.{key}: unknown field")
+    _known_only(raw, ("probe", "back_action", "thermal", "hbar", "k_boltzmann", "mode", "frequency",
+                      "s_ff", "omega", "allow_sigma", "sigma_zero", "output"), name)
 
     mode = _expect(raw, "mode", str, name, required=True)
     if mode not in MODES:
@@ -335,6 +337,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     if out is not None:
         if not isinstance(out, dict):
             raise ConfigError(f"{name}.output: expected an object")
+        _known_only(out, ("format", "path"), f"{name}.output")
         output_format = _expect(out, "format", str, f"{name}.output", None)
         if output_format is not None and output_format not in ("csv", "json"):
             raise ConfigError(f"{name}.output.format: must be csv or json, got {output_format!r}")
@@ -405,10 +408,11 @@ def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
 
 def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
     """_budget_point over the grid, bit for bit: the table's arrays and a mask True
-    where it raises; a model with no array form raises from here."""
+    where it raises.  It reads each model through its array form, which every
+    model a config describes has."""
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
     d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
-    k_re, k_im, k_bad = _k_on_grid(cfg.k_of_omega, omegas)
+    k_re, k_im, k_bad = cfg.k_of_omega._on_grid(omegas)
     opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, cfg.allow_sigma, hbar)
     temperature, t_bad = cfg.thermal._temperature_grid(omegas)
     dql_col = hbar * np.abs(d_im)
@@ -441,11 +445,7 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     grid = cfg.frequency.values()
     omegas = grid.tolist()
     log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
-    try:
-        arrays, bad = _budget_columns(cfg, grid)
-    except QnlError:  # a model evaluated per point raised: re-run all points in order
-        arrays = [np.empty(len(omegas), bool if c == "regime" else float) for c in BudgetTable.COLUMNS]
-        bad = np.ones(len(omegas), bool)
+    arrays, bad = _budget_columns(cfg, grid)
     return _sweep_table(BudgetTable, cfg, arrays, bad, lambda i: _budget_point(cfg, omegas[i]))
 
 
@@ -532,10 +532,11 @@ def verify(
     """Run the invariant suite at the configuration's scale.
 
     Checks gauge invariance, oracle agreement with the closed forms,
-    commutator cancellation, the derivative structure at the first lossy
-    grid point's threshold, thermal-floor consistency, and (optionally) a
-    golden-table comparison.  samples must be >= 1.  jobs is accepted and
-    has no effect.
+    commutator cancellation, the derivative structure at the threshold of
+    the first lossy sampled instance (the first lossy point among the seeded
+    picks of samples grid points), thermal-floor consistency, and
+    (optionally) a golden-table comparison.  samples must be >= 1.  jobs is
+    accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")
@@ -546,11 +547,8 @@ def verify(
     if cfg.mode == "fixed_SFF":
         # infeasible configs are an input error, not a failed check
         omegas, k_of = cfg.frequency.values(), cfg.k_of_omega
-        try:
-            _, k_im, k_bad = _k_on_grid(k_of, omegas)
-            flagged = k_bad | (cfg.s_ff < hbar * np.abs(k_im))
-        except QnlError:  # K raised at some point: check every point in order
-            flagged = np.ones(len(omegas), bool)
+        _, k_im, k_bad = k_of._on_grid(omegas)
+        flagged = k_bad | (cfg.s_ff < hbar * np.abs(k_im))
         for w in omegas[flagged].tolist():  # the first one raises
             floor = hbar * abs(complex(k_of(w)).imag)
             if cfg.s_ff < floor:

@@ -249,7 +249,7 @@ def brute_force_min(
             if val <= best_val:
                 best_val, best_z = val, z
 
-    s_xx = saturating_s_xx(best_z.real, best_z.imag, s_ff, kv.imag, hbar)
+    s_xx = solve(best_z.real, best_z.imag)
     if not math.isfinite(s_xx):
         raise EmptyFeasibleRegionError("refinement left the feasible region")
     triad = NoiseTriad(s_xx, best_z, s_ff)

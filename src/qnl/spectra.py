@@ -105,16 +105,13 @@ class ComplexTable:
 
 
 class Susceptibility:
-    """Base class for probe models; subclasses implement chi_inv(omega)."""
+    """Base class for probe models; subclasses implement chi_inv(omega).  Sweeps and
+    verify take the models a config describes, read through their array form
+    _chi_inv_grid; a custom subclass with only chi_inv works with the scalar functions."""
 
     def chi_inv(self, omega: float) -> complex:
         """Inverse response chi_inv(omega) at a single frequency omega > 0."""
         raise NotImplementedError
-
-    def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
-        """chi_inv per frequency, bit for bit: (re, im, raises-mask), or the error."""
-        z = np.array([self.chi_inv(w) for w in omega.tolist()], complex)
-        return z.real, z.imag, False
 
 
 @dataclass(frozen=True)
@@ -191,14 +188,12 @@ class TabulatedSusceptibility(Susceptibility):
 
 
 class ThermalModel:
-    """Base class for bath models; subclasses implement temperature_at(omega)."""
+    """Base class for bath models; subclasses implement temperature_at(omega).  Sweeps
+    and verify take the models a config describes, read through their array form
+    _temperature_grid; a custom subclass works with the scalar functions."""
 
     def temperature_at(self, omega: float) -> float:
         raise NotImplementedError
-
-    def _temperature_grid(self, omega: np.ndarray) -> tuple:
-        """temperature_at per frequency, bit for bit: (values, raises-mask), or the error."""
-        return np.array([self.temperature_at(w) for w in omega.tolist()], float), False
 
 
 @dataclass(frozen=True)

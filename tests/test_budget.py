@@ -13,7 +13,6 @@ from qnl import (
     BudgetPoint,
     BudgetTable,
     ConfigError,
-    DampedOscillator,
     DomainError,
     FdtViolationError,
     LosslessProbeError,
@@ -21,7 +20,6 @@ from qnl import (
     SffSweepSpec,
     SpinFigurePoint,
     SpinFigureTable,
-    Susceptibility,
     brute_force_min,
     dql,
     fdt_psd,
@@ -105,6 +103,28 @@ class TestConfigParsing:
     def test_unknown_field_rejected_with_path(self):
         with pytest.raises(ConfigError, match=r"config\.walrus"):
             parse_config(json.dumps(osc_config(walrus=1)))
+
+    @pytest.mark.parametrize("field, spec, typo", [
+        ("probe", {"type": "oscillator", "mass": 1, "omega0": 1, "gamma": 0.2}, "gama"),
+        ("probe", {"type": "free_mass", "mass": 1}, "omega0"),
+        ("probe", {"type": "tabulated", "omega": [0.4, 1.6], "re": [1, 0], "im": [0, 0]}, "Im"),
+        ("back_action", {"type": "constant", "re": 0.1}, "imag"),
+        ("back_action", {"type": "tabulated", "omega": [0.4, 1.6], "re": [0, 0], "im": [0, 0]},
+         "type_"),
+        ("thermal", {"type": "zero"}, "temperature"),
+        ("thermal", {"type": "uniform", "temperature": 0.5}, "temprature"),
+        ("thermal", {"type": "effective", "omega": [0.4, 1.6], "t_eff": [0.1, 0.2]}, "T_eff"),
+        ("frequency", {"start": 0.5, "stop": 1.5, "points": 11}, "units"),
+        ("s_ff", {"points": 5}, "unit"),
+        ("output", {"format": "csv"}, "fromat"),
+    ], ids=lambda v: v if isinstance(v, str) else v.get("type", "-"))
+    def test_nested_unknown_field_rejected_with_path(self, field, spec, typo):
+        # every object rejects a key it does not read, as the top level does
+        make = spin_config if field == "s_ff" else osc_config
+        parse_config(make(**{field: spec}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(make(**{field: dict(spec, **{typo: 1})}))
+        assert str(exc.value) == f"config.{field}.{typo}: unknown field"
 
     def test_missing_required_field(self):
         cfg = osc_config()
@@ -934,12 +954,9 @@ class TestArraySweepErrors:
         first = next(float(w) for w in cfg.frequency.values()
                      if abs(cfg.k_of_omega(float(w)).imag) > 0.1)
         floor = abs(cfg.k_of_omega(first).imag)
-        message = f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
-        # the same K with no array form, called per point: the same first error
-        for k_of in (cfg.k_of_omega, lambda w, table=cfg.k_of_omega: table(w)):
-            with pytest.raises(FdtViolationError) as exc:
-                verify(dataclasses.replace(cfg, k_of_omega=k_of), samples=2)
-            assert str(exc.value) == message
+        with pytest.raises(FdtViolationError) as exc:
+            verify(cfg, samples=2)
+        assert str(exc.value) == f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
         cfg = parse_config(osc_config(
             s_ff=0.4, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
                                    "im": [0.3, 0.0]}))
@@ -973,26 +990,6 @@ class TestArraySweepErrors:
         with pytest.raises(DomainError) as exc:
             run_budget(cfg)
         assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
-
-
-class _Wobbly(Susceptibility):
-    """A probe with no array form: evaluated point by point."""
-
-    def chi_inv(self, omega):
-        if omega > 1.3:
-            raise DomainError(f"no response above 1.3, got {omega!r}")
-        return complex(1.0 - omega * omega + 0.1 * math.sin(9.0 * omega), -0.2 * omega)
-
-
-def test_probe_without_array_form_is_evaluated_pointwise():
-    raw = osc_config(s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05},
-                     frequency={"start": 0.5, "stop": 1.3, "points": 81})
-    cfg = dataclasses.replace(parse_config(raw), probe=_Wobbly())
-    assert as_emitted(run_budget(cfg)) == as_emitted(scalar_table(cfg))
-    bad = dataclasses.replace(cfg, frequency=dataclasses.replace(cfg.frequency, stop=1.5))
-    first = next(float(w) for w in bad.frequency.values() if w > 1.3)
-    with pytest.raises(DomainError, match=f"got {first!r}$"):
-        run_budget(bad)
 
 
 def test_rows_coerce_numbers_and_regime():
@@ -1067,14 +1064,6 @@ def test_emitted_tables_match_the_pinned_digests(name):
     assert hashlib.sha256(table.to_json().encode()).hexdigest() == pin["json"]
 
 
-class _GridRaises(DampedOscillator):
-    """Its grid form raises, so a sweep re-runs every point through the
-    scalar path, where chi_inv does not."""
-
-    def _chi_inv_grid(self, omega):
-        raise DomainError("no grid form")
-
-
 def test_sweep_columns_are_in_the_table_form():
     # sweeps hand their arrays to the table as built: float64 and one bool dql
     # mask, no -0.0 in a budget table, and unchanged by the coercion loads apply
@@ -1098,20 +1087,37 @@ def test_sweep_columns_are_in_the_table_form():
         assert table == type(table)._of(coerced, table.meta)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.2])
-def test_scalar_reruns_and_per_point_k_give_the_array_columns(gamma):
-    # the same physics through the kernel, through a K with no array form
-    # (called per point), and with every point re-run through the scalar
-    # path: the same columns, signs of zero included, and transitions
-    cfg = parse_config(osc_config(
+def resonance_config(gamma: float):
+    """An oscillator through resonance with K = 0.05i; lossless, at gamma = 0, its
+    scalar triad has Re S_xF = -0.0 at resonance and its table no transition."""
+    return parse_config(osc_config(
         probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": gamma}, s_ff=0.2,
         back_action={"type": "constant", "re": 0.0, "im": 0.05}))
+
+
+RERUN_CONFIGS = dict(PINNED_CONFIGS, **{f"resonance_gamma_{gamma}": functools.partial(
+    resonance_config, gamma) for gamma in (0.0, 0.2)})
+
+
+@pytest.mark.parametrize("name", list(RERUN_CONFIGS))
+def test_scalar_reruns_give_the_array_columns(name, monkeypatch):
+    # the kernel flags every row and spoils its own columns, so each row of
+    # the table is a scalar re-run written back: the same table, signs of
+    # zero and transitions included, and the same texts
+    cfg = RERUN_CONFIGS[name]()
     want = run_budget(cfg)
-    assert bool(want.meta.transitions) == (gamma > 0.0)
-    for other in (dataclasses.replace(cfg, k_of_omega=lambda w: complex(0.0, 0.05)),
-                  dataclasses.replace(cfg, probe=_GridRaises(1.0, 1.0, gamma))):
-        got = run_budget(other)
-        assert as_emitted(got) == as_emitted(want) and got == want
+    if name.startswith("resonance"):
+        assert bool(want.meta.transitions) == name.endswith("0.2")
+    kernel = budget._optimum_grid
+
+    def all_bad(*args):
+        return {key: np.ones(v.shape, bool) if key == "bad" else ~v if v.dtype == bool
+                else np.full(v.shape, math.nan) for key, v in kernel(*args).items()}
+
+    monkeypatch.setattr(budget, "_optimum_grid", all_bad)
+    got = run_budget(cfg)
+    assert got == want  # and, through repr, the same signs of zero:
+    assert got.to_csv() == want.to_csv() and got.to_json() == want.to_json()
 
 
 LOSSLESS = {  # oscillator_budget.json with gamma = 0 and K = 0.1+0.05i, in both modes
