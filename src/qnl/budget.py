@@ -295,6 +295,10 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     mode = _expect(raw, "mode", str, name, required=True)
     if mode not in MODES:
         raise ConfigError(f"{name}.mode: must be one of {MODES}, got {mode!r}")
+    if mode == "sweep_SFF_at_fixed_omega":  # the spin sweep has K = 0 and both sigma series
+        for key in ("frequency", "back_action", "allow_sigma", "sigma_zero"):
+            if key in raw:
+                raise ConfigError(f"{name}.{key}: not read in mode {mode!r}")
     probe = _parse_probe(raw.get("probe"), f"{name}.probe")
     k_of_omega = _parse_back_action(raw.get("back_action", 0.0), f"{name}.back_action",
                                     real=mode == "fixed_effective")

@@ -24,13 +24,13 @@ class FdtViolationError(QnlError, ValueError):
 
 
 class SamplerError(QnlError, RuntimeError):
-    """The saturating-triad sampler exhausted its retry budget."""
+    """The saturating-triad sampler was asked for a triad at the meter FDT floor."""
 
 
 class EmptyFeasibleRegionError(QnlError, RuntimeError):
-    """No feasible point found in the oracle search box.  brute_force_min raises it at
-    exactly the meter FDT floor s_ff = hbar*|Im K|, which its precondition s_ff >=
-    hbar*|Im K| admits: there no scan node has a finite saturating S_xx."""
+    """The oracle's saturation surface is empty.  brute_force_min raises it at exactly
+    the meter FDT floor s_ff = hbar*|Im K|, which its precondition s_ff >= hbar*|Im K|
+    admits: there a denominator of max(S+, S-) is 0 and no S_xx saturates."""
 
 
 class ConfigError(QnlError, ValueError):

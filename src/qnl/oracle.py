@@ -7,21 +7,22 @@ S_xx at fixed S_xF, so the optimum lies on the slack = 0 surface, and the
 search runs there only: a coarse grid scan over (Re S_xF, Im S_xF) followed
 by Nelder-Mead refinement.  At each grid node the surface value is no larger
 than that of any feasible triad with the same S_xF.  The |sigma| kink makes
-the surface piecewise linear in S_xx with two sign branches, both of which
-are solved explicitly.
+the slack the smaller of two pieces linear in S_xx, with slopes
+s_ff -+ hbar*Im K; above the meter FDT floor both are positive, and the
+surface is exactly the larger of their zeros, max(S+, S-) (saturating_s_xx).
 
 The refinement is a small Nelder-Mead on Python floats.  Each evaluation
-solves the surface through one scalar solver, set up once per call and
-shared with the scalar saturating_s_xx, and compare-and-swaps order the
-simplex in place of a sort; a call makes about 330 evaluations.  The
-analytic threshold enters only as a length scale for the search box, which
-alone sizes the start simplex and the position tolerance; the value
-tolerance is relative to the best value.  The search is therefore
-unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
-s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.  The scan
-degenerates at the exact meter-FDT boundary s_ff = hbar*|Im K|, where the
-feasible set collapses to a single ray, and loses accuracy within about
-2 % of it (errors up to 3e-4; brute_force_min gives the measured figures).
+solves the surface through a float copy of that formula, set up once per
+call, and compare-and-swaps order the simplex in place of a sort; a call
+makes about 340 evaluations.  The analytic threshold enters only as a
+length scale for the search box, which alone sizes the start simplex and
+the position tolerance; the value tolerance is relative to the best value.
+The search is therefore unit-covariant: under hbar -> l*hbar, chi_inv ->
+m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the minimum scales by l*m up to
+roundoff.  At the exact meter-FDT boundary s_ff = hbar*|Im K| a
+denominator of max(S+, S-) is 0 and the feasible set collapses to a single
+ray; the search loses accuracy within about 2 % of it (errors up to 3e-4;
+brute_force_min gives the measured figures).
 """
 
 from __future__ import annotations
@@ -70,71 +71,39 @@ class OracleResult:
 
 
 def _saturation_solver(s_ff: float, k_im: float, hbar: float):
-    """solve(re, im): saturating_s_xx on Python floats, op for op (bit for
-    bit); what does not depend on S_xF is computed once."""
+    """solve(re, im): saturating_s_xx above the meter FDT floor on Python
+    floats, op for op (bit for bit); the denominators are computed once."""
     quarter = hbar * hbar / 4.0
-    den_a = s_ff - hbar * k_im
-    den_b = s_ff + hbar * k_im
-    min_slope = s_ff - hbar * abs(k_im)
-    branch_a, branch_b, bump = den_a > 0, den_b > 0, min_slope > 0
-    isfinite, inf = math.isfinite, math.inf
+    den_plus = s_ff - hbar * k_im
+    den_minus = s_ff + hbar * k_im
 
     def solve(re: float, im: float) -> float:
         m2 = re * re + im * im
-        s_xx = inf
-        if branch_a:
-            cand = (m2 - hbar * im + quarter) / den_a  # sigma >= 0 branch
-            if isfinite(cand) and k_im * cand - im >= -1e-12 * (abs(im) + abs(k_im * cand) + hbar):
-                s_xx = cand
-        if branch_b:
-            cand = (m2 + hbar * im + quarter) / den_b  # sigma <= 0 branch
-            if isfinite(cand) and k_im * cand - im <= 1e-12 * (abs(im) + abs(k_im * cand) + hbar):
-                s_xx = cand if cand < s_xx else s_xx  # min(s_xx, cand)
-        if s_xx == inf:
-            return math.nan
-        slack = s_xx * s_ff - m2 - hbar * abs(k_im * s_xx - im) - quarter
-        if bump and slack < 0:
-            s_xx = s_xx + (-slack) / min_slope
-        return s_xx
+        plus = (m2 - hbar * im + quarter) / den_plus
+        minus = (m2 + hbar * im + quarter) / den_minus
+        return plus if plus > minus else minus  # max(plus, minus), as np.maximum
 
     return solve
 
 
 def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.0):
-    """Smallest S_xx with zero uncertainty slack at the given cross PSD.
-
-    Works element-wise on arrays.  Returns NaN where no finite solution
-    exists (possible only at the meter-FDT boundary).
+    """Smallest S_xx with zero uncertainty slack at the given cross PSD:
+    max(S+, S-), S+- = (|S_xF|^2 -+ hbar*Im S_xF + hbar^2/4)/(s_ff -+ hbar*k_im)
+    being the zeros of the two one-sided slacks of local_uncertainty_pair.
+    Works element-wise on arrays; a scalar input gives a Python float.  NaN
+    at and below the meter FDT floor s_ff <= hbar*|k_im|.
     """
-    if np.ndim(re_s_xf) == 0 and np.ndim(im_s_xf) == 0:
-        solve = _saturation_solver(float(s_ff), float(k_im), float(hbar))
-        return solve(float(re_s_xf), float(im_s_xf))
     re = np.asarray(re_s_xf, dtype=float)
     im = np.asarray(im_s_xf, dtype=float)
-    m2 = re * re + im * im
-    quarter = hbar * hbar / 4.0
-    num_a = m2 - hbar * im + quarter  # sigma >= 0 branch
-    num_b = m2 + hbar * im + quarter  # sigma <= 0 branch
-    den_a = s_ff - hbar * k_im
-    den_b = s_ff + hbar * k_im
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand_a = np.where(den_a > 0, num_a / den_a, np.inf)
-        cand_b = np.where(den_b > 0, num_b / den_b, np.inf)
-        tol_a = 1e-12 * (np.abs(im) + np.abs(k_im * cand_a) + hbar)
-        tol_b = 1e-12 * (np.abs(im) + np.abs(k_im * cand_b) + hbar)
-        ok_a = np.isfinite(cand_a) & (k_im * cand_a - im >= -tol_a)
-        ok_b = np.isfinite(cand_b) & (k_im * cand_b - im <= tol_b)
-    s_xx = np.minimum(np.where(ok_a, cand_a, np.inf), np.where(ok_b, cand_b, np.inf))
-    s_xx = np.where(np.isfinite(s_xx), s_xx, np.nan)
-    # One correction step on the exact piecewise slack: branch selection at
-    # the |sigma| kink can land a few ulp on the infeasible side.  The slack
-    # is concave in S_xx with slopes between s_ff -+ hbar|k_im|, so bumping
-    # by deficit/min_slope guarantees slack >= 0.
-    slack = s_xx * s_ff - m2 - hbar * np.abs(k_im * s_xx - im) - quarter
-    min_slope = s_ff - hbar * abs(k_im)
-    if min_slope > 0:
-        s_xx = np.where(slack < 0, s_xx + (-slack) / min_slope, s_xx)
-    return s_xx
+    if s_ff <= hbar * abs(k_im):
+        s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
+    else:
+        m2 = re * re + im * im
+        quarter = hbar * hbar / 4.0
+        plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
+        minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
+        s_xx = np.maximum(plus, minus)
+    return float(s_xx) if s_xx.ndim == 0 else s_xx
 
 
 def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
@@ -180,6 +149,21 @@ def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxite
                 fg, fw = f(g), f(w)
 
 
+def _checked_budget(s_ff, k_im: float, hbar: float, at_floor) -> float:
+    """s_ff as a float, strictly above the meter FDT floor hbar*|k_im|.
+    Raises FdtViolationError below the floor and at_floor exactly at it,
+    where a denominator of the saturation surface is 0."""
+    s_ff = float(s_ff)
+    if not (math.isfinite(s_ff) and s_ff > 0):
+        raise DomainError(f"s_ff must be positive and finite, got {s_ff!r}")
+    floor = hbar * abs(k_im)
+    if s_ff < floor:
+        raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
+    if s_ff == floor:
+        raise at_floor(f"s_ff={s_ff!r} at the meter FDT floor: no finite S_xx saturates")
+    return s_ff
+
+
 def brute_force_min(
     chi_inv: complex,
     k: complex,
@@ -194,25 +178,21 @@ def brute_force_min(
     feasible, so the result never undercuts the true minimum beyond
     roundoff.  Over 900 random instances (|Re chi_inv|, |Re K| <= 2,
     0.05 <= |Im chi_inv| <= 2, |Im K| <= 1, s_ff within 1.5 decades of the
-    threshold) the default configuration has median relative error 2e-14
-    against the closed form.  It is worst near the meter FDT floor: 13
-    instances err by more than 1e-5, all with hbar*|Im K|/s_ff >= 0.984,
-    the largest by 2.7e-4.  Where hbar*|Im K|/s_ff < 0.98 the largest error
-    is 5e-8, and below 0.9 it is 4e-10.  Above the meter FDT floor every scan
-    node has a finite saturating S_xx; exactly at the floor, s_ff =
-    hbar*|Im K|, none has, and the call raises EmptyFeasibleRegionError.  A
-    call takes about 1 ms on a 2-core VM, 0.15-0.2 ms of it in the scan.
+    threshold) the default configuration has median relative error 1.1e-14
+    against the closed form and undercuts it by at most 2.6e-11.  It is
+    worst near the meter FDT floor: 13 instances err by more than 1e-5, all
+    with hbar*|Im K|/s_ff >= 0.984, the largest by 2.7e-4.  Where
+    hbar*|Im K|/s_ff < 0.98 the largest error is 5e-8, and below 0.9 it is
+    4e-10.  Exactly at the floor, s_ff = hbar*|Im K|, which the precondition
+    s_ff >= hbar*|Im K| admits, no S_xx saturates and the call raises
+    EmptyFeasibleRegionError before the scan.  A call takes 0.4-0.7 ms on a
+    2-core VM, about 0.03 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
     kv = complex(k)
     d = complex(chi_inv)
     dk = d + kv
-    s_ff = float(s_ff)
-    if not (math.isfinite(s_ff) and s_ff > 0):
-        raise DomainError(f"s_ff must be positive and finite, got {s_ff!r}")
-    floor = hbar * abs(kv.imag)
-    if s_ff < floor:
-        raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
+    s_ff = _checked_budget(s_ff, kv.imag, hbar, EmptyFeasibleRegionError)
 
     # half-width of the scan box; the threshold enters as a length scale only
     scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
@@ -223,20 +203,13 @@ def brute_force_min(
     re_g, im_g = axis[:, None], axis[None, :]
     values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar)
     values = values + (2.0 * (dk_re * re_g - dk_im * im_g) + s_ff)
-    values = np.where(np.isnan(values), np.inf, values)
-    if not np.isfinite(values).any():
-        raise EmptyFeasibleRegionError("no feasible point in the surface scan")
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
 
     solve = _saturation_solver(s_ff, kv.imag, hbar)
-    isfinite, inf = math.isfinite, math.inf
 
     def f(z: complex) -> float:  # the objective on the saturation surface
         re, im = z.real, z.imag
-        s_xx = solve(re, im)
-        if not isfinite(s_xx):
-            return inf
-        return dk2 * s_xx + (2.0 * (dk_re * re - dk_im * im) + s_ff)
+        return dk2 * solve(re, im) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
 
     best_z = complex(axis[i], axis[j])
     best_val = f(best_z)
@@ -249,10 +222,7 @@ def brute_force_min(
             if val <= best_val:
                 best_val, best_z = val, z
 
-    s_xx = solve(best_z.real, best_z.imag)
-    if not math.isfinite(s_xx):
-        raise EmptyFeasibleRegionError("refinement left the feasible region")
-    triad = NoiseTriad(s_xx, best_z, s_ff)
+    triad = NoiseTriad(solve(best_z.real, best_z.imag), best_z, s_ff)
     return OracleResult(best_val, triad, iterations)
 
 
@@ -263,23 +233,14 @@ def random_saturating_triad(
 
     (Re S_xF, Im S_xF) is drawn uniformly in the disc of radius 5*hbar (S_xF
     scales like hbar in every unit system) and S_xx solved from the
-    zero-slack condition, branch by branch over the sign of sigma.
-    Deterministic per seed; retries internally on the rare infeasible draw.
+    zero-slack condition by saturating_s_xx.  Deterministic per seed.  At
+    the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates and the call
+    raises SamplerError.
     """
     kv = complex(k)
-    s_ff = float(s_ff)
-    if not (math.isfinite(s_ff) and s_ff > 0):
-        raise DomainError(f"s_ff must be positive and finite, got {s_ff!r}")
-    floor = hbar * abs(kv.imag)
-    if s_ff < floor:
-        raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
+    s_ff = _checked_budget(s_ff, kv.imag, hbar, SamplerError)
     rng = np.random.default_rng(seed)
-    radius = 5.0 * hbar
-    for _ in range(1000):
-        r = radius * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        re, im = r * math.cos(phi), r * math.sin(phi)
-        s_xx = saturating_s_xx(re, im, s_ff, kv.imag, hbar)
-        if math.isfinite(s_xx):
-            return NoiseTriad(s_xx, complex(re, im), s_ff)
-    raise SamplerError(f"no feasible saturating triad found after 1000 draws (seed={seed})")
+    r = 5.0 * hbar * math.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    re, im = r * math.cos(phi), r * math.sin(phi)
+    return NoiseTriad(saturating_s_xx(re, im, s_ff, kv.imag, hbar), complex(re, im), s_ff)

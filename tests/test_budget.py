@@ -152,6 +152,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"config\.omega"):
             parse_config(json.dumps(cfg))
 
+    @pytest.mark.parametrize("key, value", [
+        ("frequency", {"start": 5, "stop": 1, "pionts": 3}),
+        ("back_action", {"type": "constant", "re": 0.5, "im": 0.3}),
+        ("allow_sigma", True),
+        ("sigma_zero", True),
+    ], ids=["frequency", "back_action", "allow_sigma", "sigma_zero"])
+    def test_sweep_mode_rejects_keys_it_does_not_read(self, key, value):
+        # the spin sweep has K = 0 and emits both sigma series; a fixed-mode
+        # omega stays accepted
+        with pytest.raises(ConfigError,
+                           match=rf"^config\.{key}: not read in mode 'sweep_SFF_at_fixed_omega'$"):
+            parse_config(spin_config(**{key: value}))
+        assert parse_config(osc_config(omega=1.0)).omega == 1.0
+
     def test_back_action_shorthand_number(self):
         cfg = parse_config(json.dumps(osc_config(back_action=0.25)))
         assert cfg.k_of_omega(1.0) == complex(0.25, 0.0)

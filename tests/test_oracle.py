@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from numpy.testing import assert_allclose
 from qnl import (
     EmptyFeasibleRegionError,
     FdtViolationError,
+    NoiseTriad,
     OracleConfig,
+    SamplerError,
     brute_force_min,
     local_uncertainty_pair,
     optimize_fixed_backaction,
@@ -93,8 +96,8 @@ def test_results_are_pinned_bit_for_bit():
     # seeded 900-draw set (default_rng(12345), decades=1.5), 14 of them with
     # hbar*|Im K|/s_ff >= 0.98, where shrink steps and the iteration cap
     # occur; 5 of those scaled to SI (hbar=1.054e-34, chi_inv and K x 1e3);
-    # a lossless probe; and one refine=False call.  The file's
-    # feasible_fraction entries are not compared.
+    # a lossless probe; and one refine=False call.  tests/regen_fixtures.py
+    # rewrites the file from its stored inputs.
     def unhex(pair):
         return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
@@ -156,6 +159,14 @@ class TestSaturatingSampler:
             scale = triad.s_xx * triad.s_ff + abs(triad.s_xf) ** 2 + 0.25
             assert abs(min(plus, minus)) <= 1e-12 * scale
 
+    def test_raises_exactly_at_the_fdt_floor(self):
+        for k, hbar in ((complex(0.3, -0.2), 1.0), (complex(0.0, 0.5), 0.7), (1e-3j, 1.054e-34)):
+            floor = hbar * abs(k.imag)
+            with pytest.raises(SamplerError):
+                random_saturating_triad(k, floor, seed=3, hbar=hbar)
+            triad = random_saturating_triad(k, math.nextafter(floor, math.inf), seed=3, hbar=hbar)
+            assert math.isfinite(triad.s_xx)
+
     def test_custom_hbar(self):
         triad = random_saturating_triad(complex(0.1, 0.2), 1.5, seed=5, hbar=0.7)
         assert abs(uncertainty_slack(triad, complex(0.1, 0.2), hbar=0.7)) <= 1e-12 * (
@@ -164,10 +175,10 @@ class TestSaturatingSampler:
 
 
 def test_saturating_s_xx_vectorized_matches_scalar():
-    # the scalar path is a separate float implementation of the array path;
-    # both must agree bit for bit, NaN included, at any unit scale
+    # the Nelder-Mead closure is a float copy of the array formula; both must
+    # agree bit for bit at any unit scale, and at and below the meter FDT
+    # floor the array path (scalar inputs included) gives NaN
     rng = np.random.default_rng(44)
-    seen_nan = seen_value = False
     for hbar, mu in ((1.0, 1.0), (1.054e-34, 1e-3), (1e10, 1e6)):
         for k_im in (0.35, -0.35, 0.0):
             k = k_im * mu
@@ -177,7 +188,7 @@ def test_saturating_s_xx_vectorized_matches_scalar():
                 re = hbar * rng.normal(size=50)
                 im = hbar * rng.normal(size=50)
                 # points on the sigma = 0 kink, Im S_xF = k_im * S_xx(S_xF), and
-                # just off it, inside the branch-selection tolerance and beyond
+                # just off it on either side
                 c = re[:10] ** 2 + hbar * hbar / 4.0
                 if k_im == 0.0:
                     im[:10] = 0.0
@@ -186,12 +197,45 @@ def test_saturating_s_xx_vectorized_matches_scalar():
                 re[10:20] = re[:10]
                 im[10:20] = im[:10] + hbar * np.geomspace(1e-13, 1e-9, 10) * (-1.0) ** np.arange(10)
                 vec = saturating_s_xx(re, im, s_ff, k, hbar)
-                for r, i, v in zip(re, im, vec):
-                    s = saturating_s_xx(float(r), float(i), s_ff, k, hbar)
-                    assert (np.isnan(v) and np.isnan(s)) or v == s
-                    seen_nan |= bool(np.isnan(v))
-                    seen_value |= not np.isnan(v)
-    assert seen_nan and seen_value
+                if extra <= 0.0:
+                    assert np.isnan(vec).all()
+                    assert math.isnan(saturating_s_xx(float(re[0]), float(im[0]), s_ff, k, hbar))
+                    continue
+                solve = oracle._saturation_solver(s_ff, k, hbar)
+                for r, i, v in zip(re.tolist(), im.tolist(), vec.tolist()):
+                    got = solve(r, i)
+                    assert type(got) is float and got == v
+                    assert saturating_s_xx(r, i, s_ff, k, hbar) == v
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log2_hbar=st.integers(-20, 20),
+    k_im=st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)),
+    log_excess=st.floats(-6.0, 2.0),
+)
+def test_saturating_s_xx_is_the_larger_zero_of_the_local_pair(seed, log2_hbar, k_im, log_excess):
+    # max(S+, S-) with S+- = (|S_xF|^2 -+ hbar Im S_xF + hbar^2/4)/(s_ff -+ hbar Im K),
+    # saturating to roundoff, from (1 + 1e-6) times the meter FDT floor up;
+    # NaN at and below the floor
+    hbar = 2.0**log2_hbar
+    rng = np.random.default_rng(seed)
+    floor = hbar * abs(k_im)
+    s_ff = floor * (1.0 + 10.0**log_excess) if floor else hbar * 10.0**log_excess
+    re = hbar * rng.normal(size=64) * 10.0 ** rng.uniform(-3.0, 2.0, size=64)
+    im = hbar * rng.normal(size=64) * 10.0 ** rng.uniform(-3.0, 2.0, size=64)
+    got = saturating_s_xx(re, im, s_ff, k_im, hbar)
+    quarter = hbar * hbar / 4.0
+    for r, i, s_xx in zip(re.tolist(), im.tolist(), got.tolist()):
+        m2 = r * r + i * i
+        assert s_xx == max((m2 - hbar * i + quarter) / (s_ff - hbar * k_im),
+                           (m2 + hbar * i + quarter) / (s_ff + hbar * k_im))
+        triad = NoiseTriad(s_xx, complex(r, i), s_ff)
+        scale = s_xx * s_ff + abs(triad.s_xf) ** 2 + quarter
+        assert min(local_uncertainty_pair(triad, complex(0.0, k_im), hbar)) / scale >= -1e-15
+    for below in (floor, floor * (1.0 - 10.0**log_excess)):
+        assert np.isnan(saturating_s_xx(re, im, below, k_im, hbar)).all()
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
