@@ -156,44 +156,20 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
     return value
 
 
-def _numbers(spec: dict, key: str, path: str) -> list:
-    """The required list of numbers spec[key], each as a float."""
-    values = _expect(spec, key, list, path, required=True)
-    return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
+def _numbers(spec: dict, path: str, *keys) -> list:
+    """The required lists of numbers spec[key], each number as a float, of a
+    tabulated spec: one that holds no key but these and type."""
+    _known_only(spec, ("type", *keys), path)
+    return [[_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(
+        _expect(spec, key, list, path, required=True))] for key in keys]
 
 
 def _tabulated(spec: dict, path: str) -> tuple[list, list]:
     """The {omega, re, im} sample lists of a tabulated spec, as (omega, values)."""
-    _known_only(spec, ("type", "omega", "re", "im"), path)
-    omega, re, im = (_numbers(spec, key, path) for key in ("omega", "re", "im"))
+    omega, re, im = _numbers(spec, path, "omega", "re", "im")
     if len(re) != len(im):
         raise ConfigError(f"{path}: re and im must have equal length")
     return omega, [complex(a, b) for a, b in zip(re, im)]
-
-
-def _parse_probe(spec, path: str) -> Susceptibility:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object, got {spec!r}")
-    kind = _expect(spec, "type", str, path, required=True)
-    try:
-        if kind == "oscillator":
-            _known_only(spec, ("type", "mass", "omega0", "gamma"), path)
-            return DampedOscillator(
-                _expect(spec, "mass", float, path, required=True),
-                _expect(spec, "omega0", float, path, required=True),
-                _expect(spec, "gamma", float, path, 0.0),
-            )
-        if kind == "free_mass":
-            _known_only(spec, ("type", "mass", "gamma"), path)
-            return FreeMass(
-                _expect(spec, "mass", float, path, required=True),
-                _expect(spec, "gamma", float, path, 0.0),
-            )
-        if kind == "tabulated":
-            return TabulatedSusceptibility(*_tabulated(spec, path))
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.type: unknown probe type {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -232,40 +208,38 @@ def _parse_back_action(spec, path: str, real: bool) -> ComplexTable | _ConstantK
     raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
 
 
-def _parse_thermal(spec, path: str) -> ThermalModel:
-    if spec is None:
-        return ZeroTemperature()
+_TYPES = {"float": float, "int": int, "str": str}  # a field's annotation, as _expect checks it
+
+
+def _parse_fields(cls, spec: dict, path: str, known=()):
+    """A cls from spec: each field of cls in order, read as its annotated type, those
+    with no default required; spec may also hold the keys in known."""
+    _known_only(spec, [*known, *(f.name for f in fields(cls))], path)
+    return cls(**{f.name: _expect(spec, f.name, _TYPES[f.type], path, required=True)
+                  for f in fields(cls) if f.default is MISSING or f.name in spec})
+
+
+_PROBES = {"oscillator": DampedOscillator, "free_mass": FreeMass,
+           "tabulated": lambda spec, path: TabulatedSusceptibility(*_tabulated(spec, path))}
+_BATHS = {"zero": ZeroTemperature, "uniform": UniformTemperature,
+          "effective": lambda s, path: EffectiveTemperature(*_numbers(s, path, "omega", "t_eff"))}
+
+
+def _parse_model(spec, path: str, kinds: dict, what: str):
+    """The model spec describes: a class of kinds parsed from its fields, or a
+    tabulated kind's reader; a value the model rejects is a ConfigError on path."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object, got {spec!r}")
     kind = _expect(spec, "type", str, path, required=True)
+    if kind not in kinds:
+        raise ConfigError(f"{path}.type: unknown {what} type {kind!r}")
+    make = kinds[kind]
     try:
-        if kind == "zero":
-            _known_only(spec, ("type",), path)
-            return ZeroTemperature()
-        if kind == "uniform":
-            _known_only(spec, ("type", "temperature"), path)
-            return UniformTemperature(_expect(spec, "temperature", float, path, required=True))
-        if kind == "effective":
-            _known_only(spec, ("type", "omega", "t_eff"), path)
-            return EffectiveTemperature(_numbers(spec, "omega", path),
-                                        _numbers(spec, "t_eff", path))
+        if isinstance(make, type):
+            return _parse_fields(make, spec, path, known=("type",))
+        return make(spec, path)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.type: unknown thermal type {kind!r}")
-
-
-_GRID_FIELDS = {"start": float, "stop": float, "points": int, "spacing": str, "units": str}
-
-
-def _parse_grid(cls, spec: dict, path: str):
-    """A cls grid from spec: each field of cls in order, those with no default required."""
-    _known_only(spec, [f.name for f in fields(cls)], path)
-    kwargs = {}
-    for f in fields(cls):
-        required = f.default is MISSING
-        if required or f.name in spec:
-            kwargs[f.name] = _expect(spec, f.name, _GRID_FIELDS[f.name], path, required=required)
-    return cls(**kwargs)
 
 
 def config_hash(raw: dict) -> str:
@@ -299,10 +273,12 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         for key in ("frequency", "back_action", "allow_sigma", "sigma_zero"):
             if key in raw:
                 raise ConfigError(f"{name}.{key}: not read in mode {mode!r}")
-    probe = _parse_probe(raw.get("probe"), f"{name}.probe")
+    probe = _parse_model(raw.get("probe"), f"{name}.probe", _PROBES, "probe")
     k_of_omega = _parse_back_action(raw.get("back_action", 0.0), f"{name}.back_action",
                                     real=mode == "fixed_effective")
-    thermal = _parse_thermal(raw.get("thermal"), f"{name}.thermal")
+    thermal = raw.get("thermal")  # missing or null: T = 0
+    thermal = ZeroTemperature() if thermal is None else _parse_model(
+        thermal, f"{name}.thermal", _BATHS, "thermal")
     try:
         constants = PhysConstants(
             _expect(raw, "hbar", float, name, 1.0),
@@ -314,7 +290,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     frequency = None
     if mode != "sweep_SFF_at_fixed_omega":
         spec = _expect(raw, "frequency", dict, name, required=True)
-        frequency = _parse_grid(GridSpec, spec, f"{name}.frequency")
+        frequency = _parse_fields(GridSpec, spec, f"{name}.frequency")
 
     s_ff = None
     s_ff_sweep = None
@@ -329,7 +305,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         spec = raw.get("s_ff")
         if spec is not None and not isinstance(spec, dict):
             raise ConfigError(f"{name}.s_ff: expected an object (range) for mode {mode!r}")
-        s_ff_sweep = _parse_grid(SffSweepSpec, spec or {}, f"{name}.s_ff")
+        s_ff_sweep = _parse_fields(SffSweepSpec, spec or {}, f"{name}.s_ff")
     else:
         s_ff = _expect(raw, "s_ff", float, name, required=True)
         if not (math.isfinite(s_ff) and s_ff > 0):
@@ -371,43 +347,29 @@ def load_config(path: str) -> SweepConfig:
         return parse_config(fh.read(), name=path)
 
 
-def _budget_point(cfg: SweepConfig, omega: float) -> tuple:
+def _budget_point(cfg: SweepConfig, omega: float) -> None:
+    """The scalar calls of a budget row at omega, in order, for their first error."""
     hbar = cfg.constants.hbar
     d = cfg.probe.chi_inv(omega)
     kv = complex(cfg.k_of_omega(omega))
     try:
-        report = optimize_fixed_backaction(d, kv, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
+        optimize_fixed_backaction(d, kv, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
     except FdtViolationError as exc:
         raise FdtViolationError(f"omega={omega!r}: {exc}") from None
-
-    s_fdt = fdt_psd(d, cfg.thermal, omega, cfg.constants)
-    t = report.optimal_triad
-    return (  # the BUDGET_COLUMNS in order
-        omega, sql(d, hbar=hbar), dql(d, hbar=hbar), report.s_threshold, report.s_sum,
-        report.regime.value, s_fdt, report.s_sum + s_fdt, report.sigma_opt, t.s_xx,
-        t.s_xf.real, t.s_xf.imag)
+    sql(d, hbar=hbar)  # abs(d) raises OverflowError where |chi_inv| exceeds a float
+    fdt_psd(d, cfg.thermal, omega, cfg.constants)
 
 
 def _sweep_table(cls, cfg: SweepConfig, arrays: list, bad, point):
     """The cls table of a sweep's arrays.  Rows flagged bad are re-run in order through
-    the scalar point(i), so its first error is raised; what it returns is coerced."""
-    idx = np.flatnonzero(bad)
-    if idx.size:  # into copies: a sweep's arrays may be views of the kernel's
-        arrays = [np.array(a) for a in arrays]
-        for a, new in zip(arrays, cls._coerced(zip(*map(point, idx.tolist())))):
-            a[idx] = new
+    the scalar point(i), which raises the scalar path's first error; a row it accepts
+    already holds the scalar values, bit for bit, and is kept as the sweep made it."""
+    for i in np.flatnonzero(bad).tolist():
+        point(i)
     dql = arrays[cls.COLUMNS.index(cls._REGIME)]
     changes = np.flatnonzero(dql[1:] != dql[:-1]) + 1  # the transitions
     meta = TableMeta(cls._KIND, __version__, cfg.config_hash, tuple(arrays[0][changes].tolist()))
     return cls._of(arrays, meta)
-
-
-def _spin_budgets(cfg: SweepConfig) -> tuple[complex, float, np.ndarray]:
-    """chi_inv at the sweep's fixed omega, the zero-kernel effective
-    threshold, and the back-action budgets of the spin sweep."""
-    d = cfg.probe.chi_inv(cfg.omega)
-    thr0 = threshold_eff(d, 0.0, cfg.constants.hbar)  # LosslessProbeError for a lossless probe
-    return d, thr0, cfg.s_ff_sweep.values(thr0)
 
 
 def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
@@ -415,12 +377,12 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
     where it raises.  It reads each model through its array form, which every
     model a config describes has."""
     hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
-    d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
-    k_re, k_im, k_bad = cfg.k_of_omega._on_grid(omegas)
-    opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, cfg.allow_sigma, hbar)
-    temperature, t_bad = cfg.thermal._temperature_grid(omegas)
-    dql_col = hbar * np.abs(d_im)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a row that overflows is flagged, and re-run to raise
+        d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
+        k_re, k_im, k_bad = cfg.k_of_omega._on_grid(omegas)
+        opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, cfg.allow_sigma, hbar)
+        temperature, t_bad = cfg.thermal._temperature_grid(omegas)
+        dql_col = hbar * np.abs(d_im)
         # fdt_psd, with math.tanh: np.tanh differs from it in the last bit
         two_kt = 2.0 * k_b * temperature
         tanh = np.fromiter(map(math.tanh, (hbar * omegas / two_kt).tolist()), float, len(omegas))
@@ -447,10 +409,9 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         return run_spin_figure(cfg)
     grid = cfg.frequency.values()
-    omegas = grid.tolist()
-    log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(omegas))
+    log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(grid))
     arrays, bad = _budget_columns(cfg, grid)
-    return _sweep_table(BudgetTable, cfg, arrays, bad, lambda i: _budget_point(cfg, omegas[i]))
+    return _sweep_table(BudgetTable, cfg, arrays, bad, lambda i: _budget_point(cfg, float(grid[i])))
 
 
 def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
@@ -465,14 +426,16 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     if cfg.mode != "sweep_SFF_at_fixed_omega":
         raise ConfigError(f"spin-figure needs mode 'sweep_SFF_at_fixed_omega', got {cfg.mode!r}")
     hbar = cfg.constants.hbar
-    d, thr0, budgets = _spin_budgets(cfg)
+    d = cfg.probe.chi_inv(cfg.omega)
+    thr0 = threshold_eff(d, 0.0, hbar)  # LosslessProbeError for a lossless probe
+    budgets = cfg.s_ff_sweep.values(thr0)
     log.debug("spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
 
-    def point(s: float) -> tuple:
-        full = optimize_fixed_eff_backaction(d, 0.0, s, hbar)
-        zero = optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s, hbar)
-        matched = matched_sum_noise(s / hbar, d, hbar=hbar)
-        return s, full.s_sum, zero.s_sum, matched, full.regime.value
+    def point(i: int) -> None:  # the scalar calls of row i, in order, for their first error
+        s = float(budgets[i])
+        optimize_fixed_eff_backaction(d, 0.0, s, hbar)
+        optimize_fixed_eff_backaction_sigma_zero(d, 0.0, s, hbar)
+        matched_sum_noise(s / hbar, d, hbar=hbar)
 
     opt = _optimum_grid(d.real, d.imag, 0.0, 0.0, budgets, np.array([[True], [False]]), hbar)
     # abs(d) ** 2 raises OverflowError only where thr0 = inf makes every budget invalid
@@ -482,7 +445,7 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
         matched = hbar * abs(d.imag) + scale / (4.0 * (hbar * theta))
     bad = opt["bad"].any(axis=0) | ~(np.isfinite(theta) & (theta > 0.0)) | ~np.isfinite(matched)
     return _sweep_table(SpinFigureTable, cfg, [budgets, *opt["s_sum"], matched, opt["dql"][0]],
-                        bad, lambda i: point(float(budgets[i])))
+                        bad, point)
 
 
 @dataclass(frozen=True)
@@ -514,16 +477,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _verify_instances(cfg: SweepConfig, rng: np.random.Generator, samples: int):
-    """Sample (omega, chi_inv, K, s_ff) working points from the config."""
+def _verify_instances(cfg: SweepConfig, table, rng: np.random.Generator, samples: int):
+    """Sample (omega, chi_inv, K, s_ff) working points from the rows of the config's table."""
+    grid = table.arrays[0]  # the frequencies, or the spin sweep's budgets
+    picks = np.sort(rng.choice(len(grid), size=min(samples, len(grid)), replace=False))
     if cfg.mode == "sweep_SFF_at_fixed_omega":
-        d, _, budgets = _spin_budgets(cfg)
-        picks = rng.choice(len(budgets), size=min(samples, len(budgets)), replace=False)
-        return [(cfg.omega, d, 0j, float(budgets[i])) for i in sorted(picks)]
-    omegas = cfg.frequency.values()
-    picks = rng.choice(len(omegas), size=min(samples, len(omegas)), replace=False)
+        d = cfg.probe.chi_inv(cfg.omega)
+        return [(cfg.omega, d, 0j, s) for s in grid[picks].tolist()]
     return [(w, cfg.probe.chi_inv(w), complex(cfg.k_of_omega(w)), float(cfg.s_ff))
-            for w in omegas[np.sort(picks)].tolist()]
+            for w in grid[picks].tolist()]
 
 
 def verify(
@@ -535,32 +497,22 @@ def verify(
 ) -> VerificationReport:
     """Run the invariant suite at the configuration's scale.
 
-    Checks gauge invariance, oracle agreement with the closed forms,
-    commutator cancellation, the derivative structure at the threshold of
-    the first lossy sampled instance (the first lossy point among the seeded
-    picks of samples grid points), thermal-floor consistency, and
-    (optionally) a golden-table comparison.  samples must be >= 1.  jobs is
-    accepted and has no effect.
+    The sweep runs first, once: verify raises what run_budget raises, so an
+    infeasible config is an input error, not a failed check.  Checks gauge
+    invariance, oracle agreement with the closed forms, commutator
+    cancellation, the derivative structure at the threshold of the first
+    lossy sampled instance (the first lossy point among the seeded picks of
+    samples rows of the table), thermal-floor consistency, and (optionally)
+    a comparison of the table with the golden one.  samples must be >= 1.
+    jobs is accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")
+    table = run_budget(cfg)
     hbar = cfg.constants.hbar
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
-
-    if cfg.mode == "fixed_SFF":
-        # infeasible configs are an input error, not a failed check
-        omegas, k_of = cfg.frequency.values(), cfg.k_of_omega
-        _, k_im, k_bad = k_of._on_grid(omegas)
-        flagged = k_bad | (cfg.s_ff < hbar * np.abs(k_im))
-        for w in omegas[flagged].tolist():  # the first one raises
-            floor = hbar * abs(complex(k_of(w)).imag)
-            if cfg.s_ff < floor:
-                raise FdtViolationError(
-                    f"omega={w!r}: s_ff={cfg.s_ff!r} below the meter FDT floor {floor!r}"
-                )
-
-    instances = _verify_instances(cfg, rng, samples)
+    instances = _verify_instances(cfg, table, rng, samples)
 
     # Gauge / feedback invariance on saturating triads at config scale.
     worst = 0.0
@@ -648,17 +600,17 @@ def verify(
     checks.append(CheckResult("fdt-floor", worst <= 0.0, worst, 0.0))
 
     if golden_path is not None:
-        checks.append(_golden_check(cfg, golden_path))
+        checks.append(_golden_check(table, golden_path))
 
     report = VerificationReport(checks=tuple(checks))
     log.info("verification %s", "passed" if report.passed else "FAILED")
     return report
 
 
-def _golden_check(cfg: SweepConfig, golden_path: str) -> CheckResult:
+def _golden_check(fresh, golden_path: str) -> CheckResult:
+    """golden-match: the table fresh against the one emitted at golden_path."""
     with open(golden_path, "r", encoding="utf-8") as fh:
         golden = load_table(fh.read())
-    fresh = run_budget(cfg)
     if type(golden) is not type(fresh):
         return CheckResult("golden-match", False, 1.0, 0.0, "table kind differs")
     n_golden, n_fresh = len(golden.arrays[0]), len(fresh.arrays[0])

@@ -2,9 +2,9 @@
 
 A table stores its columns as numpy arrays (`.arrays`): float64 (no -0.0 in a
 budget table), and the regime as a bool mask, True where the DQL binds, which
-reads and emits as the two Regime values.  Sweeps build the arrays; loaded,
-scalar-path and row-object values are coerced (_coerced).  `.columns` (lists)
-and `.points` (BudgetPoint/SpinFigurePoint rows) are built on first read.
+reads and emits as the two Regime values.  Sweeps build the arrays; loaded
+and row-object values are coerced (_coerced).  `.columns` (lists) and
+`.points` (BudgetPoint/SpinFigurePoint rows) are built on first read.
 
 Number formatting is the shortest round-trip decimal (Python float repr),
 column order is fixed, and emit(parse(text)) == text byte for byte.
@@ -251,8 +251,8 @@ class _Table:
 
     @classmethod
     def _coerced(cls, columns) -> list:
-        """Loaded, scalar-path or row-object columns as the table's arrays, coerced
-        as the row class coerces its fields; ValueError for a value that is not."""
+        """Loaded or row-object columns as the table's arrays, coerced as the row
+        class coerces its fields; ValueError for a value that is not."""
         return [_dql_mask(col) if name == cls._REGIME else cls._floats(col)
                 for name, col in zip(cls.COLUMNS, columns)]
 

@@ -16,6 +16,7 @@ from qnl import (
     DomainError,
     FdtViolationError,
     LosslessProbeError,
+    QnlError,
     RangeError,
     SffSweepSpec,
     SpinFigurePoint,
@@ -265,6 +266,82 @@ class TestConfigParsing:
             cfg[key] = dict(cfg[key], **value) if isinstance(value, dict) else value
         with pytest.raises(ConfigError, match=field):
             parse_config(json.dumps(cfg))
+
+    @pytest.mark.parametrize("field, spec, text", [
+        ("probe", {"type": "oscillator", "omega0": 1.0}, "probe.mass: required field missing"),
+        ("probe", {"type": "oscillator", "mass": 1.0}, "probe.omega0: required field missing"),
+        ("probe", {"type": "oscillator", "mass": "x", "omega0": 1.0},
+         "probe.mass: expected a number, got 'x'"),
+        ("probe", {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": True},
+         "probe.gamma: expected a number, got True"),
+        ("probe", {"type": "oscillator", "mass": -1.0, "omega0": 1.0},
+         "probe: mass must be > 0, got -1.0"),
+        ("probe", {"type": "oscillator", "mass": 1.0, "omega0": -1.0},
+         "probe: omega0 must be >= 0, got -1.0"),
+        ("probe", {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": -1},
+         "probe: gamma must be >= 0, got -1.0"),
+        ("probe", {"type": "free_mass", "gamma": 0.2}, "probe.mass: required field missing"),
+        ("probe", {"type": "free_mass", "mass": 1.0, "gamma": "x"},
+         "probe.gamma: expected a number, got 'x'"),
+        ("probe", {"type": "free_mass", "mass": 0.0}, "probe: mass must be > 0, got 0.0"),
+        ("probe", {"type": "tabulated", "omega": [0.4, 1.6], "re": [1.0, 0.0]},
+         "probe.im: required field missing"),
+        ("probe", {"type": "tabulated", "omega": "x", "re": [1.0], "im": [0.0]},
+         "probe.omega: expected list, got 'x'"),
+        ("probe", {"type": "tabulated", "omega": [1.0, 0.5], "re": [1.0, 0.0], "im": [0.0, 0.0]},
+         "probe: tabulated grid must be strictly increasing"),
+        ("probe", {"type": "tabulated", "omega": [0.4, 1.6], "re": [1.0], "im": [0.0, 0.0]},
+         "probe: re and im must have equal length"),
+        ("probe", {"type": "bogus", "mass": 1.0}, "probe.type: unknown probe type 'bogus'"),
+        ("probe", {"mass": 1.0}, "probe.type: required field missing"),
+        ("probe", {"type": 3}, "probe.type: expected str, got 3"),
+        ("probe", None, "probe: expected an object, got None"),
+        ("thermal", {}, "thermal.type: required field missing"),
+        ("thermal", {"type": True}, "thermal.type: expected str, got True"),
+        ("thermal", {"type": "uniform"}, "thermal.temperature: required field missing"),
+        ("thermal", {"type": "uniform", "temperature": "x"},
+         "thermal.temperature: expected a number, got 'x'"),
+        ("thermal", {"type": "uniform", "temperature": -1},
+         "thermal: temperature must be >= 0, got -1.0"),
+        ("thermal", {"type": "effective", "omega": [0.4, 1.6]},
+         "thermal.t_eff: required field missing"),
+        ("thermal", {"type": "effective", "omega": True, "t_eff": [0.1, 0.2]},
+         "thermal.omega: expected list, got True"),
+        ("thermal", {"type": "effective", "omega": [0.4, 1.6], "t_eff": [1.0, -2.0]},
+         "thermal: effective temperatures must be finite and >= 0"),
+        ("thermal", {"type": "effective", "omega": [0.4, 1.6], "t_eff": [1.0, 2.0, 3.0]},
+         "thermal: grid and samples differ in length: 2 vs 3"),
+        ("thermal", {"type": "bogus"}, "thermal.type: unknown thermal type 'bogus'"),
+        ("thermal", "x", "thermal: expected an object, got 'x'"),
+    ])
+    def test_model_error_texts_are_pinned(self, field, spec, text):
+        # each probe and bath kind: a missing or wrong-typed field, an unknown
+        # type, and a value its model rejects, wrapped as config.<object>: ...
+        with pytest.raises(ConfigError) as exc:
+            parse_config(osc_config(**{field: spec}))
+        assert str(exc.value) == f"config.{text}"
+
+    @pytest.mark.parametrize("field, spec, kind, digest", [
+        ("thermal", None, "ZeroTemperature", "caa49b56c0fd"),
+        ("thermal", {"type": "zero"}, "ZeroTemperature", "fb8e41a9893b"),
+        ("thermal", {"type": "uniform", "temperature": 0}, "UniformTemperature", "f9a6dc6445c5"),
+        ("thermal", {"type": "effective", "omega": [0.4, 1.6], "t_eff": [0.1, 0.2]},
+         "EffectiveTemperature", "2a3eacccbc9a"),
+        ("probe", {"type": "free_mass", "mass": 2}, "FreeMass", "853963ae889e"),
+        ("probe", {"type": "oscillator", "mass": 1.0, "omega0": 1}, "DampedOscillator",
+         "d144f341ad50"),
+        ("probe", {"type": "tabulated", "omega": [0.4, 1.6], "re": [1, 0], "im": [0, -0.1]},
+         "TabulatedSusceptibility", "a3457205b5d7"),
+    ])
+    def test_accepted_models_and_their_config_hashes(self, field, spec, kind, digest):
+        # thermal null, like a missing thermal, is the T = 0 bath
+        raw = osc_config(**{field: spec})
+        cfg = parse_config(raw)
+        assert type(getattr(cfg, field)).__name__ == kind
+        assert cfg.config_hash[:12] == digest
+        if spec is None:
+            del raw[field]
+            assert type(parse_config(raw).thermal).__name__ == kind
 
 
 class TestRunBudget:
@@ -822,6 +899,12 @@ class TestVerify:
         for lam, mu in ((2.0**30, 2.0**20), (2.0**-100, 2.0**-10), (2.0**40, 2.0**-15)):
             assert gauge(lam, mu) == expected
 
+    def test_sigma_zero_config_passes(self):
+        # the table holds the sigma-pinned optimum; the oracle is compared with
+        # the unconstrained one, which it searches for
+        report = verify(PINNED_CONFIGS["sigma_zero"](), seed=1, samples=12)
+        assert report.passed, report.render()
+
     def test_si_config_passes(self):
         report = verify(load_config(str(CONFIGS / "si_oscillator.json")), samples=6)
         assert report.passed, report.render()
@@ -922,16 +1005,42 @@ def test_budget_matches_module_level_optimizer_pointwise():
         assert len(got) == (cfg.frequency or cfg.s_ff_sweep).points, name
 
 
+def out_of_range_config(table: str, stop: float = 1.2) -> dict:
+    """tabulated_effective_config with the probe, K or bath table ending at stop,
+    inside the 0.5..1.5 frequency grid."""
+    raw = tabulated_effective_config()
+    short = {"omega": [0.4, stop]}
+    if table == "thermal":
+        raw["thermal"] = dict(raw["thermal"], **short, t_eff=[0.3, 0.3])
+    else:
+        raw[table] = dict(raw[table], **short, re=[0.1, 0.2], im=[-0.1, -0.3])
+    raw["frequency"] = {"start": 0.5, "stop": 1.5, "points": 101}
+    return raw
+
+
+REJECTED_CONFIGS = {  # configs that run_budget rejects, each at a point inside its grid
+    "fdt-floor": osc_config(s_ff=0.1, back_action={
+        "type": "tabulated", "omega": [0.5, 1.5], "re": [0.0, 0.0], "im": [0.0, 0.2]}),
+    **{f"{table}-range": out_of_range_config(table) for table in ("probe", "back_action",
+                                                                  "thermal")},
+    "too-hot-bath": osc_config(hbar=1e-30, thermal={
+        "type": "effective", "omega": [0.5, 1.5], "t_eff": [1.0, 1e300]}),
+    "vanishing-chi-inv-plus-k": osc_config(
+        probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
+        back_action=-(1.0 - float(np.linspace(0.5, 1.5, 101)[30]) ** 2)),
+    "overflowing-dql": osc_config(hbar=1e200, probe={
+        "type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}),
+    "lossless-spin-probe": spin_config(probe={"type": "free_mass", "mass": 1.0}),
+}
+
+
 class TestArraySweepErrors:
     """A point the scalar path rejects is re-run through it: same error type,
     same text, at the same first frequency."""
 
     def test_fdt_violation_names_the_first_offending_frequency(self):
         # Im K grows with omega and crosses s_ff = 0.1 inside the grid
-        nodes = [0.5, 1.5]
-        cfg = parse_config(osc_config(
-            s_ff=0.1, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
-                                   "im": [0.0, 0.2]}))
+        cfg = parse_config(REJECTED_CONFIGS["fdt-floor"])
         omegas = [float(w) for w in cfg.frequency.values()]
         first = next(w for w in omegas if abs(cfg.k_of_omega(w).imag) > 0.1)
         assert omegas[0] < first < omegas[-1]
@@ -944,14 +1053,7 @@ class TestArraySweepErrors:
 
     @pytest.mark.parametrize("table", ["probe", "back_action", "thermal"])
     def test_out_of_range_tabulated_frequency(self, table):
-        raw = tabulated_effective_config()
-        short = {"omega": [0.4, 1.2]}
-        if table == "thermal":
-            raw["thermal"] = dict(raw["thermal"], **short, t_eff=[0.3, 0.3])
-        else:
-            raw[table] = dict(raw[table], **short, re=[0.1, 0.2], im=[-0.1, -0.3])
-        raw["frequency"] = {"start": 0.5, "stop": 1.5, "points": 101}
-        cfg = parse_config(raw)
+        cfg = parse_config(out_of_range_config(table))
         first = next(float(w) for w in cfg.frequency.values() if w > 1.2)
         with pytest.raises(RangeError) as exc:
             run_budget(cfg)
@@ -970,7 +1072,8 @@ class TestArraySweepErrors:
         floor = abs(cfg.k_of_omega(first).imag)
         with pytest.raises(FdtViolationError) as exc:
             verify(cfg, samples=2)
-        assert str(exc.value) == f"omega={first!r}: s_ff=0.1 below the meter FDT floor {floor!r}"
+        assert str(exc.value) == (
+            f"omega={first!r}: s_ff=0.1 below the meter FDT floor hbar*|Im K|={floor!r}")
         cfg = parse_config(osc_config(
             s_ff=0.4, back_action={"type": "tabulated", "omega": nodes, "re": [0.0, 0.0],
                                    "im": [0.3, 0.0]}))
@@ -979,6 +1082,13 @@ class TestArraySweepErrors:
             with pytest.raises(RangeError) as exc:
                 verify(cfg, samples=2)
             assert str(exc.value) == f"frequency {beyond[0]!r} outside tabulated range [0.4, 1.2]"
+
+    def test_an_overflowing_dql_column_raises_without_a_warning(self):
+        # hbar*|Im chi_inv| overflows: the kernel flags the rows without a numpy
+        # warning (warnings are errors here) and the first re-run raises
+        with pytest.raises(DomainError) as exc:
+            run_budget(parse_config(REJECTED_CONFIGS["overflowing-dql"]))
+        assert str(exc.value) == "s_xx must be finite and >= 0, got nan"
 
     @pytest.mark.parametrize("thermal", [{"type": "zero"}, {"type": "uniform", "temperature": 0.5}])
     def test_constant_k_and_bath_are_not_evaluated_per_point(self, thermal, monkeypatch):
@@ -1004,6 +1114,40 @@ class TestArraySweepErrors:
         with pytest.raises(DomainError) as exc:
             run_budget(cfg)
         assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
+
+
+@pytest.mark.parametrize("name", list(REJECTED_CONFIGS))
+@pytest.mark.parametrize("golden", [False, True])
+def test_verify_raises_what_budget_raises(name, golden, tmp_path):
+    # verify runs the sweep first: the same error type and text, also with a
+    # golden table given and whatever points the seeded picks fall on
+    cfg = parse_config(REJECTED_CONFIGS[name])
+    with pytest.raises(QnlError) as want:
+        run_budget(cfg)
+    path = tmp_path / "golden.csv"
+    path.write_text("not read", encoding="utf-8")
+    with pytest.raises(QnlError) as got:
+        verify(cfg, samples=2, golden_path=str(path) if golden else None)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_verify_rejects_a_table_ending_inside_the_grid_between_the_picks():
+    # the probe table ends at 1.2, row 70 of 101; the one seeded pick lies below it
+    cfg = parse_config(out_of_range_config("probe"))
+    assert np.random.default_rng(1).choice(101, size=1, replace=False)[0] < 70
+    with pytest.raises(RangeError, match="outside tabulated range"):
+        verify(cfg, seed=1, samples=1)
+
+
+@pytest.mark.parametrize("config", [osc_config(), spin_config()], ids=["fixed", "spin"])
+def test_verify_runs_the_sweep_once(config, tmp_path, monkeypatch):
+    cfg = parse_config(config)
+    golden = tmp_path / "golden.csv"
+    golden.write_text(run_budget(cfg).to_csv(), encoding="utf-8")
+    calls, kernel = [], budget._optimum_grid
+    monkeypatch.setattr(budget, "_optimum_grid", lambda *args: calls.append(1) or kernel(*args))
+    assert verify(cfg, samples=3).passed and len(calls) == 1
+    assert verify(cfg, samples=3, golden_path=str(golden)).passed and len(calls) == 2
 
 
 def test_rows_coerce_numbers_and_regime():
@@ -1113,11 +1257,20 @@ RERUN_CONFIGS = dict(PINNED_CONFIGS, **{f"resonance_gamma_{gamma}": functools.pa
     resonance_config, gamma) for gamma in (0.0, 0.2)})
 
 
+def rerun_counter(monkeypatch) -> list:
+    """The list each scalar re-run of a sweep row appends its omega or budget to."""
+    reruns, point, full = [], budget._budget_point, budget.optimize_fixed_eff_backaction
+    monkeypatch.setattr(budget, "_budget_point", lambda cfg, w: reruns.append(w) or point(cfg, w))
+    monkeypatch.setattr(budget, "optimize_fixed_eff_backaction",
+                        lambda d, k, s, hbar: reruns.append(s) or full(d, k, s, hbar))
+    return reruns
+
+
 @pytest.mark.parametrize("name", list(RERUN_CONFIGS))
 def test_scalar_reruns_give_the_array_columns(name, monkeypatch):
-    # the kernel flags every row and spoils its own columns, so each row of
-    # the table is a scalar re-run written back: the same table, signs of
-    # zero and transitions included, and the same texts
+    # the kernel flags every row but keeps its columns: each row is re-run once,
+    # in order, through the scalar path, which accepts it, and the table keeps
+    # the sweep's arrays: the same table and texts, signs of zero included
     cfg = RERUN_CONFIGS[name]()
     want = run_budget(cfg)
     if name.startswith("resonance"):
@@ -1125,13 +1278,32 @@ def test_scalar_reruns_give_the_array_columns(name, monkeypatch):
     kernel = budget._optimum_grid
 
     def all_bad(*args):
-        return {key: np.ones(v.shape, bool) if key == "bad" else ~v if v.dtype == bool
-                else np.full(v.shape, math.nan) for key, v in kernel(*args).items()}
+        opt = kernel(*args)
+        return dict(opt, bad=np.ones_like(opt["bad"]))
 
     monkeypatch.setattr(budget, "_optimum_grid", all_bad)
+    reruns = rerun_counter(monkeypatch)
     got = run_budget(cfg)
-    assert got == want  # and, through repr, the same signs of zero:
+    assert reruns == want.arrays[0].tolist()
+    assert got == want
     assert got.to_csv() == want.to_csv() and got.to_json() == want.to_json()
+
+
+def test_flagged_rows_the_scalar_path_accepts_hold_its_values(monkeypatch):
+    # with a mass of 1e-300 the kernel flags all 101 rows; the scalar path accepts
+    # each one, s_sum_opt = nan included, and the table holds its values as made
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+    raw["probe"]["mass"] = 1e-300
+    cfg = parse_config(dict(raw, back_action={"type": "constant", "re": 0.1, "im": 0.05}))
+    assert budget._budget_columns(cfg, cfg.frequency.values())[1].all()
+    reruns = rerun_counter(monkeypatch)
+    table = run_budget(cfg)
+    assert reruns == table.arrays[0].tolist()
+    assert np.isnan(table.arrays[4]).all()
+    scalar = scalar_table(cfg)
+    assert as_emitted(table) == as_emitted(scalar)
+    assert all(map(functools.partial(np.array_equal, equal_nan=True), table.arrays, scalar.arrays))
+    assert hashlib.sha256(table.to_csv().encode()).hexdigest().startswith("e7e6f2905b1d0ff8")
 
 
 LOSSLESS = {  # oscillator_budget.json with gamma = 0 and K = 0.1+0.05i, in both modes

@@ -267,6 +267,24 @@ def test_a_bath_too_hot_for_the_units_is_an_error_not_a_traceback(tmp_path, caps
     assert captured.err.startswith("error: omega=") and "underflows to 0" in captured.err
 
 
+@pytest.mark.parametrize("command", ["budget", "verify"])
+@pytest.mark.parametrize("overrides", [
+    {"hbar": 1e200, "probe": {"type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}},
+    {"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
+     "frequency": {"start": 1e3, "stop": 1e10, "points": 5}},
+], ids=["dql", "chi_inv"])
+def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides):
+    # a column that overflows flags its rows without a numpy warning, and the
+    # first re-run raises; verify runs the same sweep, so it prints the same line
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(dict(raw, **overrides)), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: s_xx must be finite and >= 0, got nan\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_writes_the_library_text_block_by_block(tmp_path, capsys, fmt):
     # three blocks, the last of one row, to a file and to stdout
