@@ -164,6 +164,13 @@ def _s_ub(d: complex, kv: complex, s_ff: float, thr: float, hbar: float) -> floa
     return max(num / den, dql_val)
 
 
+def _check_sum(s_sum: float, d: complex, kv: complex, s_ff: float) -> None:
+    """DomainError naming s_ff where the sum noise overflowed to inf or NaN."""
+    if not math.isfinite(s_sum):
+        raise DomainError(f"sum noise is not finite at s_ff={s_ff!r}: {s_sum!r} "
+                          f"for chi_inv={d!r}, K={kv!r}")
+
+
 def _subopt_triad(d: complex, kv: complex, s_ff: float, sig: float, hbar: float) -> NoiseTriad:
     """Saturating triad minimizing the sum noise at fixed (S_FF, sigma).
 
@@ -260,6 +267,7 @@ def optimize_fixed_backaction(
     if d.imag == 0.0:
         s_sum = qcrb_lossless(d, kv, s, hbar)
         triad = _subopt_triad(d, kv, s, 0.0, hbar)
+        _check_sum(s_sum, d, kv, s)
         return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0, not allow_sigma)
 
     dql_val = hbar * abs(d.imag)
@@ -273,6 +281,7 @@ def optimize_fixed_backaction(
 
     s_sum = _s_ub(d, kv, s, thr, hbar)
     triad = _subopt_triad(d, kv, s, 0.0, hbar)
+    _check_sum(s_sum, d, kv, s)
     regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
     return OptimumReport(s_sum, regime, thr, triad, 0.0, not allow_sigma)
 

@@ -11,17 +11,18 @@ the slack the smaller of two pieces linear in S_xx, with slopes
 s_ff -+ hbar*Im K; above the meter FDT floor both are positive, and the
 surface is exactly the larger of their zeros, max(S+, S-) (saturating_s_xx).
 
-The refinement is a small Nelder-Mead on Python floats.  Each evaluation
-solves the surface through a float copy of that formula, set up once per
-call, and compare-and-swaps order the simplex in place of a sort; a call
-makes about 340 evaluations.  The analytic threshold enters only as a
-length scale for the search box, which alone sizes the start simplex and
-the position tolerance; the value tolerance is relative to the best value.
-The search is therefore unit-covariant: under hbar -> l*hbar, chi_inv ->
-m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the minimum scales by l*m up to
-roundoff.  At the exact meter-FDT boundary s_ff = hbar*|Im K| a
-denominator of max(S+, S-) is 0 and the feasible set collapses to a single
-ray; the search loses accuracy within about 2 % of it (errors up to 3e-4;
+The refinement is a small Nelder-Mead on pairs of Python floats, whose
+arithmetic CPython specializes (complex arithmetic allocates an object per
+operation; float pairs made a call 1.3-1.5 times faster, bit for bit).  Its
+about 340 evaluations solve the surface through a float copy of that
+formula.  The analytic threshold enters only as a length scale for the
+search box, which alone sizes the start simplex and the position
+tolerance; the value tolerance is relative to the best value.  The search
+is therefore unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv,
+K -> m*K and s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
+At the exact meter-FDT boundary s_ff = hbar*|Im K| a denominator of
+max(S+, S-) is 0 and the feasible set collapses to a single ray; the
+search loses accuracy within about 2 % of it (errors up to 3e-4;
 brute_force_min gives the measured figures).
 """
 
@@ -70,22 +71,6 @@ class OracleResult:
     iterations: int
 
 
-def _saturation_solver(s_ff: float, k_im: float, hbar: float):
-    """solve(re, im): saturating_s_xx above the meter FDT floor on Python
-    floats, op for op (bit for bit); the denominators are computed once."""
-    quarter = hbar * hbar / 4.0
-    den_plus = s_ff - hbar * k_im
-    den_minus = s_ff + hbar * k_im
-
-    def solve(re: float, im: float) -> float:
-        m2 = re * re + im * im
-        plus = (m2 - hbar * im + quarter) / den_plus
-        minus = (m2 + hbar * im + quarter) / den_minus
-        return plus if plus > minus else minus  # max(plus, minus), as np.maximum
-
-    return solve
-
-
 def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.0):
     """Smallest S_xx with zero uncertainty slack at the given cross PSD:
     max(S+, S-), S+- = (|S_xF|^2 -+ hbar*Im S_xF + hbar^2/4)/(s_ff -+ hbar*k_im)
@@ -106,47 +91,60 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     return float(s_xx) if s_xx.ndim == 0 else s_xx
 
 
-def _nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
-    """Minimize f over the plane, a point being the complex number re + i*im.
-
-    Nelder-Mead on Python floats with the standard coefficients (reflect 1,
-    expand 2, contract 1/2, shrink 1/2) from the simplex z0, z0 + step,
-    z0 + i*step.  Stops when every vertex is within xatol of the best one in
-    each coordinate and within fatol of it in value, or after maxiter
-    iterations.  Returns the best vertex, its value and the iteration count.
+def _nelder_mead(f, x0: float, y0: float, step: float, xatol: float, fatol: float, maxiter: int):
+    """Minimize f(x, y) by Nelder-Mead (reflect 1, expand 2, contract 1/2,
+    shrink 1/2) from the simplex z0, z0 + step, z0 + i*step, z0 = x0 + i*y0.
+    Stops when every vertex is within fatol of the best in value and within
+    xatol of it in each coordinate, or after maxiter iterations; returns the
+    best vertex, its value and the iteration count.  Points are float pairs,
+    each step written out as CPython evaluates complex arithmetic (a*z as
+    (a*x - 0.0*y, a*y + 0.0*x) for a float a), so the result is that of the
+    same search on complex numbers bit for bit, signed zeros included.
     Compare-and-swaps order (fb, b), (fg, g), (fw, w) as a stable sort would.
     """
-    b, g, w = z0, z0 + step, z0 + 1j * step
-    fb, fg, fw = f(b), f(g), f(w)
+    bx, by = x0, y0
+    gx, gy = x0 + step, y0 + 0.0
+    wx, wy = x0 + (0.0 * step - 1.0 * 0.0), y0 + (0.0 * 0.0 + 1.0 * step)
+    fb, fg, fw = f(bx, by), f(gx, gy), f(wx, wy)
     for nit in range(maxiter + 1):
         if fb > fg:
-            fb, b, fg, g = fg, g, fb, b
+            fb, fg = fg, fb
+            bx, gx = gx, bx
+            by, gy = gy, by
         if fg > fw:
-            fg, g, fw, w = fw, w, fg, g
+            fg, fw = fw, fg
+            gx, wx = wx, gx
+            gy, wy = wy, gy
             if fb > fg:
-                fb, b, fg, g = fg, g, fb, b
-        dg, dw = g - b, w - b
-        spread = max(abs(dg.real), abs(dg.imag), abs(dw.real), abs(dw.imag))
-        if nit == maxiter or (spread <= xatol and fw - fb <= fatol):
-            return b, fb, nit
-        c = 0.5 * (b + g)  # centroid of the two best vertices
-        r = 2.0 * c - w
-        fr = f(r)
+                fb, fg = fg, fb
+                bx, gx = gx, bx
+                by, gy = gy, by
+        if nit == maxiter or (fw - fb <= fatol and max(
+                abs(gx - bx), abs(gy - by), abs(wx - bx), abs(wy - by)) <= xatol):
+            return bx, by, fb, nit
+        sx, sy = bx + gx, by + gy
+        cx, cy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx  # centroid of the two best
+        rx, ry = (2.0 * cx - 0.0 * cy) - wx, (2.0 * cy + 0.0 * cx) - wy
+        fr = f(rx, ry)
         if fr < fb:
-            e = 3.0 * c - 2.0 * w
-            fe = f(e)
-            fw, w = (fe, e) if fe < fr else (fr, r)
+            ex = (3.0 * cx - 0.0 * cy) - (2.0 * wx - 0.0 * wy)
+            ey = (3.0 * cy + 0.0 * cx) - (2.0 * wy + 0.0 * wx)
+            fe = f(ex, ey)
+            fw, wx, wy = (fe, ex, ey) if fe < fr else (fr, rx, ry)
         elif fr < fg:
-            fw, w = fr, r
+            fw, wx, wy = fr, rx, ry
         else:
             outside = fr < fw
-            z = 0.5 * (c + (r if outside else w))
-            fz = f(z)
+            sx, sy = (cx + rx, cy + ry) if outside else (cx + wx, cy + wy)
+            zx, zy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx
+            fz = f(zx, zy)
             if fz <= fr if outside else fz < fw:
-                fw, w = fz, z
+                fw, wx, wy = fz, zx, zy
             else:  # shrink towards the best vertex
-                g, w = 0.5 * (b + g), 0.5 * (b + w)
-                fg, fw = f(g), f(w)
+                sx, sy, tx, ty = bx + gx, by + gy, bx + wx, by + wy
+                gx, gy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx
+                wx, wy = 0.5 * tx - 0.0 * ty, 0.5 * ty + 0.0 * tx
+                fg, fw = f(gx, gy), f(wx, wy)
 
 
 def _checked_budget(s_ff, k_im: float, hbar: float, at_floor) -> float:
@@ -185,8 +183,8 @@ def brute_force_min(
     hbar*|Im K|/s_ff < 0.98 the largest error is 5e-8, and below 0.9 it is
     4e-10.  Exactly at the floor, s_ff = hbar*|Im K|, which the precondition
     s_ff >= hbar*|Im K| admits, no S_xx saturates and the call raises
-    EmptyFeasibleRegionError before the scan.  A call takes 0.4-0.7 ms on a
-    2-core VM, about 0.03 ms of it in the scan.
+    EmptyFeasibleRegionError before the scan.  A call takes 0.25-0.45 ms on
+    a 2-core VM, about 0.03 ms of it in the scan.
     """
     cfg = cfg or OracleConfig()
     kv = complex(k)
@@ -198,31 +196,33 @@ def brute_force_min(
     scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
     s_xf_max = S_XF_BOX_SCALE * (0.5 * hbar) * scale
     axis = np.linspace(-s_xf_max, s_xf_max, COARSE_GRID_POINTS)
-    dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
-
+    dk2, dk_re, dk_im, k_im = abs(dk) ** 2, dk.real, dk.imag, kv.imag
     re_g, im_g = axis[:, None], axis[None, :]
-    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, kv.imag, hbar)
+    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, k_im, hbar)
     values = values + (2.0 * (dk_re * re_g - dk_im * im_g) + s_ff)
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
 
-    solve = _saturation_solver(s_ff, kv.imag, hbar)
+    quarter, den_plus, den_minus = hbar * hbar / 4.0, s_ff - hbar * k_im, s_ff + hbar * k_im
 
-    def f(z: complex) -> float:  # the objective on the saturation surface
-        re, im = z.real, z.imag
-        return dk2 * solve(re, im) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
+    def f(re: float, im: float) -> float:  # on the surface, saturating_s_xx op for op
+        m2, h_im = re * re + im * im, hbar * im
+        plus = (m2 - h_im + quarter) / den_plus
+        minus = (m2 + h_im + quarter) / den_minus
+        s_xx = plus if plus > minus else minus
+        return dk2 * s_xx + (2.0 * (dk_re * re - dk_im * im) + s_ff)
 
-    best_z = complex(axis[i], axis[j])
-    best_val = f(best_z)
+    bx, by = float(axis[i]), float(axis[j])
+    best_val = f(bx, by)
     iterations = 0
     if cfg.refine:
         step, xatol, fatol = 0.1 * s_xf_max, 1e-9 * s_xf_max, 1e-12 * abs(best_val)
         for _ in range(2):  # restart once; cheap and robust against the |sigma| kink
-            z, val, nit = _nelder_mead(f, best_z, step, xatol, fatol, REFINE_ITERATIONS)
+            x, y, val, nit = _nelder_mead(f, bx, by, step, xatol, fatol, REFINE_ITERATIONS)
             iterations += nit
             if val <= best_val:
-                best_val, best_z = val, z
+                best_val, bx, by = val, x, y
 
-    triad = NoiseTriad(solve(best_z.real, best_z.imag), best_z, s_ff)
+    triad = NoiseTriad(saturating_s_xx(bx, by, s_ff, k_im, hbar), complex(bx, by), s_ff)
     return OracleResult(best_val, triad, iterations)
 
 

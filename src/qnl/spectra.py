@@ -52,6 +52,13 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
+def _finite_chi_inv(re: float, im: float, omega: float) -> complex:
+    """complex(re, im), or DomainError naming omega where a part overflowed."""
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise DomainError(f"chi_inv is not finite at omega={omega!r}: {complex(re, im)!r}")
+    return complex(re, im)
+
+
 @dataclass(frozen=True)
 class ComplexTable:
     """Complex-valued function sampled on a strictly increasing grid.
@@ -134,9 +141,10 @@ class DampedOscillator(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return complex(
+        return _finite_chi_inv(
             self.mass * (self.omega0 * self.omega0 - omega * omega),
             -self.mass * self.gamma * omega,
+            omega,
         )
 
     def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
@@ -161,7 +169,7 @@ class FreeMass(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return complex(-self.mass * (omega * omega), -self.mass * self.gamma * omega)
+        return _finite_chi_inv(-self.mass * (omega * omega), -self.mass * self.gamma * omega, omega)
 
     def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
         return -self.mass * (omega * omega), -self.mass * self.gamma * omega, False

@@ -1,18 +1,22 @@
-"""Rewrite the pinned fixtures from the inputs stored in them.
+"""Rewrite the pinned fixtures from the inputs stored in them, or check them.
 
-Usage: PYTHONPATH=src python tests/regen_fixtures.py
+Usage: PYTHONPATH=src python tests/regen_fixtures.py [--check]
 
 Recomputes the outputs of tests/data/oracle_pins.json (each brute_force_min
-call from its stored chi_inv, k, s_ff, hbar and refine) and of
-tests/data/verify_reports.json (each config's verify report at seed 1), and
-prints every entry that moved with its relative change.  Pytest does not
-collect this file.
+call from its stored chi_inv, k, s_ff, hbar and refine), of
+tests/data/verify_reports.json (each config's verify report at seed 1) and of
+tests/data/table_digests.json (the sha256 of each table's CSV and JSON text),
+and prints every entry that moved.  Without --check it rewrites the three
+files; with --check it writes nothing and exits 1 if any entry moved.  Pytest
+does not collect this file.
 """
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
-from qnl import OracleConfig, brute_force_min, load_config, verify
+from qnl import OracleConfig, brute_force_min, load_config, parse_config, run_budget, verify
 
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,7 +30,7 @@ def unhex(pair):
 def relative_change(was, now) -> float:
     """|now - was| / |was| for float.hex strings or [re, im] pairs of them."""
     was, now = (unhex(v) if isinstance(v, list) else float.fromhex(v) for v in (was, now))
-    return abs(now - was) / abs(was)
+    return abs(now - was) / abs(was) if was else float("inf")
 
 
 def pin_outputs(case: dict) -> dict:
@@ -42,33 +46,64 @@ def pin_outputs(case: dict) -> dict:
     }
 
 
-def regen_pins(path: Path) -> None:
-    cases = json.loads(path.read_text())
-    inputs = [{key: v for key, v in case.items() if key not in OUTPUTS + ("feasible_fraction",)}
-              for case in cases]
+def regen_pins(cases: list) -> tuple[list, list]:
+    inputs = [{key: v for key, v in case.items() if key not in OUTPUTS} for case in cases]
     fresh = [dict(case, **pin_outputs(case)) for case in inputs]
+    moved = []
     for old, new in zip(cases, fresh):
         if any(old.get(key) != new[key] for key in OUTPUTS):
             changes = ", ".join(f"{key} {relative_change(old[key], new[key]):.2e}"
                                 for key in ("s_sum_min", "s_xx", "s_xf"))
-            print(f"{path.name}: {new['label']}: moved by {changes} relative, "
-                  f"iterations {old['iterations']} -> {new['iterations']}")
-    path.write_text(json.dumps(fresh, indent=1) + "\n")
+            moved.append(f"{new['label']}: moved by {changes} relative, "
+                         f"iterations {old['iterations']} -> {new['iterations']}")
+    return fresh, moved
 
 
-def regen_reports(path: Path) -> None:
-    reports = json.loads(path.read_text())
+def regen_reports(reports: dict) -> tuple[dict, list]:
     fresh = {name: verify(load_config(str(CONFIGS / name)), seed=1).render() for name in reports}
+    moved = []
     for name, text in fresh.items():
         for old, new in zip(reports[name].splitlines(), text.splitlines()):
             if old != new:
                 was, now = (float(line.split("measured=")[1].split()[0]) for line in (old, new))
                 change = abs(now - was) / abs(was) if was else float("inf")
-                print(f"{path.name}: {name}: {new.split(':')[0]} moved by {change:.2e} relative "
-                      f"({was:.3e} -> {now:.3e})")
-    path.write_text(json.dumps(fresh, indent=1) + "\n")
+                moved.append(f"{name}: {new.split(':')[0]} moved by {change:.2e} relative "
+                             f"({was:.3e} -> {now:.3e})")
+    return fresh, moved
+
+
+def regen_digests(pins: dict) -> tuple[dict, list]:
+    fresh, moved = {}, []
+    for name, pin in pins.items():
+        table = run_budget(parse_config(pin["config"]) if "config" in pin else
+                           load_config(str(CONFIGS.parent / name)))
+        fresh[name] = dict(pin, csv=hashlib.sha256(table.to_csv().encode()).hexdigest(),
+                           json=hashlib.sha256(table.to_json().encode()).hexdigest())
+        moved += [f"{name}: {fmt} digest moved" for fmt in ("csv", "json")
+                  if fresh[name][fmt] != pin[fmt]]
+    return fresh, moved
+
+
+def main(argv: list) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    moved_any = False
+    for name, regen in (("oracle_pins.json", regen_pins),
+                        ("verify_reports.json", regen_reports),
+                        ("table_digests.json", regen_digests)):
+        path = DATA / name
+        fresh, moved = regen(json.loads(path.read_text(encoding="utf-8")))
+        for line in moved:
+            print(f"{name}: {line}")
+        moved_any = moved_any or bool(moved)
+        if not check:
+            path.write_text(json.dumps(fresh, indent=1) + "\n", encoding="utf-8")
+    if check and not moved_any:
+        print("no entry moved")
+    return 1 if check and moved_any else 0
 
 
 if __name__ == "__main__":
-    regen_pins(DATA / "oracle_pins.json")
-    regen_reports(DATA / "verify_reports.json")
+    sys.exit(main(sys.argv[1:]))

@@ -1289,21 +1289,24 @@ def test_scalar_reruns_give_the_array_columns(name, monkeypatch):
     assert got.to_csv() == want.to_csv() and got.to_json() == want.to_json()
 
 
-def test_flagged_rows_the_scalar_path_accepts_hold_its_values(monkeypatch):
-    # with a mass of 1e-300 the kernel flags all 101 rows; the scalar path accepts
-    # each one, s_sum_opt = nan included, and the table holds its values as made
+def test_flagged_rows_with_a_nan_sum_noise_raise_at_the_first_omega(monkeypatch):
+    # with a mass of 1e-300 the kernel flags all 101 rows, where the sum noise
+    # overflows to NaN; the first re-run raises the scalar path's DomainError
+    # naming s_ff, and verify, which runs the same sweep, raises it too
     raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
     raw["probe"]["mass"] = 1e-300
     cfg = parse_config(dict(raw, back_action={"type": "constant", "re": 0.1, "im": 0.05}))
     assert budget._budget_columns(cfg, cfg.frequency.values())[1].all()
+    text = "sum noise is not finite at s_ff=0.1: nan for chi_inv=(7.5e-301-1e-301j), K=(0.1+0.05j)"
     reruns = rerun_counter(monkeypatch)
-    table = run_budget(cfg)
-    assert reruns == table.arrays[0].tolist()
-    assert np.isnan(table.arrays[4]).all()
-    scalar = scalar_table(cfg)
-    assert as_emitted(table) == as_emitted(scalar)
-    assert all(map(functools.partial(np.array_equal, equal_nan=True), table.arrays, scalar.arrays))
-    assert hashlib.sha256(table.to_csv().encode()).hexdigest().startswith("e7e6f2905b1d0ff8")
+    for run in (run_budget, verify):
+        with pytest.raises(DomainError) as exc:
+            run(cfg)
+        assert str(exc.value) == text
+    assert reruns == [0.5, 0.5]
+    with pytest.raises(DomainError) as exc:
+        optimize_fixed_backaction(cfg.probe.chi_inv(0.5), complex(0.1, 0.05), 0.1)
+    assert str(exc.value) == text
 
 
 LOSSLESS = {  # oscillator_budget.json with gamma = 0 and K = 0.1+0.05i, in both modes

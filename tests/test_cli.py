@@ -285,6 +285,29 @@ def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides
         1, "", "error: s_xx must be finite and >= 0, got nan\n")
 
 
+@pytest.mark.parametrize("command, config, overrides, omega", [
+    ("budget", "oscillator_budget.json",
+     {"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
+      "frequency": {"start": 1e5, "stop": 1e10, "points": 5}}, 1e5),
+    ("budget", "oscillator_budget.json",
+     {"probe": {"type": "free_mass", "mass": 1e300},
+      "frequency": {"start": 1e5, "stop": 1e10, "points": 5}}, 1e5),
+    ("spin-figure", "spin_figure.json",
+     {"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
+      "omega": 1e10}, 1e10),
+], ids=["budget-oscillator", "budget-free-mass", "spin-figure"])
+def test_an_overflowing_chi_inv_prints_one_error_line_naming_omega(
+        tmp_path, command, config, overrides, omega):
+    raw = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(dict(raw, **overrides)), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: chi_inv is not finite at omega={omega!r}: (-inf")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("j)\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_writes_the_library_text_block_by_block(tmp_path, capsys, fmt):
     # three blocks, the last of one row, to a file and to stdout

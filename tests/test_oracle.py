@@ -92,12 +92,15 @@ def test_grid_refinement_converges_monotonically(monkeypatch):
 
 
 def test_results_are_pinned_bit_for_bit():
-    # 40 calls with every result field stored as float.hex: 33 draws of the
+    # 47 calls with every result field stored as float.hex: 33 draws of the
     # seeded 900-draw set (default_rng(12345), decades=1.5), 14 of them with
     # hbar*|Im K|/s_ff >= 0.98, where shrink steps and the iteration cap
     # occur; 5 of those scaled to SI (hbar=1.054e-34, chi_inv and K x 1e3);
-    # a lossless probe; and one refine=False call.  tests/regen_fixtures.py
-    # rewrites the file from its stored inputs.
+    # a lossless probe; one refine=False call; and 7 edge cases whose
+    # argmins hold exact zeros (chi_inv=-0.2i with K=0, Re(chi_inv+K)=0 with
+    # a real K, a real K, s_ff at the threshold, two of them at hbar=2^+-60,
+    # and refine=False).  tests/regen_fixtures.py rewrites the file from its
+    # stored inputs, or checks it with --check.
     def unhex(pair):
         return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
@@ -114,6 +117,65 @@ def test_results_are_pinned_bit_for_bit():
             "iterations": result.iterations,
         }
         assert got == {key: case[key] for key in got}, case["label"]
+
+
+def complex_nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
+    """The reference: the same Nelder-Mead with each point a Python complex."""
+    b, g, w = z0, z0 + step, z0 + 1j * step
+    fb, fg, fw = f(b), f(g), f(w)
+    for nit in range(maxiter + 1):
+        if fb > fg:
+            fb, b, fg, g = fg, g, fb, b
+        if fg > fw:
+            fg, g, fw, w = fw, w, fg, g
+            if fb > fg:
+                fb, b, fg, g = fg, g, fb, b
+        dg, dw = g - b, w - b
+        spread = max(abs(dg.real), abs(dg.imag), abs(dw.real), abs(dw.imag))
+        if nit == maxiter or (spread <= xatol and fw - fb <= fatol):
+            return b, fb, nit
+        c = 0.5 * (b + g)
+        r = 2.0 * c - w
+        fr = f(r)
+        if fr < fb:
+            e = 3.0 * c - 2.0 * w
+            fe = f(e)
+            fw, w = (fe, e) if fe < fr else (fr, r)
+        elif fr < fg:
+            fw, w = fr, r
+        else:
+            outside = fr < fw
+            z = 0.5 * (c + (r if outside else w))
+            fz = f(z)
+            if fz <= fr if outside else fz < fw:
+                fw, w = fz, z
+            else:
+                g, w = 0.5 * (b + g), 0.5 * (b + w)
+                fg, fw = f(g), f(w)
+
+
+def test_nelder_mead_on_float_pairs_is_the_complex_search_bit_for_bit():
+    # kinked and smooth objectives with minima on an axis or at the origin,
+    # started from signed zeros, stopped by the iteration cap or not; every
+    # fourth one is unbounded below with a huge start simplex, which
+    # overflows to inf and NaN.  Every field is compared as float.hex.
+    rng = np.random.default_rng(47)
+    h = float.hex
+    for n in range(400):
+        x_min, y_min, x0, y0 = (float(rng.choice(v)) for v in (
+            [0.0, -0.0, 0.7], [0.0, -0.0, 1.0], [0.0, -0.0, -1.3], [0.0, -0.0, 2.1]))
+        a, b, kink = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)), float(rng.integers(2))
+        step, maxiter = float(rng.choice([0.1, 1.0])), int(rng.choice([0, 1, 5, 600]))
+        if n % 4 == 0:
+            f = lambda x, y: -1e-10 * x - 2e-10 * y
+            step = float(rng.choice([1e300, 1e306]))
+        else:
+            f = lambda x, y: (a * (x - x_min) * (x - x_min) + b * (y - y_min) * (y - y_min)
+                              + kink * abs(y))
+        x, y, value, nit = oracle._nelder_mead(f, x0, y0, step, 1e-9, 1e-12, maxiter)
+        z, ref_value, ref_nit = complex_nelder_mead(lambda z: f(z.real, z.imag), complex(x0, y0),
+                                                    step, 1e-9, 1e-12, maxiter)
+        assert [h(x), h(y), h(value), nit] == [h(z.real), h(z.imag), h(ref_value), ref_nit], n
 
 
 def test_returns_above_and_raises_exactly_at_the_fdt_floor():
@@ -175,10 +237,13 @@ class TestSaturatingSampler:
 
 
 def test_saturating_s_xx_vectorized_matches_scalar():
-    # the Nelder-Mead closure is a float copy of the array formula; both must
-    # agree bit for bit at any unit scale, and at and below the meter FDT
-    # floor the array path (scalar inputs included) gives NaN
+    # a scalar input gives the array path's value as a Python float; the
+    # oracle's objective is a float copy of the formula, so at any unit scale
+    # its argmin's S_xx and its minimum are the formula's values bit for bit;
+    # at and below the meter FDT floor the array path (scalar inputs
+    # included) gives NaN
     rng = np.random.default_rng(44)
+    draws = np.random.default_rng(45)
     for hbar, mu in ((1.0, 1.0), (1.054e-34, 1e-3), (1e10, 1e6)):
         for k_im in (0.35, -0.35, 0.0):
             k = k_im * mu
@@ -201,11 +266,19 @@ def test_saturating_s_xx_vectorized_matches_scalar():
                     assert np.isnan(vec).all()
                     assert math.isnan(saturating_s_xx(float(re[0]), float(im[0]), s_ff, k, hbar))
                     continue
-                solve = oracle._saturation_solver(s_ff, k, hbar)
                 for r, i, v in zip(re.tolist(), im.tolist(), vec.tolist()):
-                    got = solve(r, i)
+                    got = saturating_s_xx(r, i, s_ff, k, hbar)
                     assert type(got) is float and got == v
-                    assert saturating_s_xx(r, i, s_ff, k, hbar) == v
+                for refine in (True, False):
+                    d = mu * draw_lossy_chi_inv(draws)
+                    kv = complex(mu * draws.uniform(-2.0, 2.0), k)
+                    result = brute_force_min(d, kv, s_ff, OracleConfig(refine=refine), hbar=hbar)
+                    x, y = result.argmin_triad.s_xf.real, result.argmin_triad.s_xf.imag
+                    s_xx = saturating_s_xx(x, y, s_ff, k, hbar)
+                    dk = d + kv
+                    dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
+                    assert result.argmin_triad.s_xx == s_xx
+                    assert result.s_sum_min == dk2 * s_xx + (2.0 * (dk_re * x - dk_im * y) + s_ff)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -66,6 +66,17 @@ def test_eval_rejects_nonpositive_frequency():
             OSC.chi_inv(omega)
 
 
+def test_an_overflowing_chi_inv_raises_naming_omega():
+    heavy = DampedOscillator(mass=1e300, omega0=1.0, gamma=0.2)
+    cases = ((heavy, 1e10, "(-inf-infj)"), (heavy, 1e5, "(-inf-2.0000000000000001e+304j)"),
+             (FreeMass(mass=1e300), 1e5, "(-inf-0j)"))
+    for probe, omega, value in cases:
+        with pytest.raises(DomainError) as exc:
+            probe.chi_inv(omega)
+        assert str(exc.value) == f"chi_inv is not finite at omega={omega!r}: {value}"
+        assert math.isfinite(abs(probe.chi_inv(1e3)))
+
+
 def test_sql_examples():
     assert sql(OSC.chi_inv(1.0)) == 0.2
     assert_allclose(sql(OSC.chi_inv(2.0)), math.sqrt(9.16), rtol=1e-15)
