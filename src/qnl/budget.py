@@ -117,8 +117,6 @@ class SweepConfig:
     s_ff_sweep: SffSweepSpec | None
     omega: float | None
     allow_sigma: bool
-    output_format: str | None
-    output_path: str | None
     config_hash: str
 
 
@@ -264,7 +262,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         raise ConfigError(f"{name}: top level must be an object")
 
     _known_only(raw, ("probe", "back_action", "thermal", "hbar", "k_boltzmann", "mode", "frequency",
-                      "s_ff", "omega", "allow_sigma", "sigma_zero", "output"), name)
+                      "s_ff", "omega", "allow_sigma", "sigma_zero"), name)
 
     mode = _expect(raw, "mode", str, name, required=True)
     if mode not in MODES:
@@ -311,17 +309,6 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         if not (math.isfinite(s_ff) and s_ff > 0):
             raise ConfigError(f"{name}.s_ff: must be positive and finite, got {s_ff!r}")
 
-    output_format = None
-    output_path = None
-    out = raw.get("output")
-    if out is not None:
-        if not isinstance(out, dict):
-            raise ConfigError(f"{name}.output: expected an object")
-        _known_only(out, ("format", "path"), f"{name}.output")
-        output_format = _expect(out, "format", str, f"{name}.output", None)
-        if output_format is not None and output_format not in ("csv", "json"):
-            raise ConfigError(f"{name}.output.format: must be csv or json, got {output_format!r}")
-        output_path = _expect(out, "path", str, f"{name}.output", None)
     allow_sigma = _expect(raw, "allow_sigma", bool, name, True)
     sigma_zero = _expect(raw, "sigma_zero", bool, name, False)
 
@@ -336,8 +323,6 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         s_ff_sweep=s_ff_sweep,
         omega=omega,
         allow_sigma=allow_sigma and not sigma_zero,
-        output_format=output_format,
-        output_path=output_path,
         config_hash=config_hash(raw),
     )
 
@@ -369,7 +354,7 @@ def _sweep_table(cls, cfg: SweepConfig, arrays: list, bad, point):
     dql = arrays[cls.COLUMNS.index(cls._REGIME)]
     changes = np.flatnonzero(dql[1:] != dql[:-1]) + 1  # the transitions
     meta = TableMeta(cls._KIND, __version__, cfg.config_hash, tuple(arrays[0][changes].tolist()))
-    return cls._of(arrays, meta)
+    return cls(arrays, meta)
 
 
 def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:

@@ -36,8 +36,8 @@ def _add_common(parser: argparse.ArgumentParser, output: bool) -> None:
     if output:
         parser.add_argument("--output", metavar="PATH",
                             help="write the table here instead of stdout")
-        parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
-                            help="output format (default: config setting or csv)")
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
+                            help="output format (default: csv)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,13 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(table, args, cfg) -> None:
+def _emit(table, args) -> None:
     """Write the table block by block, the bytes of its to_csv()/to_json()."""
-    fmt = args.fmt or cfg.output_format or "csv"
-    blocks = _emit_json(table) if fmt == "json" else _emit_csv(table)
-    path = args.output or cfg.output_path
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    blocks = _emit_json(table) if args.fmt == "json" else _emit_csv(table)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
@@ -79,9 +77,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "budget":
-            _emit(run_budget(cfg, jobs=args.jobs), args, cfg)
+            _emit(run_budget(cfg, jobs=args.jobs), args)
         elif args.command == "spin-figure":
-            _emit(run_spin_figure(cfg, jobs=args.jobs), args, cfg)
+            _emit(run_spin_figure(cfg, jobs=args.jobs), args)
         else:
             report = verify(cfg, seed=args.seed, samples=args.samples,
                             golden_path=args.golden, jobs=args.jobs)

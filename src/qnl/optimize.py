@@ -266,8 +266,8 @@ def optimize_fixed_backaction(
 
     if d.imag == 0.0:
         s_sum = qcrb_lossless(d, kv, s, hbar)
-        triad = _subopt_triad(d, kv, s, 0.0, hbar)
         _check_sum(s_sum, d, kv, s)
+        triad = _subopt_triad(d, kv, s, 0.0, hbar)
         return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0, not allow_sigma)
 
     dql_val = hbar * abs(d.imag)
@@ -280,8 +280,8 @@ def optimize_fixed_backaction(
         return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig, False)
 
     s_sum = _s_ub(d, kv, s, thr, hbar)
+    _check_sum(s_sum, d, kv, s)  # before the triad, which an overflow makes NaN too
     triad = _subopt_triad(d, kv, s, 0.0, hbar)
-    _check_sum(s_sum, d, kv, s)
     regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
     return OptimumReport(s_sum, regime, thr, triad, 0.0, not allow_sigma)
 

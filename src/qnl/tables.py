@@ -2,9 +2,10 @@
 
 A table stores its columns as numpy arrays (`.arrays`): float64 (no -0.0 in a
 budget table), and the regime as a bool mask, True where the DQL binds, which
-reads and emits as the two Regime values.  Sweeps build the arrays; loaded
-and row-object values are coerced (_coerced).  `.columns` (lists) and
-`.points` (BudgetPoint/SpinFigurePoint rows) are built on first read.
+reads and emits as the two Regime values.  Tables come from sweeps, which
+build the arrays, or from load_table, which coerces the loaded values
+(_coerced).  `.points` (BudgetPoint/SpinFigurePoint rows) is built on first
+read; rows() gives the same values as lists.
 
 Number formatting is the shortest round-trip decimal (Python float repr),
 column order is fixed, and emit(parse(text)) == text byte for byte.
@@ -20,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -179,87 +179,75 @@ def _parse_csv(cls, text: str):
     try:
         if any(len(parts) != len(columns) for parts in rows):
             raise ValueError
-        return cls._of(cls._coerced(list(zip(*rows)) or [()] * len(columns)), meta)  # float() raises
+        return cls(cls._coerced(list(zip(*rows)) or [()] * len(columns)), meta)  # float() raises
     except ValueError:  # malformed: read row by row, for the first offending line
-        for idx, line in ((i, line) for i, line in enumerate(lines[5:], start=6) if line):
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise ConfigError(f"line {idx}: expected {len(columns)} fields, got {len(parts)}")
-            try:
-                cls._coerced([[p] for p in parts])
-            except ValueError as exc:
-                raise ConfigError(f"line {idx}: {exc}") from None
+        _raise_first_bad_row(cls, ((f"line {i}", _fields(line, len(columns)))
+                                   for i, line in enumerate(lines[5:], start=6) if line))
         raise
 
 
-def _decode_json(text: str) -> dict:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"expected a JSON object, got {type(payload).__name__}")
-    return payload
+def _fields(line: str, width: int):
+    """The fields of a CSV row, after a ValueError if there are not width of them."""
+    parts = line.split(",")
+    if len(parts) != width:
+        raise ValueError(f"expected {width} fields, got {len(parts)}")
+    yield from parts
+
+
+def _raise_first_bad_row(cls, rows) -> None:
+    """The malformed-table scan of both loaders: rows are (label, fields) pairs in
+    row order; raise a ConfigError with the label for the first row that cls
+    cannot coerce.  Fields are read one at a time, so a row's first fault wins."""
+    for label, fields in rows:
+        try:
+            cls._coerced([v] for v in fields)
+        except KeyError as exc:
+            raise ConfigError(f"{label}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{label}: {exc}") from None
 
 
 def _parse_json(cls, payload: dict):
-    kind, columns, regime = cls._KIND, cls.COLUMNS, cls._REGIME
-    if payload.get("kind") != kind:
-        raise ConfigError(f"expected a {kind!r} table, got {payload.get('kind')!r}")
+    columns, regime, label = cls.COLUMNS, cls._REGIME, f"malformed {cls._KIND} table"
     if tuple(payload.get("columns", ())) != tuple(columns):
         raise ConfigError(f"unexpected columns {payload.get('columns')!r}")
     try:
         entries = payload["rows"]
         try:
-            table = cls._of(cls._coerced([[entry[c] for entry in entries] if c == regime else
-                                          [math.inf if (v := entry[c]) is None else v
-                                           for entry in entries] for c in columns]), None)
+            arrays = cls._coerced([[entry[c] for entry in entries] if c == regime else
+                                   [math.inf if (v := entry[c]) is None else v
+                                    for entry in entries] for c in columns])
         except (KeyError, TypeError, ValueError):  # malformed: the first bad entry, row by row
-            for entry in entries:
-                for c in columns:
-                    if c == regime:
-                        _dql_mask([entry[c]])
-                    elif (value := entry[c]) is not None:
-                        float(value)
+            _raise_first_bad_row(cls, ((label, (entry[c] if c == regime else
+                                                math.inf if (v := entry[c]) is None else v
+                                                for c in columns)) for entry in entries))
             raise
-        table.meta = TableMeta(kind, str(payload["version"]), str(payload["config_hash"]),
-                               tuple(float(t) for t in payload["transitions"]))
+        meta = TableMeta(cls._KIND, str(payload["version"]), str(payload["config_hash"]),
+                         tuple(float(t) for t in payload["transitions"]))
+    except ConfigError:
+        raise
     except KeyError as exc:
-        raise ConfigError(f"malformed {kind} table: missing field {exc}") from None
+        raise ConfigError(f"{label}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {kind} table: {exc}") from None
-    return table
+        raise ConfigError(f"{label}: {exc}") from None
+    return cls(arrays, meta)
 
 
 class _Table:
-    """Arrays, meta, the list and row views, emit and parsing of both table
-    kinds; each kind names its columns and how its float columns are coerced."""
+    """Arrays, meta, the row views and emit of both table kinds; each kind
+    names its columns and how its float columns are coerced."""
 
-    def __init__(self, points: Iterable, meta: TableMeta):
-        self.points = tuple(points)  # row objects, which coerced their fields
-        self.arrays = tuple(self._coerced([[getattr(p, c) for p in self.points]
-                                           for c in self.COLUMNS]))
+    def __init__(self, arrays, meta: TableMeta | None):
+        self.arrays = tuple(arrays)  # already in the table's form: sweeps' or _coerced's
         self.meta = meta
 
     @classmethod
-    def _of(cls, arrays, meta: TableMeta | None):
-        """The table of these arrays, already in the table's form."""
-        table = object.__new__(cls)
-        table.meta = meta
-        table.arrays = tuple(arrays)
-        return table
-
-    @classmethod
     def _coerced(cls, columns) -> list:
-        """Loaded or row-object columns as the table's arrays, coerced as the row
-        class coerces its fields; ValueError for a value that is not."""
+        """Columns of loaded values as the table's arrays: float64 (a budget
+        table's -0.0 as 0.0) and the dql mask; ValueError for a value that is
+        neither a number nor a Regime value."""
         return [_dql_mask(col) if name == cls._REGIME else cls._floats(col)
                 for name, col in zip(cls.COLUMNS, columns)]
-
-    @cached_property
-    def columns(self) -> tuple:
-        """The columns as lists, built on first read: ~35 ms, 36 MB at 1e5 budget rows."""
-        return tuple(_lists(self.arrays))
 
     @cached_property
     def points(self) -> tuple:
@@ -289,12 +277,6 @@ class _Table:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(<{len(self.arrays[0])} rows>, meta={self.meta!r})"
-
-    from_csv = classmethod(_parse_csv)
-
-    @classmethod
-    def from_json(cls, text: str):
-        return _parse_json(cls, _decode_json(text))
 
 
 class BudgetTable(_Table):
@@ -328,12 +310,17 @@ def load_table(text: str):
     """Load either table kind from CSV or JSON text, sniffing the format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = _decode_json(text)  # decoded once, then dispatched on its kind
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"expected a JSON object, got {type(payload).__name__}")
         for cls in (BudgetTable, SpinFigureTable):
             if payload.get("kind") == cls._KIND:
                 return _parse_json(cls, payload)
         raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
     for cls in (BudgetTable, SpinFigureTable):
         if stripped.startswith(f"# qnl {cls._KIND}"):
-            return cls.from_csv(text)
+            return _parse_csv(cls, text)
     raise ConfigError("unrecognized table format")

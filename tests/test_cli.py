@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qnl
-from qnl import BudgetTable, SpinFigureTable, parse_config, run_budget
+from qnl import SpinFigureTable, load_config, load_table, parse_config, run_budget
 from qnl.cli import main
 from qnl.tables import BLOCK_ROWS
 
@@ -54,36 +54,32 @@ def spin_path(tmp_path):
 
 
 def test_budget_to_stdout(config_path, capsys):
+    # without flags: CSV on stdout
     assert main(["budget", config_path]) == 0
     out = capsys.readouterr().out
-    table = BudgetTable.from_csv(out)
-    assert len(table.points) == 11
+    assert out == run_budget(load_config(config_path)).to_csv()
+    assert len(load_table(out).points) == 11
 
 
 def test_budget_to_file_json(config_path, tmp_path):
     out = tmp_path / "table.json"
     assert main(["budget", config_path, "--output", str(out), "--format", "json"]) == 0
-    table = BudgetTable.from_json(out.read_text(encoding="utf-8"))
-    assert table.points[5].omega == 1.0
+    text = out.read_text(encoding="utf-8")
+    assert text == run_budget(load_config(config_path)).to_json()
+    assert load_table(text).points[5].omega == 1.0
 
 
-def test_config_output_settings_apply_without_flags(tmp_path, capsys):
-    out = tmp_path / "from_config.json"
-    cfg = dict(BASE, output={"format": "json", "path": str(out)})
+def test_config_output_block_is_rejected(tmp_path, capsys):
+    # the flags are the only output switch: the table bytes, and the config
+    # hash, do not depend on where the table is written
+    cfg = dict(BASE, output={"format": "json", "path": str(tmp_path / "from_config.json")})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["budget", str(path)]) == 0
-    assert capsys.readouterr().out == ""
-    table = BudgetTable.from_json(out.read_text(encoding="utf-8"))
-    assert len(table.points) == 11
-
-
-def test_cli_flags_override_config_output(tmp_path, capsys):
-    cfg = dict(BASE, output={"format": "json"})
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["budget", str(path), "--format", "csv"]) == 0
-    assert capsys.readouterr().out.startswith("# qnl budget")
+    assert main(["budget", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {path}.output: unknown field\n"
+    assert not (tmp_path / "from_config.json").exists()
 
 
 def test_budget_jobs_flag_is_deterministic(config_path, capsys):
@@ -96,8 +92,8 @@ def test_budget_jobs_flag_is_deterministic(config_path, capsys):
 def test_spin_figure_subcommand(spin_path, tmp_path):
     out = tmp_path / "fig.csv"
     assert main(["spin-figure", spin_path, "--output", str(out)]) == 0
-    fig = SpinFigureTable.from_csv(out.read_text(encoding="utf-8"))
-    assert len(fig.points) == 21
+    fig = load_table(out.read_text(encoding="utf-8"))
+    assert isinstance(fig, SpinFigureTable) and len(fig.points) == 21
 
 
 def test_verify_subcommand_passes(config_path, capsys):
@@ -268,21 +264,23 @@ def test_a_bath_too_hot_for_the_units_is_an_error_not_a_traceback(tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["budget", "verify"])
-@pytest.mark.parametrize("overrides", [
-    {"hbar": 1e200, "probe": {"type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}},
-    {"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
-     "frequency": {"start": 1e3, "stop": 1e10, "points": 5}},
+@pytest.mark.parametrize("overrides, chi_inv", [
+    ({"hbar": 1e200, "probe": {"type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}},
+     "(7.499999999999999e+149-1e+149j)"),
+    ({"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
+      "frequency": {"start": 1e3, "stop": 1e10, "points": 5}}, "(-9.99999e+305-2e+302j)"),
 ], ids=["dql", "chi_inv"])
-def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides):
+def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides, chi_inv):
     # a column that overflows flags its rows without a numpy warning, and the
-    # first re-run raises; verify runs the same sweep, so it prints the same line
+    # first re-run raises at the sum noise, naming the finite chi_inv whose
+    # |chi_inv + K|^2 overflows; verify runs the same sweep, so it prints the same line
     raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(dict(raw, **overrides)), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", "error: s_xx must be finite and >= 0, got nan\n")
+        1, "", f"error: sum noise is not finite at s_ff=0.1: nan for chi_inv={chi_inv}, K=0j\n")
 
 
 @pytest.mark.parametrize("command, config, overrides, omega", [
@@ -320,3 +318,11 @@ def test_emit_writes_the_library_text_block_by_block(tmp_path, capsys, fmt):
     assert out.read_bytes() == want.encode()
     assert main(["budget", str(path), "--format", fmt]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_benchmark_self_tests_pass():
+    # the benchmark gate reads tables through load_table, .points, to_csv and
+    # to_json, and drives the CLI with --format and --output
+    proc = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "selftest.py")],
+                          capture_output=True, text=True, env=_child_env(), cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
