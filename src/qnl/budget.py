@@ -48,7 +48,13 @@ from .tables import BudgetTable, SpinFigureTable, TableMeta, load_table
 
 log = logging.getLogger("qnl.budget")
 
-MODES = ("fixed_SFF", "fixed_effective", "sweep_SFF_at_fixed_omega")
+# the top-level keys each mode reads besides mode, probe, thermal, hbar and k_boltzmann
+_MODE_KEYS = {
+    "fixed_SFF": ("back_action", "frequency", "s_ff", "allow_sigma", "sigma_zero"),
+    "fixed_effective": ("back_action", "frequency", "s_ff", "allow_sigma", "sigma_zero"),
+    "sweep_SFF_at_fixed_omega": ("omega", "s_ff"),  # K = 0, and it emits both sigma series
+}
+MODES = tuple(_MODE_KEYS)
 MAX_GRID_POINTS = 10**6  # ten times the largest sweep the package is sized for
 
 
@@ -95,7 +101,8 @@ class SffSweepSpec(GridSpec):
 
     def values(self, threshold: float) -> np.ndarray:
         grid = super().values()
-        return grid * threshold if self.units == "threshold" else grid
+        with np.errstate(over="ignore"):  # a budget that overflows is flagged by the sweep
+            return grid * threshold if self.units == "threshold" else grid
 
 
 @dataclass(frozen=True)
@@ -172,38 +179,20 @@ def _tabulated(spec: dict, path: str) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class _ConstantK:
-    """A frequency-independent K, callable, with a ComplexTable's array form."""
+    """A frequency-independent K = re + i*im, callable, with a ComplexTable's array form."""
 
-    value: complex
+    re: float = 0.0
+    im: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise DomainError(f"K must be finite, got {complex(self.re, self.im)!r}")
 
     def __call__(self, omega: float) -> complex:
-        return self.value
+        return complex(self.re, self.im)
 
     def _on_grid(self, omega: np.ndarray) -> tuple:
-        return np.full(omega.shape, self.value.real), np.full(omega.shape, self.value.imag), False
-
-
-def _parse_back_action(spec, path: str, real: bool) -> ComplexTable | _ConstantK:
-    """K(omega) from its spec; with real, its real part Re K (Im K is still validated)."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        spec = {"type": "constant", "re": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object or a number, got {spec!r}")
-    kind = _expect(spec, "type", str, path, required=True)
-    if kind == "constant":
-        _known_only(spec, ("type", "re", "im"), path)
-        k = complex(_expect(spec, "re", float, path, 0.0), _expect(spec, "im", float, path, 0.0))
-        if not (math.isfinite(k.real) and math.isfinite(k.imag)):
-            raise ConfigError(f"{path}: K must be finite, got {k!r}")
-        return _ConstantK(complex(k.real, 0.0) if real else k)
-    if kind == "tabulated":
-        omega, values = _tabulated(spec, path)
-        try:
-            table = ComplexTable(omega, values)
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        return ComplexTable(omega, [v.real for v in values]) if real else table
-    raise ConfigError(f"{path}.type: unknown back-action type {kind!r}")
+        return np.full(omega.shape, self.re), np.full(omega.shape, self.im), False
 
 
 _TYPES = {"float": float, "int": int, "str": str}  # a field's annotation, as _expect checks it
@@ -221,6 +210,8 @@ _PROBES = {"oscillator": DampedOscillator, "free_mass": FreeMass,
            "tabulated": lambda spec, path: TabulatedSusceptibility(*_tabulated(spec, path))}
 _BATHS = {"zero": ZeroTemperature, "uniform": UniformTemperature,
           "effective": lambda s, path: EffectiveTemperature(*_numbers(s, path, "omega", "t_eff"))}
+_BACK_ACTIONS = {"constant": _ConstantK,
+                 "tabulated": lambda spec, path: ComplexTable(*_tabulated(spec, path))}
 
 
 def _parse_model(spec, path: str, kinds: dict, what: str):
@@ -261,19 +252,24 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: top level must be an object")
 
-    _known_only(raw, ("probe", "back_action", "thermal", "hbar", "k_boltzmann", "mode", "frequency",
-                      "s_ff", "omega", "allow_sigma", "sigma_zero"), name)
-
+    common = ("mode", "probe", "thermal", "hbar", "k_boltzmann")
+    _known_only(raw, {*common, *(key for keys in _MODE_KEYS.values() for key in keys)}, name)
     mode = _expect(raw, "mode", str, name, required=True)
     if mode not in MODES:
         raise ConfigError(f"{name}.mode: must be one of {MODES}, got {mode!r}")
-    if mode == "sweep_SFF_at_fixed_omega":  # the spin sweep has K = 0 and both sigma series
-        for key in ("frequency", "back_action", "allow_sigma", "sigma_zero"):
-            if key in raw:
-                raise ConfigError(f"{name}.{key}: not read in mode {mode!r}")
+    for key in raw:
+        if key not in common and key not in _MODE_KEYS[mode]:
+            raise ConfigError(f"{name}.{key}: not read in mode {mode!r}")
+    sweep = mode == "sweep_SFF_at_fixed_omega"
+
     probe = _parse_model(raw.get("probe"), f"{name}.probe", _PROBES, "probe")
-    k_of_omega = _parse_back_action(raw.get("back_action", 0.0), f"{name}.back_action",
-                                    real=mode == "fixed_effective")
+    spec = raw.get("back_action", 0.0)
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        spec = {"type": "constant", "re": spec}  # the bare-number shorthand
+    k_of_omega = _parse_model(spec, f"{name}.back_action", _BACK_ACTIONS, "back-action")
+    if mode == "fixed_effective":  # the gauge kernel is Re K; Im K was validated above
+        k_of_omega = (_ConstantK(k_of_omega.re) if isinstance(k_of_omega, _ConstantK) else
+                      ComplexTable(k_of_omega.omega, [v.real for v in k_of_omega.values]))
     thermal = raw.get("thermal")  # missing or null: T = 0
     thermal = ZeroTemperature() if thermal is None else _parse_model(
         thermal, f"{name}.thermal", _BATHS, "thermal")
@@ -285,29 +281,18 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     except DomainError as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
-    frequency = None
-    if mode != "sweep_SFF_at_fixed_omega":
-        spec = _expect(raw, "frequency", dict, name, required=True)
-        frequency = _parse_fields(GridSpec, spec, f"{name}.frequency")
-
-    s_ff = None
+    frequency = None if sweep else _parse_fields(
+        GridSpec, _expect(raw, "frequency", dict, name, required=True), f"{name}.frequency")
+    key = "omega" if sweep else "s_ff"  # the mode's positive number: its frequency or budget
+    value = _expect(raw, key, float, name, required=True)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name}.{key}: must be positive and finite, got {value!r}")
     s_ff_sweep = None
-    omega = raw.get("omega")
-    if omega is not None:
-        omega = _expect(raw, "omega", float, name)
-        if not (math.isfinite(omega) and omega > 0):
-            raise ConfigError(f"{name}.omega: must be positive and finite, got {omega!r}")
-    if mode == "sweep_SFF_at_fixed_omega":
-        if omega is None:
-            raise ConfigError(f"{name}.omega: required for mode {mode!r}")
+    if sweep:
         spec = raw.get("s_ff")
         if spec is not None and not isinstance(spec, dict):
             raise ConfigError(f"{name}.s_ff: expected an object (range) for mode {mode!r}")
         s_ff_sweep = _parse_fields(SffSweepSpec, spec or {}, f"{name}.s_ff")
-    else:
-        s_ff = _expect(raw, "s_ff", float, name, required=True)
-        if not (math.isfinite(s_ff) and s_ff > 0):
-            raise ConfigError(f"{name}.s_ff: must be positive and finite, got {s_ff!r}")
 
     allow_sigma = _expect(raw, "allow_sigma", bool, name, True)
     sigma_zero = _expect(raw, "sigma_zero", bool, name, False)
@@ -319,9 +304,9 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         constants=constants,
         mode=mode,
         frequency=frequency,
-        s_ff=s_ff,
+        s_ff=None if sweep else value,
         s_ff_sweep=s_ff_sweep,
-        omega=omega,
+        omega=value if sweep else None,
         allow_sigma=allow_sigma and not sigma_zero,
         config_hash=config_hash(raw),
     )

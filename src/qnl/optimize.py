@@ -161,7 +161,7 @@ def _s_ub(d: complex, kv: complex, s_ff: float, thr: float, hbar: float) -> floa
     c2 = (hbar * kv.imag) * (hbar * kv.imag)
     num = dql_val * (thr * thr + s_ff * s_ff - c2)
     den = thr * s_ff + math.sqrt(max((thr * thr - c2) * (s_ff * s_ff - c2), 0.0))
-    return max(num / den, dql_val)
+    return max(num / den if den else math.nan, dql_val)  # den underflows: 0/0, a NaN sum
 
 
 def _check_sum(s_sum: float, d: complex, kv: complex, s_ff: float) -> None:
@@ -258,7 +258,8 @@ def optimize_fixed_backaction(
     d = complex(chi_inv)
     dk = d + kv
     s = _validate_budget(s_ff)
-    if dk == 0:
+    m = abs(dk)
+    if m * m == 0.0:  # also where |chi_inv + K|^2, which thr and sigma_opt build on, underflows
         raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
     c = hbar * abs(kv.imag)
     if s < c:
@@ -274,7 +275,6 @@ def optimize_fixed_backaction(
     thr = threshold_full(d, kv, hbar)
 
     if allow_sigma and s >= thr:
-        m = abs(dk)
         sig = -d.imag * (s - thr) / (m * m) or 0.0  # normalize -0.0 at the boundary
         triad = _subopt_triad(d, kv, s, sig, hbar)
         return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig, False)
@@ -322,7 +322,7 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
         s_xx = (a * a * (g * g) + 4.0 * (dk_re * dk_re) * center * center) / den
         s_xf_re = -dk_re * r / dd2
         s_xf_im = k_im * s_xx - sig
-        bad = ~(np.isfinite(s) & (s > 0.0)) | (m == 0.0) | (s < c) | ~(den > 0.0)
+        bad = ~(np.isfinite(s) & (s > 0.0)) | (m * m == 0.0) | (s < c) | ~(den > 0.0)
         bad |= ~(s_xx >= 0.0) | ~np.isfinite(s_sum + sig + s_xx + s_xf_re + s_xf_im)
         dql = ~lossless & (s_sum <= dql_val)
     names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "dql")

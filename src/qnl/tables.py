@@ -203,13 +203,13 @@ def _raise_first_bad_row(cls, rows) -> None:
             cls._coerced([v] for v in fields)
         except KeyError as exc:
             raise ConfigError(f"{label}: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int beyond a float
             raise ConfigError(f"{label}: {exc}") from None
 
 
 def _parse_json(cls, payload: dict):
     columns, regime, label = cls.COLUMNS, cls._REGIME, f"malformed {cls._KIND} table"
-    if tuple(payload.get("columns", ())) != tuple(columns):
+    if payload.get("columns") != list(columns):
         raise ConfigError(f"unexpected columns {payload.get('columns')!r}")
     try:
         entries = payload["rows"]
@@ -217,7 +217,7 @@ def _parse_json(cls, payload: dict):
             arrays = cls._coerced([[entry[c] for entry in entries] if c == regime else
                                    [math.inf if (v := entry[c]) is None else v
                                     for entry in entries] for c in columns])
-        except (KeyError, TypeError, ValueError):  # malformed: the first bad entry, row by row
+        except (KeyError, TypeError, ValueError, OverflowError):  # the first bad entry, row by row
             _raise_first_bad_row(cls, ((label, (entry[c] if c == regime else
                                                 math.inf if (v := entry[c]) is None else v
                                                 for c in columns)) for entry in entries))
@@ -228,7 +228,7 @@ def _parse_json(cls, payload: dict):
         raise
     except KeyError as exc:
         raise ConfigError(f"{label}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{label}: {exc}") from None
     return cls(arrays, meta)
 

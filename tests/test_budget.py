@@ -158,12 +158,13 @@ class TestConfigParsing:
         ("sigma_zero", True),
     ], ids=["frequency", "back_action", "allow_sigma", "sigma_zero"])
     def test_sweep_mode_rejects_keys_it_does_not_read(self, key, value):
-        # the spin sweep has K = 0 and emits both sigma series; a fixed-mode
-        # omega stays accepted
+        # the spin sweep has K = 0 and emits both sigma series; a fixed mode
+        # reads no omega, so it rejects one too
         with pytest.raises(ConfigError,
                            match=rf"^config\.{key}: not read in mode 'sweep_SFF_at_fixed_omega'$"):
             parse_config(spin_config(**{key: value}))
-        assert parse_config(osc_config(omega=1.0)).omega == 1.0
+        with pytest.raises(ConfigError, match=r"^config\.omega: not read in mode 'fixed_SFF'$"):
+            parse_config(osc_config(omega=1.0))
 
     def test_back_action_shorthand_number(self):
         cfg = parse_config(json.dumps(osc_config(back_action=0.25)))
@@ -516,7 +517,8 @@ class TestRoundTrips:
             load_table("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "not-an-object", "no-rows", "row-missing-column", "unknown-kind"]
+        "case", ["truncated", "not-an-object", "no-rows", "row-missing-column", "unknown-kind",
+                 "columns-number", "columns-null", "huge-transition"]
     )
     def test_malformed_json_table_raises_config_error(self, table, case):
         text = table.to_json()
@@ -530,6 +532,10 @@ class TestRoundTrips:
                 del payload["rows"]
             elif case == "row-missing-column":
                 del payload["rows"][3]["s_thr"]
+            elif case.startswith("columns"):
+                payload["columns"] = 5 if case == "columns-number" else None
+            elif case == "huge-transition":
+                payload["transitions"] = [10**400]
             else:
                 payload["kind"] = "walrus"
             text = json.dumps(payload)
@@ -558,7 +564,8 @@ class TestRoundTrips:
             load_table("\n".join(lines) + "\n")
         assert str(exc.value) == expected
 
-    @pytest.mark.parametrize("case", ["value-then-missing", "missing-then-value", "row-order"])
+    @pytest.mark.parametrize("case", ["value-then-missing", "missing-then-value", "row-order",
+                                      "huge-then-value"])
     def test_malformed_json_reports_the_first_bad_entry(self, table, case):
         payload = json.loads(table.to_json())
         rows = payload["rows"]
@@ -570,10 +577,14 @@ class TestRoundTrips:
             del rows[1]["im_s_xf_opt"]
             rows[2]["omega"] = "abc"
             expected = "missing field 'im_s_xf_opt'"
-        else:
+        elif case == "row-order":
             rows[1]["s_total"] = [1.0]
             rows[2]["omega"] = "abc"
             expected = "float() argument must be a string or a real number, not 'list'"
+        else:  # an integer too large for a float
+            rows[1]["s_total"] = 10**400
+            rows[2]["omega"] = "abc"
+            expected = "int too large to convert to float"
         with pytest.raises(ConfigError) as exc:
             load_table(json.dumps(payload))
         assert str(exc.value) == f"malformed budget table: {expected}"
@@ -768,7 +779,7 @@ class TestVerify:
 
     def test_spin_figure_requires_the_sweep_mode(self):
         with pytest.raises(ConfigError, match="sweep_SFF_at_fixed_omega.*'fixed_SFF'"):
-            run_spin_figure(parse_config(osc_config(omega=1.0)))
+            run_spin_figure(parse_config(osc_config()))
 
     def test_verify_spin_sweep_config(self):
         report = verify(parse_config(spin_config()), seed=1, samples=4)

@@ -174,12 +174,8 @@ def test_grid_point_count_above_the_cap_exits_1(tmp_path, capsys, points):
     assert "config error: " in capsys.readouterr().err
 
 
-def test_spin_figure_needs_a_sweep_mode_config(tmp_path, capsys):
-    # omega alone does not make a fixed-frequency config a spin sweep
-    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
-    path = tmp_path / "fixed_with_omega.json"
-    path.write_text(json.dumps(dict(raw, omega=1.0)), encoding="utf-8")
-    assert main(["spin-figure", str(path)]) == 1
+def test_spin_figure_needs_a_sweep_mode_config(capsys):
+    assert main(["spin-figure", str(CONFIGS / "oscillator_budget.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sweep_SFF_at_fixed_omega" in captured.err and "'fixed_SFF'" in captured.err
@@ -281,6 +277,21 @@ def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"error: sum noise is not finite at s_ff=0.1: nan for chi_inv={chi_inv}, K=0j\n")
+
+
+@pytest.mark.parametrize("command", ["spin-figure", "verify"])
+def test_an_overflowing_spin_budget_prints_one_error_line(tmp_path, command):
+    # 100 times the threshold overflows on the last budgets: they are flagged
+    # without a numpy warning, and the first row that raises is a finite budget
+    # whose optimal triad overflows
+    raw = json.loads((CONFIGS / "spin_figure.json").read_text(encoding="utf-8"))
+    raw.update(hbar=100.0, s_ff=dict(raw["s_ff"], stop=1e308))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: s_xx must be finite and >= 0, got inf\n")
 
 
 @pytest.mark.parametrize("command, config, overrides, omega", [

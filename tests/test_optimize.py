@@ -427,19 +427,25 @@ def test_array_kernel_matches_scalar_optimizer_bit_for_bit(allow_sigma):
 
 def test_array_kernel_marks_every_point_the_scalar_optimizer_rejects():
     d = np.array([complex(0.3, -0.2), complex(0.3, -0.2), complex(-0.1, 0.0), complex(0.3, -0.2),
-                  complex(0.3, -0.2), complex(0.3, -0.2)])
-    k = np.array([complex(0.1, 0.5), complex(-0.3, 0.2), complex(0.2, 0.0), 0j, 0j, 0j])
-    s = np.array([0.1, 0.5, 0.4, 0.0, math.inf, math.nan])
+                  complex(0.3, -0.2), complex(0.3, -0.2), complex(0.0, -1e-320),
+                  complex(0.0, -1e-100)])
+    k = np.array([complex(0.1, 0.5), complex(-0.3, 0.2), complex(0.2, 0.0), 0j, 0j, 0j, 0j, 0j])
+    s = np.array([0.1, 0.5, 0.4, 0.0, math.inf, math.nan, 1.0, 1e-300])
     got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, True, 1.0)
+    errors = []
     for i, bad in enumerate(got["bad"]):
         try:
             optimize_fixed_backaction(d[i], k[i], s[i])
-            raised = False
-        except (DomainError, FdtViolationError):
-            raised = True
-        assert bool(bad) == raised, i
-    # the FDT violation, a vanishing chi_inv + K, and three invalid budgets
-    assert got["bad"].tolist() == [True, True, False, True, True, True]
+            errors.append(None)
+        except (DomainError, FdtViolationError) as exc:
+            errors.append(str(exc))
+        assert bool(bad) == (errors[-1] is not None), i
+    # the FDT violation, a vanishing chi_inv + K, and three invalid budgets;
+    # then an |chi_inv + K|^2 that underflows, and a below-threshold budget
+    # where the optimum's numerator and denominator both underflow
+    assert got["bad"].tolist() == [True, True, False, True, True, True, True, True]
+    assert errors[6] == "chi_inv + K vanishes: chi_inv=-1e-320j, K=0j"
+    assert errors[7] == "sum noise is not finite at s_ff=1e-300: nan for chi_inv=-1e-100j, K=0j"
 
 
 def test_array_kernel_on_scalar_inputs_equals_the_fully_broadcast_call():
