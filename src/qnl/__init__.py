@@ -18,7 +18,6 @@ from .errors import (
     LosslessProbeError,
     QnlError,
     RangeError,
-    SamplerError,
 )
 from .spectra import (
     ComplexTable,

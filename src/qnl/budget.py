@@ -39,6 +39,7 @@ from .spectra import (
     ThermalModel,
     UniformTemperature,
     ZeroTemperature,
+    _finite_at,
     dql,
     fdt_psd,
     sql,
@@ -48,10 +49,10 @@ from .tables import BudgetTable, SpinFigureTable, TableMeta, load_table
 
 log = logging.getLogger("qnl.budget")
 
-# the top-level keys each mode reads besides mode, probe, thermal, hbar and k_boltzmann
-_MODE_KEYS = {
-    "fixed_SFF": ("back_action", "frequency", "s_ff", "allow_sigma", "sigma_zero"),
-    "fixed_effective": ("back_action", "frequency", "s_ff", "allow_sigma", "sigma_zero"),
+_COMMON_KEYS = ("mode", "probe", "thermal", "hbar", "k_boltzmann")  # top-level keys of every mode
+_MODE_KEYS = {  # and those each mode reads besides
+    "fixed_SFF": ("back_action", "frequency", "s_ff", "allow_sigma"),
+    "fixed_effective": ("back_action", "frequency", "s_ff", "allow_sigma"),
     "sweep_SFF_at_fixed_omega": ("omega", "s_ff"),  # K = 0, and it emits both sigma series
 }
 MODES = tuple(_MODE_KEYS)
@@ -67,15 +68,15 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
-            raise ConfigError(f"grid start must be < stop, got {self.start!r}..{self.stop!r}")
+            raise DomainError(f"grid start must be < stop, got {self.start!r}..{self.stop!r}")
+        if self.start <= 0:  # a frequency or a back-action budget
+            raise DomainError(f"grid start must be > 0, got {self.start!r}")
         if self.points < 2:
-            raise ConfigError(f"grid needs at least 2 points, got {self.points}")
+            raise DomainError(f"grid needs at least 2 points, got {self.points}")
         if self.points > MAX_GRID_POINTS:
-            raise ConfigError(f"grid has at most {MAX_GRID_POINTS} points, got {self.points}")
+            raise DomainError(f"grid has at most {MAX_GRID_POINTS} points, got {self.points}")
         if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"grid spacing must be linear or log, got {self.spacing!r}")
-        if self.spacing == "log" and self.start <= 0:
-            raise ConfigError("log spacing requires start > 0")
+            raise DomainError(f"grid spacing must be linear or log, got {self.spacing!r}")
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -97,7 +98,7 @@ class SffSweepSpec(GridSpec):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.units not in ("threshold", "absolute"):
-            raise ConfigError(f"s_ff units must be threshold or absolute, got {self.units!r}")
+            raise DomainError(f"units must be threshold or absolute, got {self.units!r}")
 
     def values(self, threshold: float) -> np.ndarray:
         grid = super().values()
@@ -109,10 +110,10 @@ class SffSweepSpec(GridSpec):
 class SweepConfig:
     """A parsed configuration with its mode's rules applied.  k_of_omega is the K
     that the optimizer sees: Re K under the effective-budget convention.
-    allow_sigma is False when either JSON key allow_sigma or sigma_zero pins
-    sigma.  s_ff_sweep is set exactly in the sweep mode, which requires omega.
-    Sweeps and verify take the models a config describes, read through their
-    array forms; a custom probe, bath or K works with the scalar functions."""
+    s_ff_sweep is set exactly in the sweep mode, which requires omega.  A sweep
+    reads each model through its array form, which only the models a config
+    describes have; verify also calls the scalar chi_inv and K at its sampled
+    points."""
 
     probe: Susceptibility
     k_of_omega: ComplexTable | _ConstantK
@@ -200,10 +201,14 @@ _TYPES = {"float": float, "int": int, "str": str}  # a field's annotation, as _e
 
 def _parse_fields(cls, spec: dict, path: str, known=()):
     """A cls from spec: each field of cls in order, read as its annotated type, those
-    with no default required; spec may also hold the keys in known."""
+    with no default required; spec may also hold the keys in known.  A value cls
+    rejects is a ConfigError on path."""
     _known_only(spec, [*known, *(f.name for f in fields(cls))], path)
-    return cls(**{f.name: _expect(spec, f.name, _TYPES[f.type], path, required=True)
-                  for f in fields(cls) if f.default is MISSING or f.name in spec})
+    try:
+        return cls(**{f.name: _expect(spec, f.name, _TYPES[f.type], path, required=True)
+                      for f in fields(cls) if f.default is MISSING or f.name in spec})
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 _PROBES = {"oscillator": DampedOscillator, "free_mass": FreeMass,
@@ -223,9 +228,9 @@ def _parse_model(spec, path: str, kinds: dict, what: str):
     if kind not in kinds:
         raise ConfigError(f"{path}.type: unknown {what} type {kind!r}")
     make = kinds[kind]
+    if isinstance(make, type):
+        return _parse_fields(make, spec, path, known=("type",))
     try:
-        if isinstance(make, type):
-            return _parse_fields(make, spec, path, known=("type",))
         return make(spec, path)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -252,27 +257,23 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: top level must be an object")
 
-    common = ("mode", "probe", "thermal", "hbar", "k_boltzmann")
-    _known_only(raw, {*common, *(key for keys in _MODE_KEYS.values() for key in keys)}, name)
+    _known_only(raw, {*_COMMON_KEYS, *(key for keys in _MODE_KEYS.values() for key in keys)}, name)
     mode = _expect(raw, "mode", str, name, required=True)
     if mode not in MODES:
         raise ConfigError(f"{name}.mode: must be one of {MODES}, got {mode!r}")
     for key in raw:
-        if key not in common and key not in _MODE_KEYS[mode]:
+        if key not in _COMMON_KEYS and key not in _MODE_KEYS[mode]:
             raise ConfigError(f"{name}.{key}: not read in mode {mode!r}")
     sweep = mode == "sweep_SFF_at_fixed_omega"
 
     probe = _parse_model(raw.get("probe"), f"{name}.probe", _PROBES, "probe")
-    spec = raw.get("back_action", 0.0)
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        spec = {"type": "constant", "re": spec}  # the bare-number shorthand
-    k_of_omega = _parse_model(spec, f"{name}.back_action", _BACK_ACTIONS, "back-action")
+    k_of_omega = _parse_model(raw.get("back_action", {"type": "constant"}), f"{name}.back_action",
+                              _BACK_ACTIONS, "back-action")
     if mode == "fixed_effective":  # the gauge kernel is Re K; Im K was validated above
         k_of_omega = (_ConstantK(k_of_omega.re) if isinstance(k_of_omega, _ConstantK) else
                       ComplexTable(k_of_omega.omega, [v.real for v in k_of_omega.values]))
-    thermal = raw.get("thermal")  # missing or null: T = 0
-    thermal = ZeroTemperature() if thermal is None else _parse_model(
-        thermal, f"{name}.thermal", _BATHS, "thermal")
+    thermal = _parse_model(raw.get("thermal", {"type": "zero"}), f"{name}.thermal", _BATHS,
+                           "thermal")
     try:
         constants = PhysConstants(
             _expect(raw, "hbar", float, name, 1.0),
@@ -287,15 +288,8 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     value = _expect(raw, key, float, name, required=True)
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name}.{key}: must be positive and finite, got {value!r}")
-    s_ff_sweep = None
-    if sweep:
-        spec = raw.get("s_ff")
-        if spec is not None and not isinstance(spec, dict):
-            raise ConfigError(f"{name}.s_ff: expected an object (range) for mode {mode!r}")
-        s_ff_sweep = _parse_fields(SffSweepSpec, spec or {}, f"{name}.s_ff")
-
-    allow_sigma = _expect(raw, "allow_sigma", bool, name, True)
-    sigma_zero = _expect(raw, "sigma_zero", bool, name, False)
+    s_ff_sweep = _parse_fields(SffSweepSpec, _expect(raw, "s_ff", dict, name, {}),
+                               f"{name}.s_ff") if sweep else None
 
     return SweepConfig(
         probe=probe,
@@ -307,7 +301,7 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
         s_ff=None if sweep else value,
         s_ff_sweep=s_ff_sweep,
         omega=value if sweep else None,
-        allow_sigma=allow_sigma and not sigma_zero,
+        allow_sigma=_expect(raw, "allow_sigma", bool, name, True),
         config_hash=config_hash(raw),
     )
 
@@ -321,7 +315,7 @@ def _budget_point(cfg: SweepConfig, omega: float) -> None:
     """The scalar calls of a budget row at omega, in order, for their first error."""
     hbar = cfg.constants.hbar
     d = cfg.probe.chi_inv(omega)
-    kv = complex(cfg.k_of_omega(omega))
+    kv = _finite_at(omega, complex(cfg.k_of_omega(omega)), "K")
     try:
         optimize_fixed_backaction(d, kv, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
     except FdtViolationError as exc:

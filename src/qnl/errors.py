@@ -23,14 +23,11 @@ class FdtViolationError(QnlError, ValueError):
     realize (its own fluctuation-dissipation bound)."""
 
 
-class SamplerError(QnlError, RuntimeError):
-    """The saturating-triad sampler was asked for a triad at the meter FDT floor."""
-
-
 class EmptyFeasibleRegionError(QnlError, RuntimeError):
-    """The oracle's saturation surface is empty.  brute_force_min raises it at exactly
-    the meter FDT floor s_ff = hbar*|Im K|, which its precondition s_ff >= hbar*|Im K|
-    admits: there a denominator of max(S+, S-) is 0 and no S_xx saturates."""
+    """The oracle's saturation surface is empty.  brute_force_min and
+    random_saturating_triad raise it at exactly the meter FDT floor s_ff = hbar*|Im K|,
+    which their precondition s_ff >= hbar*|Im K| admits: there a denominator of
+    max(S+, S-) is 0 and no S_xx saturates."""
 
 
 class ConfigError(QnlError, ValueError):

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyFeasibleRegionError,
-    FdtViolationError,
-    SamplerError,
-)
+from .errors import DomainError, EmptyFeasibleRegionError, FdtViolationError
 from .meter import NoiseTriad
 from .optimize import threshold_full
 
@@ -75,19 +70,22 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     """Smallest S_xx with zero uncertainty slack at the given cross PSD:
     max(S+, S-), S+- = (|S_xF|^2 -+ hbar*Im S_xF + hbar^2/4)/(s_ff -+ hbar*k_im)
     being the zeros of the two one-sided slacks of local_uncertainty_pair.
-    Works element-wise on arrays; a scalar input gives a Python float.  NaN
-    at and below the meter FDT floor s_ff <= hbar*|k_im|.
+    Works element-wise on arrays; a scalar input gives a Python float,
+    computed on floats by the same operations.  NaN at and below the meter
+    FDT floor s_ff <= hbar*|k_im|.
     """
-    re = np.asarray(re_s_xf, dtype=float)
-    im = np.asarray(im_s_xf, dtype=float)
+    scalar = isinstance(re_s_xf, (int, float)) and isinstance(im_s_xf, (int, float))
+    re, im = (float(re_s_xf), float(im_s_xf)) if scalar else (
+        np.asarray(re_s_xf, dtype=float), np.asarray(im_s_xf, dtype=float))
     if s_ff <= hbar * abs(k_im):
-        s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
-    else:
-        m2 = re * re + im * im
-        quarter = hbar * hbar / 4.0
-        plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
-        minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
-        s_xx = np.maximum(plus, minus)
+        return math.nan if scalar else np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
+    m2 = re * re + im * im
+    quarter = hbar * hbar / 4.0
+    plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
+    minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
+    if scalar:  # np.maximum: the larger, or a NaN
+        return plus if plus > minus or plus != plus else minus
+    s_xx = np.maximum(plus, minus)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
 
 
@@ -147,10 +145,10 @@ def _nelder_mead(f, x0: float, y0: float, step: float, xatol: float, fatol: floa
                 fg, fw = f(gx, gy), f(wx, wy)
 
 
-def _checked_budget(s_ff, k_im: float, hbar: float, at_floor) -> float:
+def _checked_budget(s_ff, k_im: float, hbar: float) -> float:
     """s_ff as a float, strictly above the meter FDT floor hbar*|k_im|.
-    Raises FdtViolationError below the floor and at_floor exactly at it,
-    where a denominator of the saturation surface is 0."""
+    Raises FdtViolationError below the floor and EmptyFeasibleRegionError
+    exactly at it, where a denominator of the saturation surface is 0."""
     s_ff = float(s_ff)
     if not (math.isfinite(s_ff) and s_ff > 0):
         raise DomainError(f"s_ff must be positive and finite, got {s_ff!r}")
@@ -158,7 +156,8 @@ def _checked_budget(s_ff, k_im: float, hbar: float, at_floor) -> float:
     if s_ff < floor:
         raise FdtViolationError(f"s_ff={s_ff!r} below the meter FDT floor hbar*|Im K|={floor!r}")
     if s_ff == floor:
-        raise at_floor(f"s_ff={s_ff!r} at the meter FDT floor: no finite S_xx saturates")
+        raise EmptyFeasibleRegionError(
+            f"s_ff={s_ff!r} at the meter FDT floor: no finite S_xx saturates")
     return s_ff
 
 
@@ -190,7 +189,7 @@ def brute_force_min(
     kv = complex(k)
     d = complex(chi_inv)
     dk = d + kv
-    s_ff = _checked_budget(s_ff, kv.imag, hbar, EmptyFeasibleRegionError)
+    s_ff = _checked_budget(s_ff, kv.imag, hbar)
 
     # half-width of the scan box; the threshold enters as a length scale only
     scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
@@ -235,10 +234,10 @@ def random_saturating_triad(
     scales like hbar in every unit system) and S_xx solved from the
     zero-slack condition by saturating_s_xx.  Deterministic per seed.  At
     the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates and the call
-    raises SamplerError.
+    raises EmptyFeasibleRegionError, as brute_force_min does.
     """
     kv = complex(k)
-    s_ff = _checked_budget(s_ff, kv.imag, hbar, SamplerError)
+    s_ff = _checked_budget(s_ff, kv.imag, hbar)
     rng = np.random.default_rng(seed)
     r = 5.0 * hbar * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, 2.0 * math.pi)

@@ -52,11 +52,11 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def _finite_chi_inv(re: float, im: float, omega: float) -> complex:
-    """complex(re, im), or DomainError naming omega where a part overflowed."""
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise DomainError(f"chi_inv is not finite at omega={omega!r}: {complex(re, im)!r}")
-    return complex(re, im)
+def _finite_at(omega: float, value: complex, name: str = "chi_inv") -> complex:
+    """value, or DomainError naming omega where a part of it overflowed."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError(f"{name} is not finite at omega={omega!r}: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ class ComplexTable:
 
 
 class Susceptibility:
-    """Base class for probe models; subclasses implement chi_inv(omega).  Sweeps and
-    verify take the models a config describes, read through their array form
-    _chi_inv_grid; a custom subclass with only chi_inv works with the scalar functions."""
+    """Base class for probe models; subclasses implement chi_inv(omega).  A sweep reads
+    the models a config describes through their array form _chi_inv_grid; the scalar
+    functions take chi_inv as a complex number, whatever model gave it."""
 
     def chi_inv(self, omega: float) -> complex:
         """Inverse response chi_inv(omega) at a single frequency omega > 0."""
@@ -141,11 +141,8 @@ class DampedOscillator(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return _finite_chi_inv(
-            self.mass * (self.omega0 * self.omega0 - omega * omega),
-            -self.mass * self.gamma * omega,
-            omega,
-        )
+        return _finite_at(omega, complex(self.mass * (self.omega0 * self.omega0 - omega * omega),
+                                         -self.mass * self.gamma * omega))
 
     def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
         re = self.mass * (self.omega0 * self.omega0 - omega * omega)
@@ -169,7 +166,8 @@ class FreeMass(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return _finite_chi_inv(-self.mass * (omega * omega), -self.mass * self.gamma * omega, omega)
+        re = -self.mass * (omega * omega)
+        return _finite_at(omega, complex(re, -self.mass * self.gamma * omega))
 
     def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
         return -self.mass * (omega * omega), -self.mass * self.gamma * omega, False
@@ -189,16 +187,16 @@ class TabulatedSusceptibility(Susceptibility):
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
-        return self.table(omega)
+        return _finite_at(omega, self.table(omega))  # a slope between nodes can overflow
 
     def _chi_inv_grid(self, omega: np.ndarray) -> tuple:
         return self.table._on_grid(omega)
 
 
 class ThermalModel:
-    """Base class for bath models; subclasses implement temperature_at(omega).  Sweeps
-    and verify take the models a config describes, read through their array form
-    _temperature_grid; a custom subclass works with the scalar functions."""
+    """Base class for bath models; subclasses implement temperature_at(omega), which
+    fdt_psd calls.  A sweep reads the models a config describes through their array
+    form _temperature_grid."""
 
     def temperature_at(self, omega: float) -> float:
         raise NotImplementedError

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -145,30 +146,68 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="start must be < stop"):
             parse_config(json.dumps(cfg))
 
+    @pytest.mark.parametrize("make, key, spec, start", [
+        (osc_config, "frequency", {"start": -1.0, "stop": 1.5, "points": 11}, -1.0),
+        (osc_config, "frequency", {"start": 0, "stop": 1.5, "points": 11}, 0.0),
+        (osc_config, "frequency", {"start": 0.0, "stop": 1.5, "points": 11, "spacing": "log"}, 0.0),
+        (spin_config, "s_ff", {"start": 0.0, "spacing": "linear"}, 0.0),
+        (spin_config, "s_ff", {"start": -1.0, "units": "absolute"}, -1.0),
+    ], ids=["frequency-negative", "frequency-zero", "frequency-log-zero", "s_ff-zero",
+            "s_ff-negative"])
+    def test_every_grid_starts_above_zero(self, make, key, spec, start):
+        # frequencies and back-action budgets are positive, whatever the spacing
+        with pytest.raises(ConfigError) as exc:
+            parse_config(make(**{key: spec}))
+        assert str(exc.value) == f"config.{key}: grid start must be > 0, got {start!r}"
+
+    def test_readme_schema_names_exactly_the_keys_parse_config_accepts(self):
+        # a top-level key added to or removed from the parser but not the README fails here
+        text = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.search(r"\| field \| meaning \|\n\|---\|---\|\n((?:\|.*\n)+)", text)[1]
+        documented = {key for row in rows.splitlines()
+                      for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        accepted = {*budget._COMMON_KEYS, *(k for keys in budget._MODE_KEYS.values() for k in keys)}
+        assert documented == accepted
+
     def test_sweep_mode_requires_omega(self):
         cfg = spin_config()
         del cfg["omega"]
         with pytest.raises(ConfigError, match=r"config\.omega"):
             parse_config(json.dumps(cfg))
 
-    @pytest.mark.parametrize("key, value", [
-        ("frequency", {"start": 5, "stop": 1, "pionts": 3}),
-        ("back_action", {"type": "constant", "re": 0.5, "im": 0.3}),
-        ("allow_sigma", True),
-        ("sigma_zero", True),
+    @pytest.mark.parametrize("key, value, text", [
+        ("frequency", {"start": 5, "stop": 1, "pionts": 3}, None),
+        ("back_action", {"type": "constant", "re": 0.5, "im": 0.3}, None),
+        ("allow_sigma", True, None),
+        ("sigma_zero", True, "unknown field"),  # no mode reads it
     ], ids=["frequency", "back_action", "allow_sigma", "sigma_zero"])
-    def test_sweep_mode_rejects_keys_it_does_not_read(self, key, value):
+    def test_sweep_mode_rejects_keys_it_does_not_read(self, key, value, text):
         # the spin sweep has K = 0 and emits both sigma series; a fixed mode
         # reads no omega, so it rejects one too
-        with pytest.raises(ConfigError,
-                           match=rf"^config\.{key}: not read in mode 'sweep_SFF_at_fixed_omega'$"):
+        text = text or "not read in mode 'sweep_SFF_at_fixed_omega'"
+        with pytest.raises(ConfigError) as exc:
             parse_config(spin_config(**{key: value}))
+        assert str(exc.value) == f"config.{key}: {text}"
         with pytest.raises(ConfigError, match=r"^config\.omega: not read in mode 'fixed_SFF'$"):
             parse_config(osc_config(omega=1.0))
 
     def test_back_action_shorthand_number(self):
-        cfg = parse_config(json.dumps(osc_config(back_action=0.25)))
-        assert cfg.k_of_omega(1.0) == complex(0.25, 0.0)
+        # K is an object; the bare-number shorthand is gone
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(osc_config(back_action=0.25)))
+        assert str(exc.value) == "config.back_action: expected an object, got 0.25"
+
+    @pytest.mark.parametrize("raw, text", [
+        (osc_config(sigma_zero=True), "config.sigma_zero: unknown field"),
+        (osc_config(thermal=None), "config.thermal: expected an object, got None"),
+        (spin_config(s_ff=None), "config.s_ff: expected dict, got None"),
+    ], ids=["sigma_zero", "thermal-null", "sweep-s_ff-null"])
+    def test_each_setting_has_one_spelling(self, raw, text):
+        # sigma is pinned by allow_sigma alone, and a missing key, never a null,
+        # means the default
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert str(exc.value) == text
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("form", ["number", "re", "im"])
@@ -176,7 +215,9 @@ class TestConfigParsing:
         # json.loads accepts these tokens, so the check sits in the config parser
         spec = '{"type": "constant", "%s": %s}' % (form, value) if form != "number" else value
         text = json.dumps(osc_config(back_action="K")).replace('"K"', spec)
-        with pytest.raises(ConfigError, match=r"config\.back_action: K must be finite"):
+        message = (r"config\.back_action: K must be finite" if form != "number" else
+                   r"config\.back_action: expected an object, got ")
+        with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
     def test_fixed_effective_mode_keeps_only_re_k(self):
@@ -195,22 +236,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="non-finite"):
             parse_config(text.replace('"IM"', "[1e400, 0.2]"))
 
-    @pytest.mark.parametrize("allow, zero", [(True, False), (False, False), (True, True),
-                                             (False, True)])
-    def test_either_sigma_key_pins_sigma(self, allow, zero):
-        cfg = parse_config(osc_config(allow_sigma=allow, sigma_zero=zero))
-        assert cfg.allow_sigma is (allow and not zero)
+    @pytest.mark.parametrize("allow", [True, False, None])
+    def test_allow_sigma_pins_sigma(self, allow):
+        raw = osc_config() if allow is None else osc_config(allow_sigma=allow)
+        assert parse_config(raw).allow_sigma is (allow is not False)
 
-    @pytest.mark.parametrize("key, other", [("allow_sigma", "sigma_zero"),
-                                            ("sigma_zero", "allow_sigma")])
-    def test_both_sigma_keys_are_validated(self, key, other):
-        # also when the other key already pins sigma
-        with pytest.raises(ConfigError, match=rf"config\.{key}"):
-            parse_config(osc_config(**{key: "yes", other: other == "sigma_zero"}))
+    def test_allow_sigma_is_validated(self):
+        with pytest.raises(ConfigError, match=r"config\.allow_sigma"):
+            parse_config(osc_config(allow_sigma="yes"))
 
-    @pytest.mark.parametrize("overrides", [{}, {"s_ff": None}, {"s_ff": {}}],
-                             ids=["missing", "null", "empty"])
-    def test_sweep_s_ff_missing_or_null_means_the_default_range(self, overrides):
+    @pytest.mark.parametrize("overrides", [{}, {"s_ff": {}}], ids=["missing", "empty"])
+    def test_sweep_s_ff_missing_means_the_default_range(self, overrides):
         assert parse_config(spin_config(**overrides)).s_ff_sweep == SffSweepSpec()
 
     @pytest.mark.parametrize("points", [10**6 + 1, 2**63, 10**400], ids=["1e6+1", "2^63", "1e400"])
@@ -244,7 +280,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides, field", [
         ({"hbar": 10**400}, r"config\.hbar"),
         ({"s_ff": 10**400}, r"config\.s_ff"),
-        ({"back_action": 10**400}, r"config\.back_action\.re"),
+        ({"back_action": {"type": "constant", "re": 10**400}}, r"config\.back_action\.re"),
         ({"probe": {"re": ["a", 1.0]}}, r"config\.probe\.re\[0\]"),
         ({"probe": {"re": [None, 1.0]}}, r"config\.probe\.re\[0\]"),
         ({"probe": {"re": [10**400, 1.0]}}, r"config\.probe\.re\[0\]"),
@@ -321,7 +357,7 @@ class TestConfigParsing:
         assert str(exc.value) == f"config.{text}"
 
     @pytest.mark.parametrize("field, spec, kind, digest", [
-        ("thermal", None, "ZeroTemperature", "caa49b56c0fd"),
+        ("thermal", None, "ZeroTemperature", "609250a9e910"),  # None: no thermal key
         ("thermal", {"type": "zero"}, "ZeroTemperature", "fb8e41a9893b"),
         ("thermal", {"type": "uniform", "temperature": 0}, "UniformTemperature", "f9a6dc6445c5"),
         ("thermal", {"type": "effective", "omega": [0.4, 1.6], "t_eff": [0.1, 0.2]},
@@ -333,14 +369,13 @@ class TestConfigParsing:
          "TabulatedSusceptibility", "a3457205b5d7"),
     ])
     def test_accepted_models_and_their_config_hashes(self, field, spec, kind, digest):
-        # thermal null, like a missing thermal, is the T = 0 bath
+        # a missing thermal is the T = 0 bath
         raw = osc_config(**{field: spec})
+        if spec is None:
+            del raw[field]
         cfg = parse_config(raw)
         assert type(getattr(cfg, field)).__name__ == kind
         assert cfg.config_hash[:12] == digest
-        if spec is None:
-            del raw[field]
-            assert type(parse_config(raw).thermal).__name__ == kind
 
 
 class TestRunBudget:
@@ -434,7 +469,7 @@ class TestRunBudget:
         assert row.s_thr == threshold_eff(d, 0.4)
 
     def test_sigma_zero_flag_never_beats_the_free_optimum(self):
-        cfg = parse_config(osc_config(mode="fixed_effective", sigma_zero=True))
+        cfg = parse_config(osc_config(mode="fixed_effective", allow_sigma=False))
         table = run_budget(cfg)
         assert table.points[50].s_sum_opt == 0.2  # resonance sits at the threshold
         constrained = [p.s_sum_opt for p in table.points]
@@ -442,9 +477,11 @@ class TestRunBudget:
         assert all(c >= f * (1.0 - 1e-12) for c, f in zip(constrained, free))
 
     def test_allow_sigma_false_equivalent_to_sigma_zero(self):
-        a = run_budget(parse_config(osc_config(allow_sigma=False)))
-        b = run_budget(parse_config(osc_config(sigma_zero=True)))
-        assert [p.s_sum_opt for p in a.points] == [p.s_sum_opt for p in b.points]
+        cfg = parse_config(osc_config(allow_sigma=False))
+        table = run_budget(cfg)
+        want = [optimize_fixed_backaction(cfg.probe.chi_inv(w), 0j, 0.1, allow_sigma=False).s_sum
+                for w in cfg.frequency.values().tolist()]
+        assert [p.s_sum_opt for p in table.points] == want
 
     def test_lossless_probe_reports_infinite_threshold(self):
         cfg = parse_config(osc_config(probe={"type": "free_mass", "mass": 1.0, "gamma": 0.0}))
@@ -961,7 +998,7 @@ PINNED_CONFIGS = {
         back_action={"type": "constant", "re": 0.1, "im": 0.05},
         thermal={"type": "uniform", "temperature": 0.5})),
     "sigma_zero": lambda: parse_config(osc_config(
-        sigma_zero=True, s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05})),
+        allow_sigma=False, s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05})),
     "complex_k": lambda: parse_config(osc_config(
         s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05},
         thermal={"type": "uniform", "temperature": 0.5},
@@ -1015,7 +1052,8 @@ REJECTED_CONFIGS = {  # configs that run_budget rejects, each at a point inside 
         "type": "effective", "omega": [0.5, 1.5], "t_eff": [1.0, 1e300]}),
     "vanishing-chi-inv-plus-k": osc_config(
         probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
-        back_action=-(1.0 - float(np.linspace(0.5, 1.5, 101)[30]) ** 2)),
+        back_action={"type": "constant",
+                     "re": -(1.0 - float(np.linspace(0.5, 1.5, 101)[30]) ** 2)}),
     "overflowing-dql": osc_config(hbar=1e200, probe={
         "type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}),
     "lossless-spin-probe": spin_config(probe={"type": "free_mass", "mass": 1.0}),
@@ -1098,7 +1136,7 @@ class TestArraySweepErrors:
         w = float(np.linspace(0.5, 1.5, 101)[30])
         cfg = parse_config(osc_config(
             probe={"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.0},
-            back_action=-(1.0 - w * w)))
+            back_action={"type": "constant", "re": -(1.0 - w * w)}))
         d = cfg.probe.chi_inv(w)
         with pytest.raises(DomainError) as exc:
             run_budget(cfg)
@@ -1174,7 +1212,8 @@ def edge_table(kind: str):
     if kind == "spin":
         return run_spin_figure(parse_config(spin_config(s_ff={"points": 2 * B + 1})))
     table = run_budget(parse_config(osc_config(
-        thermal={"type": "uniform", "temperature": 0.5}, back_action=0.05,
+        thermal={"type": "uniform", "temperature": 0.5},
+        back_action={"type": "constant", "re": 0.05},
         frequency={"start": 0.5, "stop": 1.5, "points": 2 * B + 1})))
     arrays = [np.array(a) for a in table.arrays]
     arrays[3][[0, B - 1, B, 2 * B]] = math.inf

@@ -11,6 +11,7 @@ import qnl
 from qnl import SpinFigureTable, load_config, load_table, parse_config, run_budget
 from qnl.cli import main
 from qnl.tables import BLOCK_ROWS
+from test_config_mutations import PINNED
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -216,7 +217,7 @@ def test_public_names_are_pinned():
         "DampedOscillator", "DomainError", "EffectiveTemperature", "EmptyFeasibleRegionError",
         "FdtViolationError", "FreeMass", "GridSpec", "LosslessProbeError", "NoiseTriad",
         "OptimumReport", "OracleConfig", "OracleResult", "PhaseTransitionProbe", "PhysConstants",
-        "QnlError", "RangeError", "Regime", "SamplerError", "SffSweepSpec", "SpinFigurePoint",
+        "QnlError", "RangeError", "Regime", "SffSweepSpec", "SpinFigurePoint",
         "SpinFigureTable", "SpinMeterParams", "Susceptibility", "SweepConfig", "TableMeta",
         "TabulatedSusceptibility", "ThermalModel", "UniformTemperature", "VerificationReport",
         "ZeroTemperature", "brute_force_min", "commutator_check", "dql", "fdt_psd",
@@ -283,7 +284,7 @@ def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides
 def test_an_overflowing_spin_budget_prints_one_error_line(tmp_path, command):
     # 100 times the threshold overflows on the last budgets: they are flagged
     # without a numpy warning, and the first row that raises is a finite budget
-    # whose optimal triad overflows
+    # whose optimal triad overflows, named with its budget, chi_inv and K
     raw = json.loads((CONFIGS / "spin_figure.json").read_text(encoding="utf-8"))
     raw.update(hbar=100.0, s_ff=dict(raw["s_ff"], stop=1e308))
     path = tmp_path / "overflow.json"
@@ -291,7 +292,20 @@ def test_an_overflowing_spin_budget_prints_one_error_line(tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", "error: s_xx must be finite and >= 0, got inf\n")
+        1, "", "error: optimal triad is not finite at s_ff=1.0000000000000002e+154: s_xx=inf, "
+        "s_xf=(-0+nanj) for chi_inv=-0.2j, K=0j\n")
+
+
+@pytest.mark.parametrize("name", ["tabulated-chi-inv", "tabulated-k"])
+def test_an_overflowing_tabulated_table_prints_one_error_line_naming_omega(tmp_path, name):
+    # the interpolant's slope between two nodes overflows: the probe raises as
+    # an analytic one does, and K names itself
+    raw, text = PINNED[name]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", "budget", str(path)],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {text}\n")
 
 
 @pytest.mark.parametrize("command, config, overrides, omega", [

@@ -85,15 +85,29 @@ def _overrides(name: str, **changes) -> dict:
     return raw
 
 
-# a |chi_inv|^2 that underflows, a budget sweep whose optimum is 0/0, and a
-# threshold scaling that overflows
+def _tabulated_overflow(field: str, part: str, i: int, value: float) -> dict:
+    """oscillator_budget.json with tabulated_config()'s field table, part[i] set to value."""
+    raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+    raw[field] = tabulated_config()[field]
+    raw[field][part][i] = value
+    return raw
+
+
+# a |chi_inv|^2 that underflows, a budget sweep whose optimum is 0/0, a
+# threshold scaling that overflows, and tabulated chi_inv and K whose
+# interpolants overflow between two nodes
 PINNED = {
     "tiny-mass": (_overrides("si_oscillator.json", probe={"mass": 1e-320}),
                   "chi_inv + K vanishes: chi_inv=(1.998977745498e-311-9.98988878316e-313j), K=0j"),
     "tiny-hbar": (_overrides("spin_figure.json", hbar=1e-320),
                   "sum noise is not finite at s_ff=1e-323: nan for chi_inv=-0.2j, K=0j"),
     "huge-budget": (_overrides("spin_figure.json", hbar=100.0, s_ff={"stop": 1e308}),
-                    "s_xx must be finite and >= 0, got inf"),
+                    "optimal triad is not finite at s_ff=1.0000000000000002e+154: s_xx=inf, "
+                    "s_xf=(-0+nanj) for chi_inv=-0.2j, K=0j"),
+    "tabulated-chi-inv": (_tabulated_overflow("probe", "im", 5, 1e308),
+                          "chi_inv is not finite at omega=0.81: (0.34299999999999986+infj)"),
+    "tabulated-k": (_tabulated_overflow("back_action", "re", 5, 1e308),
+                    "K is not finite at omega=0.81: (inf+0.0162j)"),
 }
 
 

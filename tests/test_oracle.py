@@ -13,7 +13,6 @@ from qnl import (
     FdtViolationError,
     NoiseTriad,
     OracleConfig,
-    SamplerError,
     brute_force_min,
     local_uncertainty_pair,
     optimize_fixed_backaction,
@@ -224,8 +223,10 @@ class TestSaturatingSampler:
     def test_raises_exactly_at_the_fdt_floor(self):
         for k, hbar in ((complex(0.3, -0.2), 1.0), (complex(0.0, 0.5), 0.7), (1e-3j, 1.054e-34)):
             floor = hbar * abs(k.imag)
-            with pytest.raises(SamplerError):
+            with pytest.raises(EmptyFeasibleRegionError) as exc:
                 random_saturating_triad(k, floor, seed=3, hbar=hbar)
+            assert str(exc.value) == (f"s_ff={floor!r} at the meter FDT floor: "
+                                      "no finite S_xx saturates")
             triad = random_saturating_triad(k, math.nextafter(floor, math.inf), seed=3, hbar=hbar)
             assert math.isfinite(triad.s_xx)
 
