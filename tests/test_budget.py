@@ -198,16 +198,22 @@ class TestConfigParsing:
         assert str(exc.value) == "config.back_action: expected an object, got 0.25"
 
     @pytest.mark.parametrize("raw, text", [
-        (osc_config(sigma_zero=True), "config.sigma_zero: unknown field"),
         (osc_config(thermal=None), "config.thermal: expected an object, got None"),
         (spin_config(s_ff=None), "config.s_ff: expected dict, got None"),
-    ], ids=["sigma_zero", "thermal-null", "sweep-s_ff-null"])
+    ], ids=["thermal-null", "sweep-s_ff-null"])
     def test_each_setting_has_one_spelling(self, raw, text):
-        # sigma is pinned by allow_sigma alone, and a missing key, never a null,
-        # means the default
+        # a missing key, never a null, means the default
         with pytest.raises(ConfigError) as exc:
             parse_config(raw)
         assert str(exc.value) == text
+
+    @pytest.mark.parametrize("allow, zero", [(False, True), (True, True), (False, "yes")])
+    def test_sigma_zero_is_an_unknown_field(self, allow, zero):
+        # sigma is pinned by allow_sigma alone: sigma_zero is rejected by name,
+        # whatever its value and whatever allow_sigma says
+        with pytest.raises(ConfigError) as exc:
+            parse_config(osc_config(allow_sigma=allow, sigma_zero=zero))
+        assert str(exc.value) == "config.sigma_zero: unknown field"
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("form", ["number", "re", "im"])
