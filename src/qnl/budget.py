@@ -158,7 +158,8 @@ def _expect(obj: dict, key: str, types, path: str, default=None, required=False)
             return value
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
     if not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}: expected {getattr(types, '__name__', types)}, got {value!r}")
+        name = "an object" if types is dict else types.__name__  # as _parse_model says it
+        raise ConfigError(f"{path}.{key}: expected {name}, got {value!r}")
     return value
 
 

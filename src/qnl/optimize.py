@@ -194,10 +194,11 @@ def _subopt_triad(d: complex, kv: complex, s_ff: float, sig: float, hbar: float)
         )
     s_xx = (a * a * (g * g) + 4.0 * (dk.real * dk.real) * center * center) / den
     s_xf = complex(-dk.real * r / dd2, kv.imag * s_xx - sig)
-    if not all(map(math.isfinite, (s_xx, s_xf.real, s_xf.imag))):
-        raise DomainError(f"optimal triad is not finite at s_ff={s_ff!r}: s_xx={s_xx!r}, "
-                          f"s_xf={s_xf!r} for chi_inv={d!r}, K={kv!r}")
-    return NoiseTriad(s_xx, s_xf, s_ff)
+    try:
+        return NoiseTriad(s_xx, s_xf, s_ff)
+    except DomainError as exc:  # an overflowed triad: name what it was solved for
+        raise DomainError(
+            f"optimal triad at s_ff={s_ff!r} for chi_inv={d!r}, K={kv!r}: {exc}") from None
 
 
 def optimize_fixed_eff_backaction(

@@ -70,22 +70,19 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     """Smallest S_xx with zero uncertainty slack at the given cross PSD:
     max(S+, S-), S+- = (|S_xF|^2 -+ hbar*Im S_xF + hbar^2/4)/(s_ff -+ hbar*k_im)
     being the zeros of the two one-sided slacks of local_uncertainty_pair.
-    Works element-wise on arrays; a scalar input gives a Python float,
-    computed on floats by the same operations.  NaN at and below the meter
-    FDT floor s_ff <= hbar*|k_im|.
+    Works element-wise on arrays; a scalar input gives a Python float.  NaN
+    at and below the meter FDT floor s_ff <= hbar*|k_im|.
     """
-    scalar = isinstance(re_s_xf, (int, float)) and isinstance(im_s_xf, (int, float))
-    re, im = (float(re_s_xf), float(im_s_xf)) if scalar else (
-        np.asarray(re_s_xf, dtype=float), np.asarray(im_s_xf, dtype=float))
+    re = np.asarray(re_s_xf, dtype=float)
+    im = np.asarray(im_s_xf, dtype=float)
     if s_ff <= hbar * abs(k_im):
-        return math.nan if scalar else np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
-    m2 = re * re + im * im
-    quarter = hbar * hbar / 4.0
-    plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
-    minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
-    if scalar:  # np.maximum: the larger, or a NaN
-        return plus if plus > minus or plus != plus else minus
-    s_xx = np.maximum(plus, minus)
+        s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
+    else:
+        m2 = re * re + im * im
+        quarter = hbar * hbar / 4.0
+        plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
+        minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
+        s_xx = np.maximum(plus, minus)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
 
 

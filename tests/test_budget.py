@@ -199,7 +199,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("raw, text", [
         (osc_config(thermal=None), "config.thermal: expected an object, got None"),
-        (spin_config(s_ff=None), "config.s_ff: expected dict, got None"),
+        (spin_config(s_ff=None), "config.s_ff: expected an object, got None"),
     ], ids=["thermal-null", "sweep-s_ff-null"])
     def test_each_setting_has_one_spelling(self, raw, text):
         # a missing key, never a null, means the default

@@ -292,8 +292,8 @@ def test_an_overflowing_spin_budget_prints_one_error_line(tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", "error: optimal triad is not finite at s_ff=1.0000000000000002e+154: s_xx=inf, "
-        "s_xf=(-0+nanj) for chi_inv=-0.2j, K=0j\n")
+        1, "", "error: optimal triad at s_ff=1.0000000000000002e+154 for chi_inv=-0.2j, K=0j: "
+        "s_xx must be finite and >= 0, got inf\n")
 
 
 @pytest.mark.parametrize("name", ["tabulated-chi-inv", "tabulated-k"])

@@ -102,8 +102,8 @@ PINNED = {
     "tiny-hbar": (_overrides("spin_figure.json", hbar=1e-320),
                   "sum noise is not finite at s_ff=1e-323: nan for chi_inv=-0.2j, K=0j"),
     "huge-budget": (_overrides("spin_figure.json", hbar=100.0, s_ff={"stop": 1e308}),
-                    "optimal triad is not finite at s_ff=1.0000000000000002e+154: s_xx=inf, "
-                    "s_xf=(-0+nanj) for chi_inv=-0.2j, K=0j"),
+                    "optimal triad at s_ff=1.0000000000000002e+154 for chi_inv=-0.2j, K=0j: "
+                    "s_xx must be finite and >= 0, got inf"),
     "tabulated-chi-inv": (_tabulated_overflow("probe", "im", 5, 1e308),
                           "chi_inv is not finite at omega=0.81: (0.34299999999999986+infj)"),
     "tabulated-k": (_tabulated_overflow("back_action", "re", 5, 1e308),
