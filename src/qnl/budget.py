@@ -319,8 +319,8 @@ def _budget_point(cfg: SweepConfig, omega: float) -> None:
     kv = _finite_at(omega, complex(cfg.k_of_omega(omega)), "K")
     try:
         optimize_fixed_backaction(d, kv, cfg.s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar)
-    except FdtViolationError as exc:
-        raise FdtViolationError(f"omega={omega!r}: {exc}") from None
+    except (DomainError, FdtViolationError) as exc:
+        raise type(exc)(f"omega={omega!r}: {exc}") from None
     sql(d, hbar=hbar)  # abs(d) raises OverflowError where |chi_inv| exceeds a float
     fdt_psd(d, cfg.thermal, omega, cfg.constants)
 

@@ -2,28 +2,19 @@
 
 This is the independent cross-check for the closed-form optimizers: it
 searches the feasible set {(S_xx, Re S_xF, Im S_xF) : uncertainty slack >= 0}
-directly and shares none of their algebra.  The objective increases with
-S_xx at fixed S_xF, so the optimum lies on the slack = 0 surface, and the
-search runs there only: a coarse grid scan over (Re S_xF, Im S_xF) followed
-by Nelder-Mead refinement.  At each grid node the surface value is no larger
-than that of any feasible triad with the same S_xF.  The |sigma| kink makes
-the slack the smaller of two pieces linear in S_xx, with slopes
-s_ff -+ hbar*Im K; above the meter FDT floor both are positive, and the
-surface is exactly the larger of their zeros, max(S+, S-) (saturating_s_xx).
+directly and shares none of their algebra.  The optimum lies on the slack = 0
+surface, S_xx = max(S+, S-) (saturating_s_xx), and the search evaluates only
+points there, through a float copy of that formula.  The sum noise on it is
+f = max(F+, F-), each F+- a convex isotropic quadratic in S_xF, kinked where
+S+ = S- (sigma = 0): a circle, or the line Im S_xF = 0 at Im K = 0.
 
-The refinement is a small Nelder-Mead on pairs of Python floats, whose
-arithmetic CPython specializes (complex arithmetic allocates an object per
-operation; float pairs made a call 1.3-1.5 times faster, bit for bit).  Its
-about 340 evaluations solve the surface through a float copy of that
-formula.  The analytic threshold enters only as a length scale for the
-search box, which alone sizes the start simplex and the position
-tolerance; the value tolerance is relative to the best value.  The search
-is therefore unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv,
-K -> m*K and s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
-At the exact meter-FDT boundary s_ff = hbar*|Im K| a denominator of
-max(S+, S-) is 0 and the feasible set collapses to a single ray; the
-search loses accuracy within about 2 % of it (errors up to 3e-4;
-brute_force_min gives the measured figures).
+The search minimizes f along the kink, then evaluates f a small step to each
+side.  If neither side is lower, the kink minimum is f's minimum; otherwise
+{f < f_kink} is convex and lies on one side, where f is the larger piece, and
+one Nelder-Mead run on that smooth piece finds it.  Lengths are relative to a
+bound on |S_xF| and the value tolerance to f_kink, so the search is
+unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
+s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
 """
 
 from __future__ import annotations
@@ -35,10 +26,10 @@ import numpy as np
 
 from .errors import DomainError, EmptyFeasibleRegionError, FdtViolationError
 from .meter import NoiseTriad
-from .optimize import threshold_full
 
-COARSE_GRID_POINTS = 33
-S_XF_BOX_SCALE = 50.0 * math.sqrt(2.0)
+COARSE_GRID_POINTS = 65
+GOLDEN_STEPS = 60
+PROBE_STEP = 1e-7
 REFINE_ITERATIONS = 600
 
 
@@ -46,11 +37,10 @@ REFINE_ITERATIONS = 600
 class OracleConfig:
     """Search parameters for brute_force_min.
 
-    The scan has COARSE_GRID_POINTS nodes per S_xF axis over the square
-    |Re S_xF|, |Im S_xF| <= S_XF_BOX_SCALE * (hbar/2) * max(1, thr/s_ff),
-    thr being the analytic threshold.  With refine=False the best scan node
-    is returned as is; otherwise two Nelder-Mead runs of at most
-    REFINE_ITERATIONS iterations each follow.
+    The coarse scan has COARSE_GRID_POINTS nodes along the sigma = 0 kink.
+    With refine=False its best node is returned as is; otherwise
+    GOLDEN_STEPS golden-section steps, probes PROBE_STEP*B across the kink
+    and, where a side is lower, one Nelder-Mead run follow.
     """
 
     refine: bool = True
@@ -59,7 +49,8 @@ class OracleConfig:
 @dataclass(frozen=True)
 class OracleResult:
     """brute_force_min's minimum, the triad that attains it, and the
-    Nelder-Mead iterations summed over both runs (0 with refine=False)."""
+    iterations of its Nelder-Mead run (0 where the kink minimum wins, and
+    with refine=False)."""
 
     s_sum_min: float
     argmin_triad: NoiseTriad
@@ -84,6 +75,21 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
         minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
         s_xx = np.maximum(plus, minus)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
+
+
+def _surface(s_ff: float, k_im: float, hbar: float):
+    """saturating_s_xx on Python floats, op for op; side 0 or 1 gives S+ or S- alone."""
+    quarter, den_plus, den_minus = hbar * hbar / 4.0, s_ff - hbar * k_im, s_ff + hbar * k_im
+
+    def s_xx(re: float, im: float, side=None) -> float:
+        m2, h_im = re * re + im * im, hbar * im
+        plus = (m2 - h_im + quarter) / den_plus
+        minus = (m2 + h_im + quarter) / den_minus
+        if side is None:
+            return plus if plus > minus else minus
+        return minus if side else plus
+
+    return s_xx
 
 
 def _nelder_mead(f, x0: float, y0: float, step: float, xatol: float, fatol: float, maxiter: int):
@@ -167,58 +173,77 @@ def brute_force_min(
 ) -> OracleResult:
     """Minimize the sum noise over all physical triads at fixed s_ff.
 
-    Start simplex and tolerances are relative to the search box and the best
-    value, so the result is unit-covariant.  Every evaluated point is
-    feasible, so the result never undercuts the true minimum beyond
-    roundoff.  Over 900 random instances (|Re chi_inv|, |Re K| <= 2,
-    0.05 <= |Im chi_inv| <= 2, |Im K| <= 1, s_ff within 1.5 decades of the
-    threshold) the default configuration has median relative error 1.1e-14
-    against the closed form and undercuts it by at most 2.6e-11.  It is
-    worst near the meter FDT floor: 13 instances err by more than 1e-5, all
-    with hbar*|Im K|/s_ff >= 0.984, the largest by 2.7e-4.  Where
-    hbar*|Im K|/s_ff < 0.98 the largest error is 5e-8, and below 0.9 it is
-    4e-10.  Exactly at the floor, s_ff = hbar*|Im K|, which the precondition
-    s_ff >= hbar*|Im K| admits, no S_xx saturates and the call raises
-    EmptyFeasibleRegionError before the scan.  A call takes 0.25-0.45 ms on
-    a 2-core VM, about 0.03 ms of it in the scan.
+    Every point no worse than the kink point at Re S_xF = 0 has |S_xF| <= B,
+    by f >= a*(|S_xF| - hbar/2)^2 - 2|chi_inv + K|*|S_xF| + s_ff with
+    a = |chi_inv + K|^2/(s_ff + hbar*|Im K|).  The kink is scanned in angle
+    where its radius is at most 2B, else along its branch nearest the origin
+    over |Re S_xF| <= B.  Over the tests' seeded 900-draw set the error
+    against the closed form is at most 2.6e-11, the roundoff of the sum
+    noise, and 2.9e-11 on 600 draws within 10 % of the meter FDT floor; a
+    call makes about 165 evaluations, 0.2-0.3 ms on a 2-core VM.  Exactly
+    at the floor, s_ff = hbar*|Im K|, the call raises EmptyFeasibleRegionError.
     """
     cfg = cfg or OracleConfig()
-    kv = complex(k)
-    d = complex(chi_inv)
-    dk = d + kv
-    s_ff = _checked_budget(s_ff, kv.imag, hbar)
+    d, kv = complex(chi_inv), complex(k)
+    dk, k_im = d + kv, kv.imag
+    s_ff = _checked_budget(s_ff, k_im, hbar)
+    dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
+    if dk2 == 0.0:
+        raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
+    s_xx = _surface(s_ff, k_im, hbar)
 
-    # half-width of the scan box; the threshold enters as a length scale only
-    scale = max(1.0, threshold_full(d, kv, hbar) / s_ff) if d.imag != 0.0 else 1.0
-    s_xf_max = S_XF_BOX_SCALE * (0.5 * hbar) * scale
-    axis = np.linspace(-s_xf_max, s_xf_max, COARSE_GRID_POINTS)
-    dk2, dk_re, dk_im, k_im = abs(dk) ** 2, dk.real, dk.imag, kv.imag
-    re_g, im_g = axis[:, None], axis[None, :]
-    values = dk2 * saturating_s_xx(re_g, im_g, s_ff, k_im, hbar)
-    values = values + (2.0 * (dk_re * re_g - dk_im * im_g) + s_ff)
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+    def f(re: float, im: float, side=None) -> float:  # on the surface, or on one piece
+        return dk2 * s_xx(re, im, side) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
 
-    quarter, den_plus, den_minus = hbar * hbar / 4.0, s_ff - hbar * k_im, s_ff + hbar * k_im
+    # the sigma = 0 kink S+ = S-: Im K*(|S_xF|^2 + hbar^2/4) = s_ff*Im S_xF
+    quarter, c = hbar * hbar / 4.0, hbar * abs(k_im)
+    rho = math.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
 
-    def f(re: float, im: float) -> float:  # on the surface, saturating_s_xx op for op
-        m2, h_im = re * re + im * im, hbar * im
-        plus = (m2 - h_im + quarter) / den_plus
-        minus = (m2 + h_im + quarter) / den_minus
-        s_xx = plus if plus > minus else minus
-        return dk2 * s_xx + (2.0 * (dk_re * re - dk_im * im) + s_ff)
+    def on_branch(t: float) -> tuple:  # the branch nearest the origin, at Re S_xF = t
+        u = 2.0 * k_im * t / s_ff
+        return t, 2.0 * k_im * (t * t + quarter) / (s_ff + s_ff * math.sqrt(rho * rho - u * u))
 
-    bx, by = float(axis[i]), float(axis[j])
-    best_val = f(bx, by)
-    iterations = 0
+    a, m = dk2 / (s_ff + c), math.sqrt(dk2)
+    bound = 0.5 * hbar + (m + math.sqrt(max(
+        dk2 + hbar * a * m + a * (f(*on_branch(0.0)) - s_ff), 0.0))) / a
+    if s_ff * rho <= 4.0 * abs(k_im) * bound:  # radius <= 2B: in angle around the circle
+        radius, center, lo = s_ff * rho / (2.0 * abs(k_im)), s_ff / (2.0 * k_im), -math.pi
+
+        def kink(t: float) -> tuple:
+            return radius * math.cos(t), center + radius * math.sin(t)
+    else:
+        kink, lo = on_branch, -bound
+    h = -2.0 * lo / (COARSE_GRID_POINTS - 1)
+    best_val, t, iterations = math.inf, lo, 0
+    for i in range(COARSE_GRID_POINTS):
+        val = f(*kink(lo + h * i))
+        if val < best_val:
+            best_val, t = val, lo + h * i
     if cfg.refine:
-        step, xatol, fatol = 0.1 * s_xf_max, 1e-9 * s_xf_max, 1e-12 * abs(best_val)
-        for _ in range(2):  # restart once; cheap and robust against the |sigma| kink
-            x, y, val, nit = _nelder_mead(f, bx, by, step, xatol, fatol, REFINE_ITERATIONS)
-            iterations += nit
-            if val <= best_val:
-                best_val, bx, by = val, x, y
+        lo, hi = t - h, t + h
+        tc = lo + 0.5 * (math.sqrt(5.0) - 1.0) * (hi - lo)
+        fc = f(*kink(tc))
+        for _ in range(GOLDEN_STEPS):  # golden section: mirror the inner point, keep the lower
+            tu = lo + hi - tc
+            (p, fp), (q, fq) = sorted(((tc, fc), (tu, f(*kink(tu)))))
+            lo, hi, tc, fc = (lo, q, p, fp) if fp < fq else (p, hi, q, fq)
+        if fc < best_val:  # else the scan node, which may be exactly the argmin
+            best_val, t = fc, tc
+    bx, by = kink(t)
+    if cfg.refine:
+        nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
+        step = PROBE_STEP * bound / math.hypot(nx, ny)
+        val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
+                          for s in (step, -step))
+        if val < best_val:  # {f < best_val} lies on that side, where one piece is f
+            side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
+            x, y, _, iterations = _nelder_mead(
+                lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
+                1e-12 * abs(best_val), REFINE_ITERATIONS)
+            fxy = f(x, y)
+            best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
 
-    triad = NoiseTriad(saturating_s_xx(bx, by, s_ff, k_im, hbar), complex(bx, by), s_ff)
+    triad = NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff)
     return OracleResult(best_val, triad, iterations)
 
 
@@ -229,9 +254,9 @@ def random_saturating_triad(
 
     (Re S_xF, Im S_xF) is drawn uniformly in the disc of radius 5*hbar (S_xF
     scales like hbar in every unit system) and S_xx solved from the
-    zero-slack condition by saturating_s_xx.  Deterministic per seed.  At
-    the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates and the call
-    raises EmptyFeasibleRegionError, as brute_force_min does.
+    zero-slack condition by the oracle's float saturating_s_xx.  Deterministic
+    per seed.  At the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates
+    and the call raises EmptyFeasibleRegionError, as brute_force_min does.
     """
     kv = complex(k)
     s_ff = _checked_budget(s_ff, kv.imag, hbar)
@@ -239,4 +264,4 @@ def random_saturating_triad(
     r = 5.0 * hbar * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, 2.0 * math.pi)
     re, im = r * math.cos(phi), r * math.sin(phi)
-    return NoiseTriad(saturating_s_xx(re, im, s_ff, kv.imag, hbar), complex(re, im), s_ff)
+    return NoiseTriad(_surface(s_ff, kv.imag, hbar)(re, im), complex(re, im), s_ff)

@@ -6,9 +6,10 @@ Recomputes the outputs of tests/data/oracle_pins.json (each brute_force_min
 call from its stored chi_inv, k, s_ff, hbar and refine), of
 tests/data/verify_reports.json (each config's verify report at seed 1) and of
 tests/data/table_digests.json (the sha256 of each table's CSV and JSON text),
-and prints every entry that moved.  Without --check it rewrites the three
-files; with --check it writes nothing and exits 1 if any entry moved.  Pytest
-does not collect this file.
+and prints every entry that moved, each moved oracle pin with its relative
+error against the closed form before and after.  Without --check it rewrites
+the three files; with --check it writes nothing and exits 1 if any entry
+moved.  Pytest does not collect this file.
 """
 
 import hashlib
@@ -16,7 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from qnl import OracleConfig, brute_force_min, load_config, parse_config, run_budget, verify
+from qnl import (OracleConfig, brute_force_min, load_config, optimize_fixed_backaction,
+                 parse_config, run_budget, verify)
 
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -30,7 +32,7 @@ def unhex(pair):
 def relative_change(was, now) -> float:
     """|now - was| / |was| for float.hex strings or [re, im] pairs of them."""
     was, now = (unhex(v) if isinstance(v, list) else float.fromhex(v) for v in (was, now))
-    return abs(now - was) / abs(was) if was else float("inf")
+    return abs(now - was) / abs(was) if was else float("inf") if now else 0.0
 
 
 def pin_outputs(case: dict) -> dict:
@@ -54,8 +56,13 @@ def regen_pins(cases: list) -> tuple[list, list]:
         if any(old.get(key) != new[key] for key in OUTPUTS):
             changes = ", ".join(f"{key} {relative_change(old[key], new[key]):.2e}"
                                 for key in ("s_sum_min", "s_xx", "s_xf"))
+            closed = optimize_fixed_backaction(
+                unhex(new["chi_inv"]), unhex(new["k"]), float.fromhex(new["s_ff"]),
+                hbar=float.fromhex(new["hbar"])).s_sum
+            was, now = (abs(float.fromhex(c["s_sum_min"]) - closed) / closed for c in (old, new))
             moved.append(f"{new['label']}: moved by {changes} relative, "
-                         f"iterations {old['iterations']} -> {new['iterations']}")
+                         f"iterations {old['iterations']} -> {new['iterations']}, "
+                         f"error against the closed form {was:.2e} -> {now:.2e}")
     return fresh, moved
 
 

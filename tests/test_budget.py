@@ -1062,6 +1062,7 @@ REJECTED_CONFIGS = {  # configs that run_budget rejects, each at a point inside 
                      "re": -(1.0 - float(np.linspace(0.5, 1.5, 101)[30]) ** 2)}),
     "overflowing-dql": osc_config(hbar=1e200, probe={
         "type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}),
+    "overflowing-triad": osc_config(s_ff=1e300),
     "lossless-spin-probe": spin_config(probe={"type": "free_mass", "mass": 1.0}),
 }
 
@@ -1120,8 +1121,16 @@ class TestArraySweepErrors:
         # warning (warnings are errors here) and the first re-run raises
         with pytest.raises(DomainError) as exc:
             run_budget(parse_config(REJECTED_CONFIGS["overflowing-dql"]))
-        assert str(exc.value) == ("sum noise is not finite at s_ff=0.1: nan "
+        assert str(exc.value) == ("omega=0.5: sum noise is not finite at s_ff=0.1: nan "
                                   "for chi_inv=(7.499999999999999e+149-1e+149j), K=0j")
+
+    def test_an_overflowing_triad_names_omega(self):
+        # a finite optimum whose triad overflows: the optimizer's DomainError,
+        # prefixed with the first frequency, as every fixed-mode optimizer error is
+        with pytest.raises(DomainError) as exc:
+            run_budget(parse_config(REJECTED_CONFIGS["overflowing-triad"]))
+        assert str(exc.value) == ("omega=0.5: optimal triad at s_ff=1e+300 for chi_inv=(0.75-0.1j), "
+                                  "K=0j: s_xx must be finite and >= 0, got nan")
 
     @pytest.mark.parametrize("thermal", [{"type": "zero"}, {"type": "uniform", "temperature": 0.5}])
     def test_constant_k_and_bath_are_not_evaluated_per_point(self, thermal, monkeypatch):
@@ -1146,7 +1155,7 @@ class TestArraySweepErrors:
         d = cfg.probe.chi_inv(w)
         with pytest.raises(DomainError) as exc:
             run_budget(cfg)
-        assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
+        assert str(exc.value) == f"omega={w!r}: chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
 
 
 @pytest.mark.parametrize("name", list(REJECTED_CONFIGS))
@@ -1327,7 +1336,8 @@ def test_scalar_reruns_give_the_array_columns(name, monkeypatch):
 def test_flagged_rows_with_a_nan_sum_noise_raise_at_the_first_omega(monkeypatch):
     # with a mass of 1e-300 the kernel flags all 101 rows, where the sum noise
     # overflows to NaN; the first re-run raises the scalar path's DomainError
-    # naming s_ff, and verify, which runs the same sweep, raises it too
+    # naming s_ff, prefixed with omega, and verify, which runs the same sweep,
+    # raises it too
     raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
     raw["probe"]["mass"] = 1e-300
     cfg = parse_config(dict(raw, back_action={"type": "constant", "re": 0.1, "im": 0.05}))
@@ -1337,7 +1347,7 @@ def test_flagged_rows_with_a_nan_sum_noise_raise_at_the_first_omega(monkeypatch)
     for run in (run_budget, verify):
         with pytest.raises(DomainError) as exc:
             run(cfg)
-        assert str(exc.value) == text
+        assert str(exc.value) == f"omega=0.5: {text}"
     assert reruns == [0.5, 0.5]
     with pytest.raises(DomainError) as exc:
         optimize_fixed_backaction(cfg.probe.chi_inv(0.5), complex(0.1, 0.05), 0.1)

@@ -261,23 +261,25 @@ def test_a_bath_too_hot_for_the_units_is_an_error_not_a_traceback(tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["budget", "verify"])
-@pytest.mark.parametrize("overrides, chi_inv", [
+@pytest.mark.parametrize("overrides, omega, chi_inv", [
     ({"hbar": 1e200, "probe": {"type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}},
-     "(7.499999999999999e+149-1e+149j)"),
+     "omega=0.5", "(7.499999999999999e+149-1e+149j)"),
     ({"probe": {"type": "oscillator", "mass": 1e300, "omega0": 1.0, "gamma": 0.2},
-      "frequency": {"start": 1e3, "stop": 1e10, "points": 5}}, "(-9.99999e+305-2e+302j)"),
+      "frequency": {"start": 1e3, "stop": 1e10, "points": 5}}, "omega=1000.0",
+     "(-9.99999e+305-2e+302j)"),
 ], ids=["dql", "chi_inv"])
-def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides, chi_inv):
+def test_an_overflowing_sweep_prints_one_error_line(tmp_path, command, overrides, omega, chi_inv):
     # a column that overflows flags its rows without a numpy warning, and the
-    # first re-run raises at the sum noise, naming the finite chi_inv whose
-    # |chi_inv + K|^2 overflows; verify runs the same sweep, so it prints the same line
+    # first re-run raises at the sum noise, naming its omega and the finite chi_inv
+    # whose |chi_inv + K|^2 overflows; verify runs the same sweep, so it prints the same line
     raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(dict(raw, **overrides)), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, str(path)],
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", f"error: sum noise is not finite at s_ff=0.1: nan for chi_inv={chi_inv}, K=0j\n")
+        1, "", f"error: {omega}: sum noise is not finite at s_ff=0.1: nan for chi_inv={chi_inv}, "
+        "K=0j\n")
 
 
 @pytest.mark.parametrize("command", ["spin-figure", "verify"])

@@ -98,7 +98,8 @@ def _tabulated_overflow(field: str, part: str, i: int, value: float) -> dict:
 # interpolants overflow between two nodes
 PINNED = {
     "tiny-mass": (_overrides("si_oscillator.json", probe={"mass": 1e-320}),
-                  "chi_inv + K vanishes: chi_inv=(1.998977745498e-311-9.98988878316e-313j), K=0j"),
+                  "omega=999000.0: chi_inv + K vanishes: "
+                  "chi_inv=(1.998977745498e-311-9.98988878316e-313j), K=0j"),
     "tiny-hbar": (_overrides("spin_figure.json", hbar=1e-320),
                   "sum noise is not finite at s_ff=1e-323: nan for chi_inv=-0.2j, K=0j"),
     "huge-budget": (_overrides("spin_figure.json", hbar=100.0, s_ff={"stop": 1e308}),

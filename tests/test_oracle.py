@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qnl import (
+    DomainError,
     EmptyFeasibleRegionError,
     FdtViolationError,
     NoiseTriad,
@@ -19,6 +20,7 @@ from qnl import (
     qcrb_simple,
     random_saturating_triad,
     saturating_s_xx,
+    threshold_full,
     uncertainty_slack,
 )
 from qnl import oracle
@@ -72,7 +74,7 @@ def test_argmin_lies_on_the_saturation_surface():
 
 
 def test_grid_refinement_converges_monotonically(monkeypatch):
-    # nested grids (n, 2n-1, ...) with refinement off: the best feasible
+    # nested kink scans (n, 2n-1, ...) with refinement off: the best feasible
     # value can only improve, and approaches the closed form from above
     d = complex(0.4, -0.3)
     k = complex(0.2, 0.15)
@@ -93,8 +95,9 @@ def test_grid_refinement_converges_monotonically(monkeypatch):
 def test_results_are_pinned_bit_for_bit():
     # 47 calls with every result field stored as float.hex: 33 draws of the
     # seeded 900-draw set (default_rng(12345), decades=1.5), 14 of them with
-    # hbar*|Im K|/s_ff >= 0.98, where shrink steps and the iteration cap
-    # occur; 5 of those scaled to SI (hbar=1.054e-34, chi_inv and K x 1e3);
+    # hbar*|Im K|/s_ff >= 0.98, near the meter FDT floor; 13 calls run
+    # Nelder-Mead on a piece, the others end at the kink minimum; 5 draws
+    # scaled to SI (hbar=1.054e-34, chi_inv and K x 1e3);
     # a lossless probe; one refine=False call; and 7 edge cases whose
     # argmins hold exact zeros (chi_inv=-0.2i with K=0, Re(chi_inv+K)=0 with
     # a real K, a real K, s_ff at the threshold, two of them at hbar=2^+-60,
@@ -116,6 +119,63 @@ def test_results_are_pinned_bit_for_bit():
             "iterations": result.iterations,
         }
         assert got == {key: case[key] for key in got}, case["label"]
+
+
+def seeded_draws(rng, n, im_k=None, min_im=0.05):
+    """n conftest draws (chi_inv, K, s_ff, hbar=1) with decades=1.5; im_k
+    replaces Im K by +-im_k."""
+    for _ in range(n):
+        d, k = draw_lossy_chi_inv(rng, min_im), draw_back_action(rng)
+        if im_k is not None:
+            k = complex(k.real, im_k * rng.choice([-1.0, 1.0]))
+        yield d, k, draw_budget(rng, d, k, decades=1.5), 1.0
+
+
+def accuracy_set(name):
+    """The instances of one accuracy set, as (chi_inv, K, s_ff, hbar)."""
+    rng = np.random.default_rng(12345 if name == "seeded-900" else 48)
+    if name == "seeded-900":
+        return list(seeded_draws(rng, 900))
+    if name == "near-floor":  # s_ff from (1 + 1e-6) to 1.1 times hbar*|Im K|, rescaled
+        cases = []
+        for _ in range(600):
+            hbar, mu = 2.0 ** int(rng.integers(-100, 61)), 2.0 ** int(rng.integers(-20, 21))
+            d, k = mu * draw_lossy_chi_inv(rng), mu * draw_back_action(rng)
+            floor = hbar * abs(k.imag)
+            cases.append((d, k, floor * (1.0 + 10.0 ** rng.uniform(-6.0, -1.0)), hbar))
+        return cases
+    if name == "real-k-nearly-lossless":
+        # Im K = 0 below threshold, 96 of the 100 argmins beyond |S_xF| = 35*hbar*thr/s_ff,
+        # with s_ff/f <= 2e5 so that the sum noise's own roundoff stays within
+        # the undercut bound
+        cases = []
+        for ratio, low, high in ((1e-2, 0.85, 1.0), (1e-3, 0.3, 0.4)):
+            for _ in range(50):
+                re = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                d = complex(re, ratio * abs(re) * rng.choice([-1.0, 1.0]))
+                k = complex(0.1 * abs(re) * rng.uniform(-1.0, 1.0), 0.0)
+                cases.append((d, k, threshold_full(d, k) * rng.uniform(low, high), 1.0))
+        return cases
+    if name == "tiny-im-k":
+        return [c for im_k in (1e-6, 1e-9, 1e-12) for c in seeded_draws(rng, 50, im_k=im_k)]
+    # complex K with s_ff up to 1e4 times the threshold, |S_xF| at the argmin up
+    # to thousands of hbar; |Im chi_inv| >= 0.5 keeps s_ff/f below 1e5
+    return [(d, k, threshold_full(d, k) * 10.0 ** rng.uniform(2.0, 4.0), 1.0)
+            for d, k, _, _ in seeded_draws(rng, 100, min_im=0.5)]
+
+
+@pytest.mark.parametrize("name", ["seeded-900", "near-floor", "real-k-nearly-lossless",
+                                  "tiny-im-k", "huge-budget"])
+def test_accuracy_sets(name):
+    # each set errs by at most 1e-8 against the closed form and undercuts it by
+    # at most 1e-10; the kink-first search resolves the sigma = 0 kink near the
+    # meter FDT floor, at tiny Im K and with the argmin far from the origin
+    worst = undercut = 0.0
+    for d, k, s_ff, hbar in accuracy_set(name):
+        closed = optimize_fixed_backaction(d, k, s_ff, hbar=hbar).s_sum
+        got = brute_force_min(d, k, s_ff, hbar=hbar).s_sum_min
+        worst, undercut = max(worst, rel(got, closed)), max(undercut, (closed - got) / closed)
+    assert worst <= 1e-8 and undercut <= 1e-10, (worst, undercut)
 
 
 def complex_nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
@@ -187,6 +247,16 @@ def test_returns_above_and_raises_exactly_at_the_fdt_floor():
         assert np.isfinite(brute_force_min(d, k, draw_budget(rng, d, k)).s_sum_min)
         with pytest.raises(EmptyFeasibleRegionError):
             brute_force_min(d, k, abs(k.imag))
+
+
+def test_vanishing_chi_inv_plus_k_rejected():
+    # f is the constant s_ff and no search box exists: the oracle raises what
+    # the closed form raises
+    d = complex(0.3, -0.2)
+    for call in (brute_force_min, optimize_fixed_backaction):
+        with pytest.raises(DomainError) as exc:
+            call(d, -d, 1.0)
+        assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
 
 
 def test_fdt_violation_rejected():
@@ -324,7 +394,7 @@ def test_oracle_is_unit_covariant(seed, log_lam, log_mu):
     rng = np.random.default_rng(seed)
     d = draw_lossy_chi_inv(rng)
     k = draw_back_action(rng)
-    s_ff = max(draw_budget(rng, d, k), 1.05 * abs(k.imag))
+    s_ff = max(draw_budget(rng, d, k), 1.001 * abs(k.imag))
     lam, mu = 10.0**log_lam, 10.0**log_mu
     base = brute_force_min(d, k, s_ff).s_sum_min
     got = brute_force_min(mu * d, mu * k, lam * mu * s_ff, hbar=lam).s_sum_min
