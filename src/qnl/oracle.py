@@ -4,16 +4,17 @@ This is the independent cross-check for the closed-form optimizers: it
 searches the feasible set {(S_xx, Re S_xF, Im S_xF) : uncertainty slack >= 0}
 directly and shares none of their algebra.  The optimum lies on the slack = 0
 surface, S_xx = max(S+, S-) (saturating_s_xx), and the search evaluates only
-points there, through a float copy of that formula.  The sum noise on it is
-f = max(F+, F-), each F+- a convex isotropic quadratic in S_xF, kinked where
-S+ = S- (sigma = 0): a circle, or the line Im S_xF = 0 at Im K = 0.
+points there.  The sum noise on it is f = max(F+, F-), each F+- a convex
+isotropic quadratic in S_xF, kinked where S+ = S- (sigma = 0): a circle, or
+the line Im S_xF = 0 at Im K = 0.
 
 The search minimizes f along the kink, then evaluates f a small step to each
 side.  If neither side is lower, the kink minimum is f's minimum; otherwise
 {f < f_kink} is convex and lies on one side, where f is the larger piece, and
-one Nelder-Mead run on that smooth piece finds it.  Lengths are relative to a
-bound on |S_xF| and the value tolerance to f_kink, so the search is
-unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
+one Nelder-Mead run on that smooth piece finds it.  A batch of instances runs
+its kink scans and golden sections in lockstep on numpy arrays.  Lengths are
+relative to a bound on |S_xF| and the value tolerance to f_kink, so the search
+is unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
 s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
 """
 
@@ -69,12 +70,16 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     if s_ff <= hbar * abs(k_im):
         s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
     else:
-        m2 = re * re + im * im
-        quarter = hbar * hbar / 4.0
-        plus = (m2 - hbar * im + quarter) / (s_ff - hbar * k_im)
-        minus = (m2 + hbar * im + quarter) / (s_ff + hbar * k_im)
-        s_xx = np.maximum(plus, minus)
+        s_xx = _s_xx_array(re, im, s_ff - hbar * k_im, s_ff + hbar * k_im, hbar)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
+
+
+def _s_xx_array(re, im, den_plus, den_minus, hbar: float):
+    """max(S+, S-) on arrays, chosen as _surface chooses (NaN and signed zeros included)."""
+    m2, h_im, quarter = re * re + im * im, hbar * im, hbar * hbar / 4.0
+    plus = (m2 - h_im + quarter) / den_plus
+    minus = (m2 + h_im + quarter) / den_minus
+    return np.where(plus > minus, plus, minus)
 
 
 def _surface(s_ff: float, k_im: float, hbar: float):
@@ -179,11 +184,16 @@ def brute_force_min(
     where its radius is at most 2B, else along its branch nearest the origin
     over |Re S_xF| <= B.  Over the tests' seeded 900-draw set the error
     against the closed form is at most 2.6e-11, the roundoff of the sum
-    noise, and 2.9e-11 on 600 draws within 10 % of the meter FDT floor; a
-    call makes about 165 evaluations, 0.2-0.3 ms on a 2-core VM.  Exactly
-    at the floor, s_ff = hbar*|Im K|, the call raises EmptyFeasibleRegionError.
+    noise, and 2.9e-11 on 600 draws within 10 % of the meter FDT floor.  One
+    call, a batch of one, takes about 2.3 ms on a 2-core VM (at most 4.3 ms),
+    mostly numpy's per-call overhead; verify's batch of 151 takes 9-12 ms.
+    Exactly at the floor, s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
     """
-    cfg = cfg or OracleConfig()
+    return _brute_force_batch([(chi_inv, k, s_ff, hbar)], cfg or OracleConfig())[0]
+
+
+def _setup(chi_inv: complex, k: complex, s_ff: float, hbar: float) -> tuple:
+    """One instance up to the kink scan: its finish() and its lockstep row."""
     d, kv = complex(chi_inv), complex(k)
     dk, k_im = d + kv, kv.imag
     s_ff = _checked_budget(s_ff, k_im, hbar)
@@ -198,53 +208,73 @@ def brute_force_min(
     # the sigma = 0 kink S+ = S-: Im K*(|S_xF|^2 + hbar^2/4) = s_ff*Im S_xF
     quarter, c = hbar * hbar / 4.0, hbar * abs(k_im)
     rho = math.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
-
-    def on_branch(t: float) -> tuple:  # the branch nearest the origin, at Re S_xF = t
-        u = 2.0 * k_im * t / s_ff
-        return t, 2.0 * k_im * (t * t + quarter) / (s_ff + s_ff * math.sqrt(rho * rho - u * u))
-
     a, m = dk2 / (s_ff + c), math.sqrt(dk2)
-    bound = 0.5 * hbar + (m + math.sqrt(max(
-        dk2 + hbar * a * m + a * (f(*on_branch(0.0)) - s_ff), 0.0))) / a
-    if s_ff * rho <= 4.0 * abs(k_im) * bound:  # radius <= 2B: in angle around the circle
-        radius, center, lo = s_ff * rho / (2.0 * abs(k_im)), s_ff / (2.0 * k_im), -math.pi
-
-        def kink(t: float) -> tuple:
-            return radius * math.cos(t), center + radius * math.sin(t)
-    else:
-        kink, lo = on_branch, -bound
+    y0 = 2.0 * k_im * quarter / (s_ff + s_ff * math.sqrt(rho * rho))  # on_kink's branch, t = 0
+    bound = 0.5 * hbar + (m + math.sqrt(max(dk2 + hbar * a * m + a * (f(0.0, y0) - s_ff), 0.0))) / a
+    circle = s_ff * rho <= 4.0 * abs(k_im) * bound  # radius <= 2B: in angle around the circle
+    radius, center, lo = ((s_ff * rho / (2.0 * abs(k_im)), s_ff / (2.0 * k_im), -math.pi)
+                          if circle else (math.nan, math.nan, -bound))  # else along the branch
     h = -2.0 * lo / (COARSE_GRID_POINTS - 1)
-    best_val, t, iterations = math.inf, lo, 0
-    for i in range(COARSE_GRID_POINTS):
-        val = f(*kink(lo + h * i))
-        if val < best_val:
-            best_val, t = val, lo + h * i
-    if cfg.refine:
-        lo, hi = t - h, t + h
-        tc = lo + 0.5 * (math.sqrt(5.0) - 1.0) * (hi - lo)
-        fc = f(*kink(tc))
-        for _ in range(GOLDEN_STEPS):  # golden section: mirror the inner point, keep the lower
-            tu = lo + hi - tc
-            (p, fp), (q, fq) = sorted(((tc, fc), (tu, f(*kink(tu)))))
-            lo, hi, tc, fc = (lo, q, p, fp) if fp < fq else (p, hi, q, fq)
-        if fc < best_val:  # else the scan node, which may be exactly the argmin
-            best_val, t = fc, tc
-    bx, by = kink(t)
-    if cfg.refine:
-        nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
-        step = PROBE_STEP * bound / math.hypot(nx, ny)
-        val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
-                          for s in (step, -step))
-        if val < best_val:  # {f < best_val} lies on that side, where one piece is f
-            side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
-            x, y, _, iterations = _nelder_mead(
-                lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
-                1e-12 * abs(best_val), REFINE_ITERATIONS)
-            fxy = f(x, y)
-            best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
 
-    triad = NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff)
-    return OracleResult(best_val, triad, iterations)
+    def finish(best_val: float, bx: float, by: float, refine: bool) -> OracleResult:
+        iterations = 0  # best_val is the kink minimum, at (bx, by)
+        if refine:
+            nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
+            step = PROBE_STEP * bound / math.hypot(nx, ny)
+            val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
+                              for s in (step, -step))
+            if val < best_val:  # {f < best_val} lies on that side, where one piece is f
+                side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
+                x, y, _, iterations = _nelder_mead(
+                    lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
+                    1e-12 * abs(best_val), REFINE_ITERATIONS)
+                fxy = f(x, y)
+                best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
+        return OracleResult(best_val, NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff), iterations)
+
+    return finish, (dk2, dk_re, dk_im, s_ff, 2.0 * k_im, rho * rho, radius, center,
+                    s_ff - hbar * k_im, s_ff + hbar * k_im, hbar, circle, lo, h)
+
+
+def _brute_force_batch(instances, cfg: OracleConfig) -> list:
+    """brute_force_min of each (chi_inv, k, s_ff, hbar), bit for bit: the kink
+    scans and golden sections of all of them run in lockstep on numpy arrays."""
+    if not 0 < len(instances) <= 1024:  # none, or chunks that bound the scan's arrays
+        return [result for j in range(0, len(instances), 1024)
+                for result in _brute_force_batch(instances[j:j + 1024], cfg)]
+    finishers, rows = zip(*(_setup(*instance) for instance in instances))
+    *p, lo, h = np.array(rows, dtype=float).T
+    n = np.arange(len(rows))
+
+    def on_kink(t, p):  # f at the kink point (x, y) of parameter t of every lane, and x, y
+        dk2, dk_re, dk_im, s_ff, k2, rho2, radius, center, den_p, den_m, hbar, circle = p
+        u = k2 * t / s_ff  # the branch nearest the origin, at Re S_xF = t
+        y = k2 * (t * t + hbar * hbar / 4.0) / (s_ff + s_ff * np.sqrt(rho2 - u * u))
+        x = np.where(circle, radius * np.cos(t), t)  # or the circle, in angle
+        y = np.where(circle, center + radius * np.sin(t), y)
+        f = dk2 * _s_xx_array(x, y, den_p, den_m, hbar) + (2.0 * (dk_re * x - dk_im * y) + s_ff)
+        return f, x, y
+
+    with np.errstate(all="ignore"):  # the unused parametrization of a lane
+        nodes = lo[:, None] + h[:, None] * np.arange(COARSE_GRID_POINTS, dtype=float)
+        vals = on_kink(nodes, [c[:, None] for c in p])[0]
+        i = np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)  # the first strict minimum
+        best = np.where(vals[n, i] < np.inf, vals[n, i], np.inf)
+        t = np.where(best < np.inf, nodes[n, i], lo)  # lo where no node is below inf
+        if cfg.refine:
+            lo, hi = t - h, t + h
+            tc = lo + 0.5 * (math.sqrt(5.0) - 1.0) * (hi - lo)
+            fc = on_kink(tc, p)[0]
+            for _ in range(GOLDEN_STEPS):  # golden section: mirror tc, keep the lower point
+                tu = lo + hi - tc
+                fu = on_kink(tu, p)[0]
+                swap = (tu < tc) | ((tu == tc) & (fu < fc))  # as sorted() orders the pairs
+                tp, fp, tq, fq = np.where(swap, [tu, fu, tc, fc], [tc, fc, tu, fu])
+                lo, hi, tc, fc = np.where(fp < fq, [lo, tq, tp, fp], [tp, hi, tq, fq])
+            best, t = np.where(fc < best, fc, best), np.where(fc < best, tc, t)  # else the node
+        _, x, y = on_kink(t, p)
+    return [finish(*point, cfg.refine) for finish, *point in zip(
+        finishers, best.tolist(), x.tolist(), y.tolist())]
 
 
 def random_saturating_triad(

@@ -21,7 +21,6 @@ from qnl import (
     SffSweepSpec,
     SpinFigurePoint,
     SpinFigureTable,
-    brute_force_min,
     dql,
     fdt_psd,
     load_config,
@@ -37,7 +36,7 @@ from qnl import (
     threshold_eff,
     verify,
 )
-from qnl import budget, tables
+from qnl import budget, oracle, tables
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
@@ -808,15 +807,16 @@ class TestVerify:
         raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
         cfg = parse_config(dict(raw, mode="fixed_effective", s_ff=0.3,
                                 back_action={"type": "constant", "re": 0.1, "im": 0.5}))
-        calls = []
+        searched = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return brute_force_min(*args, **kwargs)
+        def counted(instances, *args):
+            searched.extend(instances)
+            return oracle._brute_force_batch(instances, *args)
 
-        monkeypatch.setattr(budget, "brute_force_min", counted)
+        # verify passes every kept instance to the oracle in one batch
+        monkeypatch.setattr(budget, "_brute_force_batch", counted)
         report = verify(cfg, samples=20)
-        assert len(calls) == 20 and all(complex(k).imag == 0.0 for _, k, *_ in calls)
+        assert len(searched) == 20 and all(complex(k).imag == 0.0 for _, k, *_ in searched)
         assert report.passed
         assert next(c for c in report.checks if c.name == "oracle-agreement").measured > 0.0
 
