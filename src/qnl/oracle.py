@@ -8,14 +8,15 @@ points there.  The sum noise on it is f = max(F+, F-), each F+- a convex
 isotropic quadratic in S_xF, kinked where S+ = S- (sigma = 0): a circle, or
 the line Im S_xF = 0 at Im K = 0.
 
-The search minimizes f along the kink, then evaluates f a small step to each
-side.  If neither side is lower, the kink minimum is f's minimum; otherwise
-{f < f_kink} is convex and lies on one side, where f is the larger piece, and
-one Nelder-Mead run on that smooth piece finds it.  A batch of instances runs
-its kink scans and golden sections in lockstep on numpy arrays.  Lengths are
-relative to a bound on |S_xF| and the value tolerance to f_kink, so the search
-is unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
-s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
+The kink minimum comes in closed form from the uncertainty relation alone:
+on the circle S+ = S- = Im S_xF/Im K, so f is linear in S_xF there.  The
+search then evaluates f a small step to each side of it.  If neither side is
+lower, the kink minimum is f's minimum; otherwise {f < f_kink} is convex and
+lies on one side, where f is the larger piece, and one Nelder-Mead run on
+that smooth piece finds it.  Lengths are relative to a bound on |S_xF| and
+the value tolerance to f_kink, so the search is unit-covariant: under
+hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the
+minimum scales by l*m up to roundoff.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from .errors import DomainError, EmptyFeasibleRegionError, FdtViolationError
 from .meter import NoiseTriad
 
-COARSE_GRID_POINTS = 65
-GOLDEN_STEPS = 60
 PROBE_STEP = 1e-7
 REFINE_ITERATIONS = 600
 
@@ -38,10 +37,9 @@ REFINE_ITERATIONS = 600
 class OracleConfig:
     """Search parameters for brute_force_min.
 
-    The coarse scan has COARSE_GRID_POINTS nodes along the sigma = 0 kink.
-    With refine=False its best node is returned as is; otherwise
-    GOLDEN_STEPS golden-section steps, probes PROBE_STEP*B across the kink
-    and, where a side is lower, one Nelder-Mead run follow.
+    With refine=False the kink minimum is returned as is; otherwise probes
+    PROBE_STEP*B across the kink and, where a side is lower, one Nelder-Mead
+    run follow.
     """
 
     refine: bool = True
@@ -51,7 +49,10 @@ class OracleConfig:
 class OracleResult:
     """brute_force_min's minimum, the triad that attains it, and the
     iterations of its Nelder-Mead run (0 where the kink minimum wins, and
-    with refine=False)."""
+    with refine=False).  At a kink minimum with Im K != 0, s_sum_min takes
+    S_xx = Im S_xF/Im K.  The triad's S_xx is saturating_s_xx at the rounded
+    argmin; within about 1e-13 of the meter FDT floor, that rounding moves it
+    by up to a few percent."""
 
     s_sum_min: float
     argmin_triad: NoiseTriad
@@ -70,16 +71,11 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
     if s_ff <= hbar * abs(k_im):
         s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
     else:
-        s_xx = _s_xx_array(re, im, s_ff - hbar * k_im, s_ff + hbar * k_im, hbar)
+        m2, h_im, quarter = re * re + im * im, hbar * im, hbar * hbar / 4.0
+        plus = (m2 - h_im + quarter) / (s_ff - hbar * k_im)
+        minus = (m2 + h_im + quarter) / (s_ff + hbar * k_im)
+        s_xx = np.where(plus > minus, plus, minus)  # as _surface chooses, NaN included
     return float(s_xx) if s_xx.ndim == 0 else s_xx
-
-
-def _s_xx_array(re, im, den_plus, den_minus, hbar: float):
-    """max(S+, S-) on arrays, chosen as _surface chooses (NaN and signed zeros included)."""
-    m2, h_im, quarter = re * re + im * im, hbar * im, hbar * hbar / 4.0
-    plus = (m2 - h_im + quarter) / den_plus
-    minus = (m2 + h_im + quarter) / den_minus
-    return np.where(plus > minus, plus, minus)
 
 
 def _surface(s_ff: float, k_im: float, hbar: float):
@@ -178,22 +174,22 @@ def brute_force_min(
 ) -> OracleResult:
     """Minimize the sum noise over all physical triads at fixed s_ff.
 
-    Every point no worse than the kink point at Re S_xF = 0 has |S_xF| <= B,
-    by f >= a*(|S_xF| - hbar/2)^2 - 2|chi_inv + K|*|S_xF| + s_ff with
-    a = |chi_inv + K|^2/(s_ff + hbar*|Im K|).  The kink is scanned in angle
-    where its radius is at most 2B, else along its branch nearest the origin
-    over |Re S_xF| <= B.  Over the tests' seeded 900-draw set the error
-    against the closed form is at most 2.6e-11, the roundoff of the sum
-    noise, and 2.9e-11 on 600 draws within 10 % of the meter FDT floor.  One
-    call, a batch of one, takes about 2.3 ms on a 2-core VM (at most 4.3 ms),
-    mostly numpy's per-call overhead; verify's batch of 151 takes 9-12 ms.
-    Exactly at the floor, s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
+    With x + iy = S_xF, the kink is the circle with centre (0, c),
+    c = s_ff/(2 Im K), and radius R = sqrt(s_ff^2 - hbar^2 Im^2 K)/(2|Im K|);
+    on it f = |chi_inv + K|^2*y/Im K + 2(Re(chi_inv + K)x - Im(chi_inv + K)y)
+    + s_ff, whose minimum is the centre minus R times f's unit gradient (any
+    kink point where the gradient is 0).  At Im K = 0 the kink is the line
+    y = 0, minimized at x = -Re(chi_inv + K)*s_ff/|chi_inv + K|^2.  Every
+    point no worse than the kink point at x = 0 has |S_xF| <= B, by
+    f >= a*(|S_xF| - hbar/2)^2 - 2|chi_inv + K|*|S_xF| + s_ff with
+    a = |chi_inv + K|^2/(s_ff + hbar*|Im K|); B scales the probes and the
+    Nelder-Mead run.  Over the tests' seeded 900-draw set the error against
+    the closed form is at most 2.6e-11, the roundoff of the sum noise, and
+    4.7e-14 on 600 draws within 10 % of the meter FDT floor.  On a 2-core VM
+    a call that ends at the kink takes 10-15 us, one that runs Nelder-Mead
+    0.1-0.2 ms.  Exactly at the floor, s_ff = hbar*|Im K|, it raises
+    EmptyFeasibleRegionError.
     """
-    return _brute_force_batch([(chi_inv, k, s_ff, hbar)], cfg or OracleConfig())[0]
-
-
-def _setup(chi_inv: complex, k: complex, s_ff: float, hbar: float) -> tuple:
-    """One instance up to the kink scan: its finish() and its lockstep row."""
     d, kv = complex(chi_inv), complex(k)
     dk, k_im = d + kv, kv.imag
     s_ff = _checked_budget(s_ff, k_im, hbar)
@@ -208,73 +204,36 @@ def _setup(chi_inv: complex, k: complex, s_ff: float, hbar: float) -> tuple:
     # the sigma = 0 kink S+ = S-: Im K*(|S_xF|^2 + hbar^2/4) = s_ff*Im S_xF
     quarter, c = hbar * hbar / 4.0, hbar * abs(k_im)
     rho = math.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
-    a, m = dk2 / (s_ff + c), math.sqrt(dk2)
-    y0 = 2.0 * k_im * quarter / (s_ff + s_ff * math.sqrt(rho * rho))  # on_kink's branch, t = 0
-    bound = 0.5 * hbar + (m + math.sqrt(max(dk2 + hbar * a * m + a * (f(0.0, y0) - s_ff), 0.0))) / a
-    circle = s_ff * rho <= 4.0 * abs(k_im) * bound  # radius <= 2B: in angle around the circle
-    radius, center, lo = ((s_ff * rho / (2.0 * abs(k_im)), s_ff / (2.0 * k_im), -math.pi)
-                          if circle else (math.nan, math.nan, -bound))  # else along the branch
-    h = -2.0 * lo / (COARSE_GRID_POINTS - 1)
-
-    def finish(best_val: float, bx: float, by: float, refine: bool) -> OracleResult:
-        iterations = 0  # best_val is the kink minimum, at (bx, by)
-        if refine:
-            nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
-            step = PROBE_STEP * bound / math.hypot(nx, ny)
-            val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
-                              for s in (step, -step))
-            if val < best_val:  # {f < best_val} lies on that side, where one piece is f
-                side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
-                x, y, _, iterations = _nelder_mead(
-                    lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
-                    1e-12 * abs(best_val), REFINE_ITERATIONS)
-                fxy = f(x, y)
-                best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
-        return OracleResult(best_val, NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff), iterations)
-
-    return finish, (dk2, dk_re, dk_im, s_ff, 2.0 * k_im, rho * rho, radius, center,
-                    s_ff - hbar * k_im, s_ff + hbar * k_im, hbar, circle, lo, h)
-
-
-def _brute_force_batch(instances, cfg: OracleConfig) -> list:
-    """brute_force_min of each (chi_inv, k, s_ff, hbar), bit for bit: the kink
-    scans and golden sections of all of them run in lockstep on numpy arrays."""
-    if not 0 < len(instances) <= 1024:  # none, or chunks that bound the scan's arrays
-        return [result for j in range(0, len(instances), 1024)
-                for result in _brute_force_batch(instances[j:j + 1024], cfg)]
-    finishers, rows = zip(*(_setup(*instance) for instance in instances))
-    *p, lo, h = np.array(rows, dtype=float).T
-    n = np.arange(len(rows))
-
-    def on_kink(t, p):  # f at the kink point (x, y) of parameter t of every lane, and x, y
-        dk2, dk_re, dk_im, s_ff, k2, rho2, radius, center, den_p, den_m, hbar, circle = p
-        u = k2 * t / s_ff  # the branch nearest the origin, at Re S_xF = t
-        y = k2 * (t * t + hbar * hbar / 4.0) / (s_ff + s_ff * np.sqrt(rho2 - u * u))
-        x = np.where(circle, radius * np.cos(t), t)  # or the circle, in angle
-        y = np.where(circle, center + radius * np.sin(t), y)
-        f = dk2 * _s_xx_array(x, y, den_p, den_m, hbar) + (2.0 * (dk_re * x - dk_im * y) + s_ff)
-        return f, x, y
-
-    with np.errstate(all="ignore"):  # the unused parametrization of a lane
-        nodes = lo[:, None] + h[:, None] * np.arange(COARSE_GRID_POINTS, dtype=float)
-        vals = on_kink(nodes, [c[:, None] for c in p])[0]
-        i = np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)  # the first strict minimum
-        best = np.where(vals[n, i] < np.inf, vals[n, i], np.inf)
-        t = np.where(best < np.inf, nodes[n, i], lo)  # lo where no node is below inf
-        if cfg.refine:
-            lo, hi = t - h, t + h
-            tc = lo + 0.5 * (math.sqrt(5.0) - 1.0) * (hi - lo)
-            fc = on_kink(tc, p)[0]
-            for _ in range(GOLDEN_STEPS):  # golden section: mirror tc, keep the lower point
-                tu = lo + hi - tc
-                fu = on_kink(tu, p)[0]
-                swap = (tu < tc) | ((tu == tc) & (fu < fc))  # as sorted() orders the pairs
-                tp, fp, tq, fq = np.where(swap, [tu, fu, tc, fc], [tc, fc, tu, fu])
-                lo, hi, tc, fc = np.where(fp < fq, [lo, tq, tp, fp], [tp, hi, tq, fq])
-            best, t = np.where(fc < best, fc, best), np.where(fc < best, tc, t)  # else the node
-        _, x, y = on_kink(t, p)
-    return [finish(*point, cfg.refine) for finish, *point in zip(
-        finishers, best.tolist(), x.tolist(), y.tolist())]
+    if k_im == 0.0:  # the line Im S_xF = 0, where f is a quadratic in Re S_xF
+        bx, by = -dk_re * s_ff / dk2, 0.0
+        best_val = f(bx, by)
+    else:  # the circle, where S+ = S- = Im S_xF/Im K and f is linear in S_xF
+        center, radius = s_ff / (2.0 * k_im), s_ff * rho / (2.0 * abs(k_im))
+        gx, gy = 2.0 * dk_re, dk2 / k_im - 2.0 * dk_im  # f's gradient on the kink
+        g = math.hypot(gx, gy)
+        ux, uy = (gx / g, gy / g) if g else (0.0, math.copysign(1.0, center))  # f constant
+        bx, ry = -radius * ux, radius * uy
+        # y = center - ry, without cancellation: center^2 - radius^2 = hbar^2/4
+        by = (quarter + bx * bx) / (center + ry) if center * ry > 0.0 else center - ry
+        best_val = dk2 * (by / k_im) + (2.0 * (dk_re * bx - dk_im * by) + s_ff)
+    iterations = 0
+    if cfg is None or cfg.refine:
+        a, m = dk2 / (s_ff + c), math.sqrt(dk2)
+        y0 = 2.0 * k_im * quarter / (s_ff + s_ff * rho)  # the kink point at Re S_xF = 0
+        bound = 0.5 * hbar + (m + math.sqrt(max(
+            dk2 + hbar * a * m + a * (f(0.0, y0) - s_ff), 0.0))) / a
+        nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
+        step = PROBE_STEP * bound / math.hypot(nx, ny)
+        val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
+                          for s in (step, -step))
+        if val < best_val:  # {f < best_val} lies on that side, where one piece is f
+            side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
+            x, y, _, iterations = _nelder_mead(
+                lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
+                1e-12 * abs(best_val), REFINE_ITERATIONS)
+            fxy = f(x, y)
+            best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
+    return OracleResult(best_val, NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff), iterations)
 
 
 def random_saturating_triad(

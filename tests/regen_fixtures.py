@@ -7,9 +7,10 @@ call from its stored chi_inv, k, s_ff, hbar and refine), of
 tests/data/verify_reports.json (each config's verify report at seed 1) and of
 tests/data/table_digests.json (the sha256 of each table's CSV and JSON text),
 and prints every entry that moved, each moved oracle pin with its relative
-error against the closed form before and after.  Without --check it rewrites
-the three files; with --check it writes nothing and exits 1 if any entry
-moved.  Pytest does not collect this file.
+error against the closed form before and after, and every new pin (an entry
+that holds only inputs).  Without --check it rewrites the three files; with
+--check it writes nothing and exits 1 if any entry moved.  Pytest does not
+collect this file.
 """
 
 import hashlib
@@ -17,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from qnl import (OracleConfig, brute_force_min, load_config, optimize_fixed_backaction,
-                 parse_config, run_budget, verify)
+from qnl import (OracleConfig, QnlError, brute_force_min, load_config,
+                 optimize_fixed_backaction, parse_config, run_budget, verify)
 
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,16 +54,23 @@ def regen_pins(cases: list) -> tuple[list, list]:
     fresh = [dict(case, **pin_outputs(case)) for case in inputs]
     moved = []
     for old, new in zip(cases, fresh):
-        if any(old.get(key) != new[key] for key in OUTPUTS):
+        if "s_sum_min" not in old:
+            moved.append(f"{new['label']}: new pin, s_sum_min {float.fromhex(new['s_sum_min'])!r}")
+        elif any(old[key] != new[key] for key in OUTPUTS):
             changes = ", ".join(f"{key} {relative_change(old[key], new[key]):.2e}"
                                 for key in ("s_sum_min", "s_xx", "s_xf"))
-            closed = optimize_fixed_backaction(
-                unhex(new["chi_inv"]), unhex(new["k"]), float.fromhex(new["s_ff"]),
-                hbar=float.fromhex(new["hbar"])).s_sum
-            was, now = (abs(float.fromhex(c["s_sum_min"]) - closed) / closed for c in (old, new))
+            try:
+                closed = optimize_fixed_backaction(
+                    unhex(new["chi_inv"]), unhex(new["k"]), float.fromhex(new["s_ff"]),
+                    hbar=float.fromhex(new["hbar"])).s_sum
+            except QnlError as exc:
+                errors = f"the closed form raises {type(exc).__name__}"
+            else:
+                was, now = (abs(float.fromhex(c["s_sum_min"]) - closed) / closed
+                            for c in (old, new))
+                errors = f"error against the closed form {was:.2e} -> {now:.2e}"
             moved.append(f"{new['label']}: moved by {changes} relative, "
-                         f"iterations {old['iterations']} -> {new['iterations']}, "
-                         f"error against the closed form {was:.2e} -> {now:.2e}")
+                         f"iterations {old['iterations']} -> {new['iterations']}, {errors}")
     return fresh, moved
 
 

@@ -792,6 +792,18 @@ class TestSpinFigure:
         assert isinstance(run_budget(cfg), SpinFigureTable)
 
 
+def oracle_calls(monkeypatch) -> list:
+    """The arguments of every brute_force_min call verify makes from now on."""
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return oracle.brute_force_min(*args, **kwargs)
+
+    monkeypatch.setattr(budget, "brute_force_min", counted)
+    return searched
+
+
 class TestVerify:
     def test_invariant_suite_passes_on_canonical_config(self):
         report = verify(parse_config(osc_config()), seed=3)
@@ -807,18 +819,24 @@ class TestVerify:
         raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
         cfg = parse_config(dict(raw, mode="fixed_effective", s_ff=0.3,
                                 back_action={"type": "constant", "re": 0.1, "im": 0.5}))
-        searched = []
-
-        def counted(instances, *args):
-            searched.extend(instances)
-            return oracle._brute_force_batch(instances, *args)
-
-        # verify passes every kept instance to the oracle in one batch
-        monkeypatch.setattr(budget, "_brute_force_batch", counted)
+        searched = oracle_calls(monkeypatch)
         report = verify(cfg, samples=20)
         assert len(searched) == 20 and all(complex(k).imag == 0.0 for _, k, *_ in searched)
         assert report.passed
         assert next(c for c in report.checks if c.name == "oracle-agreement").measured > 0.0
+
+    def test_verify_checks_the_oracle_just_above_the_fdt_floor(self, monkeypatch):
+        # verify skips only the instances at and below the meter FDT floor, as
+        # the gauge loop does: s_ff = hbar*|Im K|*(1 + 1e-12) reaches the
+        # oracle at every sampled row, and the oracle agrees there
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
+        cfg = parse_config(dict(raw, s_ff=0.5 * (1.0 + 1e-12),
+                                back_action={"type": "constant", "re": 0.1, "im": 0.5}))
+        searched = oracle_calls(monkeypatch)
+        report = verify(cfg, samples=20)
+        assert len(searched) == 20
+        assert next(c for c in report.checks if c.name == "oracle-agreement").passed
+        assert report.passed
 
     def test_spin_figure_requires_the_sweep_mode(self):
         with pytest.raises(ConfigError, match="sweep_SFF_at_fixed_omega.*'fixed_SFF'"):
