@@ -8,15 +8,16 @@ points there.  The sum noise on it is f = max(F+, F-), each F+- a convex
 isotropic quadratic in S_xF, kinked where S+ = S- (sigma = 0): a circle, or
 the line Im S_xF = 0 at Im K = 0.
 
-The kink minimum comes in closed form from the uncertainty relation alone:
-on the circle S+ = S- = Im S_xF/Im K, so f is linear in S_xF there.  The
-search then evaluates f a small step to each side of it.  If neither side is
-lower, the kink minimum is f's minimum; otherwise {f < f_kink} is convex and
-lies on one side, where f is the larger piece, and one Nelder-Mead run on
-that smooth piece finds it.  Lengths are relative to a bound on |S_xF| and
-the value tolerance to f_kink, so the search is unit-covariant: under
-hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and s_ff -> l*m*s_ff the
-minimum scales by l*m up to roundoff.
+f is strictly convex, and off the kink it equals one piece, so its minimum
+is either on the kink or at the vertex of the piece that is the larger one
+there.  All three candidates come in closed form from the uncertainty
+relation alone: on the circle S+ = S- = Im S_xF/Im K, so f is linear in
+S_xF there, and each piece's vertex is where its gradient vanishes.  The
+search evaluates f at the kink minimum and at both vertices and returns the
+lowest; each candidate is the sum noise of an explicit physical triad, so
+the search cannot undercut the true minimum beyond roundoff.  It is
+unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
+s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
 """
 
 from __future__ import annotations
@@ -29,17 +30,14 @@ import numpy as np
 from .errors import DomainError, EmptyFeasibleRegionError, FdtViolationError
 from .meter import NoiseTriad
 
-PROBE_STEP = 1e-7
-REFINE_ITERATIONS = 600
-
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Search parameters for brute_force_min.
 
-    With refine=False the kink minimum is returned as is; otherwise probes
-    PROBE_STEP*B across the kink and, where a side is lower, one Nelder-Mead
-    run follow.
+    With refine=False the kink minimum is returned as is; otherwise f is
+    also evaluated at the vertices of its two smooth pieces, and the lowest
+    of the three values wins.
     """
 
     refine: bool = True
@@ -47,12 +45,13 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """brute_force_min's minimum, the triad that attains it, and the
-    iterations of its Nelder-Mead run (0 where the kink minimum wins, and
-    with refine=False).  At a kink minimum with Im K != 0, s_sum_min takes
-    S_xx = Im S_xF/Im K.  The triad's S_xx is saturating_s_xx at the rounded
-    argmin; within about 1e-13 of the meter FDT floor, that rounding moves it
-    by up to a few percent."""
+    """brute_force_min's minimum, the triad that attains it, and which
+    candidate won: iterations is 0 where the kink minimum wins (always with
+    refine=False) and 1 where a smooth piece's vertex wins.  At a kink
+    minimum with Im K != 0, s_sum_min takes S_xx = Im S_xF/Im K.  The
+    triad's S_xx is saturating_s_xx at the rounded argmin; within about
+    1e-13 of the meter FDT floor, that rounding moves it by up to a few
+    percent."""
 
     s_sum_min: float
     argmin_triad: NoiseTriad
@@ -79,74 +78,16 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.
 
 
 def _surface(s_ff: float, k_im: float, hbar: float):
-    """saturating_s_xx on Python floats, op for op; side 0 or 1 gives S+ or S- alone."""
+    """saturating_s_xx on Python floats, op for op."""
     quarter, den_plus, den_minus = hbar * hbar / 4.0, s_ff - hbar * k_im, s_ff + hbar * k_im
 
-    def s_xx(re: float, im: float, side=None) -> float:
+    def s_xx(re: float, im: float) -> float:
         m2, h_im = re * re + im * im, hbar * im
         plus = (m2 - h_im + quarter) / den_plus
         minus = (m2 + h_im + quarter) / den_minus
-        if side is None:
-            return plus if plus > minus else minus
-        return minus if side else plus
+        return plus if plus > minus else minus
 
     return s_xx
-
-
-def _nelder_mead(f, x0: float, y0: float, step: float, xatol: float, fatol: float, maxiter: int):
-    """Minimize f(x, y) by Nelder-Mead (reflect 1, expand 2, contract 1/2,
-    shrink 1/2) from the simplex z0, z0 + step, z0 + i*step, z0 = x0 + i*y0.
-    Stops when every vertex is within fatol of the best in value and within
-    xatol of it in each coordinate, or after maxiter iterations; returns the
-    best vertex, its value and the iteration count.  Points are float pairs,
-    each step written out as CPython evaluates complex arithmetic (a*z as
-    (a*x - 0.0*y, a*y + 0.0*x) for a float a), so the result is that of the
-    same search on complex numbers bit for bit, signed zeros included.
-    Compare-and-swaps order (fb, b), (fg, g), (fw, w) as a stable sort would.
-    """
-    bx, by = x0, y0
-    gx, gy = x0 + step, y0 + 0.0
-    wx, wy = x0 + (0.0 * step - 1.0 * 0.0), y0 + (0.0 * 0.0 + 1.0 * step)
-    fb, fg, fw = f(bx, by), f(gx, gy), f(wx, wy)
-    for nit in range(maxiter + 1):
-        if fb > fg:
-            fb, fg = fg, fb
-            bx, gx = gx, bx
-            by, gy = gy, by
-        if fg > fw:
-            fg, fw = fw, fg
-            gx, wx = wx, gx
-            gy, wy = wy, gy
-            if fb > fg:
-                fb, fg = fg, fb
-                bx, gx = gx, bx
-                by, gy = gy, by
-        if nit == maxiter or (fw - fb <= fatol and max(
-                abs(gx - bx), abs(gy - by), abs(wx - bx), abs(wy - by)) <= xatol):
-            return bx, by, fb, nit
-        sx, sy = bx + gx, by + gy
-        cx, cy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx  # centroid of the two best
-        rx, ry = (2.0 * cx - 0.0 * cy) - wx, (2.0 * cy + 0.0 * cx) - wy
-        fr = f(rx, ry)
-        if fr < fb:
-            ex = (3.0 * cx - 0.0 * cy) - (2.0 * wx - 0.0 * wy)
-            ey = (3.0 * cy + 0.0 * cx) - (2.0 * wy + 0.0 * wx)
-            fe = f(ex, ey)
-            fw, wx, wy = (fe, ex, ey) if fe < fr else (fr, rx, ry)
-        elif fr < fg:
-            fw, wx, wy = fr, rx, ry
-        else:
-            outside = fr < fw
-            sx, sy = (cx + rx, cy + ry) if outside else (cx + wx, cy + wy)
-            zx, zy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx
-            fz = f(zx, zy)
-            if fz <= fr if outside else fz < fw:
-                fw, wx, wy = fz, zx, zy
-            else:  # shrink towards the best vertex
-                sx, sy, tx, ty = bx + gx, by + gy, bx + wx, by + wy
-                gx, gy = 0.5 * sx - 0.0 * sy, 0.5 * sy + 0.0 * sx
-                wx, wy = 0.5 * tx - 0.0 * ty, 0.5 * ty + 0.0 * tx
-                fg, fw = f(gx, gy), f(wx, wy)
 
 
 def _checked_budget(s_ff, k_im: float, hbar: float) -> float:
@@ -174,21 +115,20 @@ def brute_force_min(
 ) -> OracleResult:
     """Minimize the sum noise over all physical triads at fixed s_ff.
 
-    With x + iy = S_xF, the kink is the circle with centre (0, c),
-    c = s_ff/(2 Im K), and radius R = sqrt(s_ff^2 - hbar^2 Im^2 K)/(2|Im K|);
-    on it f = |chi_inv + K|^2*y/Im K + 2(Re(chi_inv + K)x - Im(chi_inv + K)y)
-    + s_ff, whose minimum is the centre minus R times f's unit gradient (any
-    kink point where the gradient is 0).  At Im K = 0 the kink is the line
-    y = 0, minimized at x = -Re(chi_inv + K)*s_ff/|chi_inv + K|^2.  Every
-    point no worse than the kink point at x = 0 has |S_xF| <= B, by
-    f >= a*(|S_xF| - hbar/2)^2 - 2|chi_inv + K|*|S_xF| + s_ff with
-    a = |chi_inv + K|^2/(s_ff + hbar*|Im K|); B scales the probes and the
-    Nelder-Mead run.  Over the tests' seeded 900-draw set the error against
-    the closed form is at most 2.6e-11, the roundoff of the sum noise, and
-    4.7e-14 on 600 draws within 10 % of the meter FDT floor.  On a 2-core VM
-    a call that ends at the kink takes 10-15 us, one that runs Nelder-Mead
-    0.1-0.2 ms.  Exactly at the floor, s_ff = hbar*|Im K|, it raises
-    EmptyFeasibleRegionError.
+    With x + iy = S_xF and D = chi_inv + K, the kink is the circle with
+    centre (0, c), c = s_ff/(2 Im K), and radius
+    R = sqrt(s_ff^2 - hbar^2 Im^2 K)/(2|Im K|); on it
+    f = |D|^2*y/Im K + 2(Re D x - Im D y) + s_ff, whose minimum is the centre
+    minus R times f's unit gradient (any kink point where the gradient is
+    0).  At Im K = 0 the kink is the line y = 0, minimized at
+    x = -Re D*s_ff/|D|^2.  The pieces are
+    F+- = |D|^2*(x^2 + (y -+ hbar/2)^2)/den+- + 2(Re D x - Im D y) + s_ff,
+    den+- = s_ff -+ hbar*Im K, with vertices x = -Re D*den+-/|D|^2,
+    y = +-hbar/2 + Im D*den+-/|D|^2.  Over the tests' seeded 900-draw set the
+    error against the closed form is at most 1.7e-11, the roundoff of the sum
+    noise, and 4.7e-14 on 600 draws within 10 % of the meter FDT floor.  On a
+    2-core VM a call takes about 5 us.  Exactly at the floor,
+    s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
     """
     d, kv = complex(chi_inv), complex(k)
     dk, k_im = d + kv, kv.imag
@@ -198,8 +138,8 @@ def brute_force_min(
         raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
     s_xx = _surface(s_ff, k_im, hbar)
 
-    def f(re: float, im: float, side=None) -> float:  # on the surface, or on one piece
-        return dk2 * s_xx(re, im, side) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
+    def f(re: float, im: float) -> float:  # on the surface
+        return dk2 * s_xx(re, im) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
 
     # the sigma = 0 kink S+ = S-: Im K*(|S_xF|^2 + hbar^2/4) = s_ff*Im S_xF
     quarter, c = hbar * hbar / 4.0, hbar * abs(k_im)
@@ -217,22 +157,13 @@ def brute_force_min(
         by = (quarter + bx * bx) / (center + ry) if center * ry > 0.0 else center - ry
         best_val = dk2 * (by / k_im) + (2.0 * (dk_re * bx - dk_im * by) + s_ff)
     iterations = 0
-    if cfg is None or cfg.refine:
-        a, m = dk2 / (s_ff + c), math.sqrt(dk2)
-        y0 = 2.0 * k_im * quarter / (s_ff + s_ff * rho)  # the kink point at Re S_xF = 0
-        bound = 0.5 * hbar + (m + math.sqrt(max(
-            dk2 + hbar * a * m + a * (f(0.0, y0) - s_ff), 0.0))) / a
-        nx, ny = 2.0 * k_im * bx, 2.0 * k_im * by - s_ff  # the kink's normal, towards S+ > S-
-        step = PROBE_STEP * bound / math.hypot(nx, ny)
-        val, px, py = min((f(bx + s * nx, by + s * ny), bx + s * nx, by + s * ny)
-                          for s in (step, -step))
-        if val < best_val:  # {f < best_val} lies on that side, where one piece is f
-            side = int(s_xx(px, py, 0) < s_xx(px, py, 1))
-            x, y, _, iterations = _nelder_mead(
-                lambda re, im: f(re, im, side), px, py, 0.1 * bound, 1e-9 * bound,
-                1e-12 * abs(best_val), REFINE_ITERATIONS)
-            fxy = f(x, y)
-            best_val, bx, by = (fxy, x, y) if fxy <= val else (val, px, py)
+    if cfg is None or cfg.refine:  # off the kink, f is least at the vertex of F+ or F-
+        for den, y0 in ((s_ff - hbar * k_im, 0.5 * hbar), (s_ff + hbar * k_im, -0.5 * hbar)):
+            t = den / dk2
+            x, y = -dk_re * t, y0 + dk_im * t
+            val = f(x, y)
+            if val < best_val:
+                best_val, bx, by, iterations = val, x, y, 1
     return OracleResult(best_val, NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff), iterations)
 
 
@@ -250,7 +181,7 @@ def random_saturating_triad(
     kv = complex(k)
     s_ff = _checked_budget(s_ff, kv.imag, hbar)
     rng = np.random.default_rng(seed)
-    r = 5.0 * hbar * math.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * math.pi)
+    r = 5.0 * hbar * math.sqrt(rng.random())
+    phi = 2.0 * math.pi * rng.random()
     re, im = r * math.cos(phi), r * math.sin(phi)
     return NoiseTriad(_surface(s_ff, kv.imag, hbar)(re, im), complex(re, im), s_ff)
