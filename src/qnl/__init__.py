@@ -25,9 +25,7 @@ from .spectra import (
     EffectiveTemperature,
     FreeMass,
     PhysConstants,
-    Susceptibility,
     TabulatedSusceptibility,
-    ThermalModel,
     UniformTemperature,
     ZeroTemperature,
     dql,
@@ -65,7 +63,6 @@ from .oracle import (
     saturating_s_xx,
 )
 from .spin import (
-    SpinMeterParams,
     matched_sum_noise,
     negative_mass_oscillator,
     optimal_spin_response,

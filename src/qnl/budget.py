@@ -25,7 +25,6 @@ from .optimize import (
     optimize_fixed_eff_backaction_sigma_zero,
     phase_transition_probe,
     threshold_eff,
-    threshold_full,
 )
 from .oracle import brute_force_min, random_saturating_triad
 from .spectra import (
@@ -34,9 +33,7 @@ from .spectra import (
     EffectiveTemperature,
     FreeMass,
     PhysConstants,
-    Susceptibility,
     TabulatedSusceptibility,
-    ThermalModel,
     UniformTemperature,
     ZeroTemperature,
     _finite_at,
@@ -115,9 +112,9 @@ class SweepConfig:
     describes have; verify also calls the scalar chi_inv and K at its sampled
     points."""
 
-    probe: Susceptibility
+    probe: DampedOscillator | FreeMass | TabulatedSusceptibility
     k_of_omega: ComplexTable | _ConstantK
-    thermal: ThermalModel
+    thermal: ZeroTemperature | UniformTemperature | EffectiveTemperature
     constants: PhysConstants
     mode: str
     frequency: GridSpec | None
@@ -479,11 +476,15 @@ def verify(
     checks: list[CheckResult] = []
     instances = _verify_instances(cfg, table, rng, samples)
 
+    # The gauge and oracle checks skip the instances at and below the meter FDT
+    # floor; where that is every instance, their detail says so.
+    above_floor = [i for i, (_, _, kv, s_ff) in enumerate(instances) if s_ff > hbar * abs(kv.imag)]
+    unchecked = "" if above_floor else "no sampled point above the meter FDT floor"
+
     # Gauge / feedback invariance on saturating triads at config scale.
     worst = 0.0
-    for idx, (w, d, kv, s_ff) in enumerate(instances):
-        if s_ff <= hbar * abs(kv.imag):
-            continue
+    for idx in above_floor:
+        w, d, kv, s_ff = instances[idx]
         triad = random_saturating_triad(kv, s_ff, seed=seed + idx, hbar=hbar)
         kernel = complex(rng.normal(), rng.normal()) * abs(d + kv)  # in units of chi_inv
         eff, gv = gauge_transform(triad, kv, kernel)
@@ -508,21 +509,19 @@ def verify(
             abs(gv.imag) * eff.s_xx + abs(eff.s_xf.imag),
         ) + hbar
         worst = max(worst, abs(sigma(eff, gv) - sigma(triad, kv)) / sig_scale)
-    checks.append(CheckResult("gauge-invariance", worst <= 1e-12, worst, 1e-12))
+    checks.append(CheckResult("gauge-invariance", worst <= 1e-12, worst, 1e-12, unchecked))
 
-    # Closed form vs brute force, skipping the instances at and below the
-    # meter FDT floor as the gauge loop does.
+    # Closed form vs brute force.
     worst = 0.0
     undercut = 0.0
-    for w, d, kv, s_ff in instances:
-        if s_ff <= hbar * abs(kv.imag):
-            continue
+    for idx in above_floor:
+        w, d, kv, s_ff = instances[idx]
         c = optimize_fixed_backaction(d, kv, s_ff, hbar=hbar).s_sum
         got = brute_force_min(d, kv, s_ff, hbar=hbar).s_sum_min
         worst = max(worst, abs(got - c) / c)
         undercut = max(undercut, (c - got) / c)
-    checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3))
-    checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3))
+    checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3, unchecked))
+    checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3, unchecked))
 
     # Commutator cancellation at every sampled point, relative to the sum of
     # the magnitudes of the cancelling terms 2hbar(Im(chi_inv + K) - Im K - Im chi_inv).
@@ -537,12 +536,12 @@ def verify(
     for w, d, kv, s_ff in instances:
         if d.imag == 0.0:
             continue
-        thr = threshold_full(d, kv, hbar)
         try:
             probe = phase_transition_probe(d, kv, hbar=hbar)
         except DomainError:
             # threshold within a probe step of the meter FDT floor
             continue
+        thr = probe.s_threshold
         expected_d2 = hbar * abs(d.imag) / (thr**2 - (hbar * kv.imag) ** 2)
         rel = abs(probe.d2_below - expected_d2) / expected_d2
         checks.append(CheckResult("threshold-curvature-below", rel <= 0.02, rel, 0.02,

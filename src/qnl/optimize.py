@@ -68,8 +68,8 @@ class OptimumReport:
 
     s_sum is the minimized PSD, s_threshold the regime boundary of the
     back-action budget (inf for a lossless probe), optimal_triad a
-    saturating triad achieving s_sum, sigma_opt its cross term, and
-    constrained_sigma_zero records whether sigma was pinned to zero.
+    saturating triad achieving s_sum, and sigma_opt its cross term (0.0
+    wherever sigma is pinned to zero).
     """
 
     s_sum: float
@@ -77,7 +77,6 @@ class OptimumReport:
     s_threshold: float
     optimal_triad: NoiseTriad
     sigma_opt: float
-    constrained_sigma_zero: bool
 
 
 def _real_kernel(kernel: complex) -> float:
@@ -273,7 +272,7 @@ def optimize_fixed_backaction(
         s_sum = qcrb_lossless(d, kv, s, hbar)
         _check_sum(s_sum, d, kv, s)
         triad = _subopt_triad(d, kv, s, 0.0, hbar)
-        return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0, not allow_sigma)
+        return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0)
 
     dql_val = hbar * abs(d.imag)
     thr = threshold_full(d, kv, hbar)
@@ -281,13 +280,13 @@ def optimize_fixed_backaction(
     if allow_sigma and s >= thr:
         sig = -d.imag * (s - thr) / (m * m) or 0.0  # normalize -0.0 at the boundary
         triad = _subopt_triad(d, kv, s, sig, hbar)
-        return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig, False)
+        return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig)
 
     s_sum = _s_ub(d, kv, s, thr, hbar)
     _check_sum(s_sum, d, kv, s)  # before the triad, which an overflow makes NaN too
     triad = _subopt_triad(d, kv, s, 0.0, hbar)
     regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
-    return OptimumReport(s_sum, regime, thr, triad, 0.0, not allow_sigma)
+    return OptimumReport(s_sum, regime, thr, triad, 0.0)
 
 
 def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:

@@ -15,6 +15,11 @@ Conventions
   for real-valued stationary noise (conjugate symmetry chi_inv(-w) =
   conj(chi_inv(w)) is implied, never stored).
 
+A probe model gives chi_inv(omega) and a bath model temperature_at(omega),
+which fdt_psd calls; a sweep reads the same models through their array forms
+_chi_inv_grid and _temperature_grid.  The scalar functions take chi_inv as a
+complex number, whatever model gave it.
+
 All model objects are immutable and all functions are pure, so everything
 here is safe to share across threads.
 """
@@ -111,18 +116,8 @@ class ComplexTable:
         return re, np.interp(omega, self._grid, self._im), outside
 
 
-class Susceptibility:
-    """Base class for probe models; subclasses implement chi_inv(omega).  A sweep reads
-    the models a config describes through their array form _chi_inv_grid; the scalar
-    functions take chi_inv as a complex number, whatever model gave it."""
-
-    def chi_inv(self, omega: float) -> complex:
-        """Inverse response chi_inv(omega) at a single frequency omega > 0."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class DampedOscillator(Susceptibility):
+class DampedOscillator:
     """Damped harmonic oscillator: chi_inv = m*(w0^2 - w^2) - i*m*gamma*w."""
 
     mass: float
@@ -150,7 +145,7 @@ class DampedOscillator(Susceptibility):
 
 
 @dataclass(frozen=True)
-class FreeMass(Susceptibility):
+class FreeMass:
     """Free (or velocity-damped) mass: chi_inv = -m*w^2 - i*m*gamma*w."""
 
     mass: float
@@ -174,7 +169,7 @@ class FreeMass(Susceptibility):
 
 
 @dataclass(frozen=True)
-class TabulatedSusceptibility(Susceptibility):
+class TabulatedSusceptibility:
     """chi_inv sampled on a frequency grid, interpolated linearly.  Where Im
     chi_inv changes sign between nodes, rounding leaves a point near the zero
     a tiny Im (5.55e-17 at 0.8 for Im = (0.3, -0.2, 0.1) at (0.5, 1, 1.5)): a
@@ -193,17 +188,8 @@ class TabulatedSusceptibility(Susceptibility):
         return self.table._on_grid(omega)
 
 
-class ThermalModel:
-    """Base class for bath models; subclasses implement temperature_at(omega), which
-    fdt_psd calls.  A sweep reads the models a config describes through their array
-    form _temperature_grid."""
-
-    def temperature_at(self, omega: float) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ZeroTemperature(ThermalModel):
+class ZeroTemperature:
     """Bath at T = 0: the thermal force PSD sits exactly on its floor."""
 
     def temperature_at(self, omega: float) -> float:
@@ -214,7 +200,7 @@ class ZeroTemperature(ThermalModel):
 
 
 @dataclass(frozen=True)
-class UniformTemperature(ThermalModel):
+class UniformTemperature:
     temperature: float
 
     def __post_init__(self) -> None:
@@ -230,7 +216,7 @@ class UniformTemperature(ThermalModel):
 
 
 @dataclass(frozen=True)
-class EffectiveTemperature(ThermalModel):
+class EffectiveTemperature:
     """Frequency-dependent effective temperature T_eff(omega), tabulated.
 
     Covers non-equilibrium baths, e.g. a mechanical mode damped by an
@@ -264,10 +250,11 @@ def dql(chi_inv: complex, *, hbar: float = 1.0) -> float:
     return hbar * abs(chi_inv.imag)
 
 
-def fdt_psd(chi_inv: complex, thermal: ThermalModel, omega: float,
-            constants: PhysConstants = PhysConstants()) -> float:
+def fdt_psd(chi_inv: complex, thermal: ZeroTemperature | UniformTemperature | EffectiveTemperature,
+            omega: float, constants: PhysConstants = PhysConstants()) -> float:
     """Thermal force PSD hbar*|Im chi_inv|*coth(hbar*w / 2 kB T), chi_inv being the value
-    at omega; the bath's temperature T is also taken at omega.
+    at omega; the bath's temperature T is thermal.temperature_at(omega), so any object
+    with that method serves as the bath.
 
     At T = 0, and where 2*kB*T underflows to 0, the coth factor is exactly 1
     and the result coincides with the DQL at the same frequency.  Where hbar*w / 2 kB T

@@ -2,10 +2,10 @@
 spin oscillator in series.
 
 The light probes the mechanical position and the spin-oscillator position
-with couplings theta_i and theta_s.  The spin response chi_s and the probe's
-chi_inv enter as plain complex values at the working frequency; the caller
-evaluates a model of frequency such as negative_mass_oscillator, whose shape
-depends on the spin system at hand.  A broadband resonance-tuned optical
+with couplings theta_i and theta_s.  The couplings, the spin response chi_s
+and the probe's chi_inv enter as plain numbers at the working frequency; the
+caller evaluates a model of frequency such as negative_mass_oscillator, whose
+shape depends on the spin system at hand.  A broadband resonance-tuned optical
 meter with vacuum input (quadrature PSDs 1/2) is assumed, and the combined
 triads are the same whichever subsystem the light meets first.
 
@@ -25,34 +25,10 @@ Two working points matter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
 from .meter import NoiseTriad
-
-
-@dataclass(frozen=True)
-class SpinMeterParams:
-    """Couplings and spin response of the series interferometer+spin meter.
-
-    theta_i couples the light to the mechanical probe (theta_i > 0 for a
-    functioning meter), theta_s >= 0 to the spin oscillator; chi_s is the
-    spin effective susceptibility at the working frequency.
-    """
-
-    theta_i: float
-    theta_s: float
-    chi_s: complex
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta_i) and self.theta_i >= 0):
-            raise DomainError(f"theta_i must be finite and >= 0, got {self.theta_i!r}")
-        if not (math.isfinite(self.theta_s) and self.theta_s >= 0):
-            raise DomainError(f"theta_s must be finite and >= 0, got {self.theta_s!r}")
-        object.__setattr__(self, "theta_i", float(self.theta_i))
-        object.__setattr__(self, "theta_s", float(self.theta_s))
-        object.__setattr__(self, "chi_s", complex(self.chi_s))
 
 
 def negative_mass_oscillator(mass: float, omega_s: float, gamma_s: float = 0.0) -> Callable[[float], complex]:
@@ -76,8 +52,10 @@ def negative_mass_oscillator(mass: float, omega_s: float, gamma_s: float = 0.0) 
     return chi_s
 
 
-def spin_triad(params: SpinMeterParams, *, hbar: float = 1.0) -> NoiseTriad:
-    """Noise triad of the combined meter:
+def spin_triad(theta_i: float, theta_s: float, chi_s: complex, *, hbar: float = 1.0) -> NoiseTriad:
+    """Noise triad of the combined meter with couplings theta_i > 0 (light to
+    mechanical probe) and theta_s >= 0 (light to spin oscillator), and spin
+    response chi_s at the working frequency:
 
         S_xx = (hbar/4 theta_i) (1 + 4 theta_s^2 |chi_s|^2 + 4 theta_s |Im chi_s|)
         S_xF = hbar * theta_s * chi_s
@@ -86,15 +64,13 @@ def spin_triad(params: SpinMeterParams, *, hbar: float = 1.0) -> NoiseTriad:
     Saturates the generalized uncertainty relation identically, with
     sigma = -hbar*theta_s*Im chi_s set by the spin system's dissipation.
     """
-    if params.theta_i <= 0:
-        raise DomainError("theta_i must be > 0 for a functioning meter")
-    cs = params.chi_s
-    s_xx = (
-        hbar
-        / (4.0 * params.theta_i)
-        * (1.0 + 4.0 * params.theta_s**2 * abs(cs) ** 2 + 4.0 * params.theta_s * abs(cs.imag))
-    )
-    return NoiseTriad(s_xx, hbar * params.theta_s * cs, hbar * params.theta_i)
+    if not (math.isfinite(theta_i) and theta_i > 0):
+        raise DomainError(f"theta_i must be finite and > 0 for a functioning meter, got {theta_i!r}")
+    if not (math.isfinite(theta_s) and theta_s >= 0):
+        raise DomainError(f"theta_s must be finite and >= 0, got {theta_s!r}")
+    theta_i, theta_s, cs = float(theta_i), float(theta_s), complex(chi_s)
+    s_xx = hbar / (4.0 * theta_i) * (1.0 + 4.0 * theta_s**2 * abs(cs) ** 2 + 4.0 * theta_s * abs(cs.imag))
+    return NoiseTriad(s_xx, hbar * theta_s * cs, hbar * theta_i)
 
 
 def matched_sum_noise(theta_i: float, chi_inv: complex, *, hbar: float = 1.0) -> float:

@@ -314,8 +314,6 @@ def load_table(text: str):
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError(f"expected a JSON object, got {type(payload).__name__}")
         for cls in (BudgetTable, SpinFigureTable):
             if payload.get("kind") == cls._KIND:
                 return _parse_json(cls, payload)

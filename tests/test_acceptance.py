@@ -32,7 +32,6 @@ from qnl import (
     run_spin_figure,
     sigma,
     spin_triad,
-    SpinMeterParams,
     sum_noise_psd,
     threshold_eff,
     threshold_full,
@@ -180,17 +179,14 @@ def test_criterion_06_spin_meter_identities():
     rng = np.random.default_rng(106)
     failures = []
     for i in range(200):
-        params = SpinMeterParams(
-            theta_i=rng.uniform(0.05, 4.0),
-            theta_s=rng.uniform(0.0, 3.0),
-            chi_s=complex(rng.normal(), rng.normal()),
-        )
-        triad = spin_triad(params)
-        cs = complex(params.chi_s)
+        theta_i = rng.uniform(0.05, 4.0)
+        theta_s = rng.uniform(0.0, 3.0)
+        cs = complex(rng.normal(), rng.normal())
+        triad = spin_triad(theta_i, theta_s, cs)
         residual = (
             triad.s_xx * triad.s_ff
             - abs(triad.s_xf) ** 2
-            - params.theta_s * abs(cs.imag)
+            - theta_s * abs(cs.imag)
             - 0.25
         )
         if abs(residual) > 1e-12:
@@ -207,7 +203,7 @@ def test_criterion_06_spin_meter_identities():
         for theta_i in np.geomspace(0.05, 20.0, 40):
             product = optimal_spin_response(theta_i, chi)
             branch2 = theta_i * abs(chi.imag) >= 0.5
-            triad = spin_triad(SpinMeterParams(theta_i, 1.0, product))
+            triad = spin_triad(theta_i, 1.0, product)
             got = sum_noise_psd(triad, d, 0.0)
             want = optimize_fixed_eff_backaction(d, 0.0, theta_i).s_sum
             if rel(got, want) > 1e-10:

@@ -558,6 +558,30 @@ class TestRoundTrips:
         with pytest.raises(ConfigError, match=f"^line {line}: "):
             load_table("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("case, expected", [
+        ("too-short", "budget CSV too short to contain header and metadata"),
+        ("blank-first-line", "line 1: expected '# qnl ... ' banner, got ''"),
+        ("wrong-kind", "line 1: expected a 'budget' table, got 'budgetX'"),
+        ("no-config-hash", "line 2: expected '# config_hash=...', got '# hash=abc'"),
+        ("no-transitions", "line 3: expected '# transitions=...', got '# transition=1.0'"),
+        ("column-header", "line 5: unexpected column header 'omega,sql'"),
+    ])
+    def test_malformed_csv_header_and_metadata(self, table, case, expected):
+        lines = table.to_csv().splitlines()
+        if case == "too-short":
+            lines = lines[:4]
+        elif case == "blank-first-line":
+            lines.insert(0, "")
+        elif case == "wrong-kind":
+            lines[0] = lines[0].replace("# qnl budget", "# qnl budgetX")
+        else:
+            line, text = {"no-config-hash": (1, "# hash=abc"), "no-transitions": (2, "# transition=1.0"),
+                          "column-header": (4, "omega,sql")}[case]
+            lines[line] = text
+        with pytest.raises(ConfigError) as exc:
+            load_table("\n".join(lines) + "\n")
+        assert str(exc.value) == expected
+
     @pytest.mark.parametrize(
         "case", ["truncated", "not-an-object", "no-rows", "row-missing-column", "unknown-kind",
                  "columns-number", "columns-null", "huge-transition"]
@@ -838,6 +862,22 @@ class TestVerify:
         assert next(c for c in report.checks if c.name == "oracle-agreement").passed
         assert report.passed
 
+    def test_verify_says_when_every_point_sits_on_the_fdt_floor(self, monkeypatch):
+        # s_ff = hbar*|Im K| exactly: every instance is skipped, and the checks
+        # that skip them say that they checked nothing
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text())
+        cfg = parse_config(dict(raw, s_ff=0.5, back_action={"type": "constant", "re": 0.1, "im": 0.5}))
+        searched = oracle_calls(monkeypatch)
+        report = verify(cfg, samples=20)
+        assert searched == []
+        by_name = {c.name: c for c in report.checks}
+        for name in ("gauge-invariance", "oracle-agreement", "oracle-no-undercut"):
+            assert by_name[name].passed and by_name[name].measured == 0.0
+            assert by_name[name].detail == "no sampled point above the meter FDT floor"
+        assert by_name["commutator-residual"].detail == ""
+        assert ("[PASS] oracle-agreement: measured=0.000e+00 tol=1.000e-03 "
+                "(no sampled point above the meter FDT floor)") in report.render().splitlines()
+
     def test_spin_figure_requires_the_sweep_mode(self):
         with pytest.raises(ConfigError, match="sweep_SFF_at_fixed_omega.*'fixed_SFF'"):
             run_spin_figure(parse_config(osc_config()))
@@ -1081,6 +1121,9 @@ REJECTED_CONFIGS = {  # configs that run_budget rejects, each at a point inside 
     "overflowing-dql": osc_config(hbar=1e200, probe={
         "type": "oscillator", "mass": 1e150, "omega0": 1.0, "gamma": 0.2}),
     "overflowing-triad": osc_config(s_ff=1e300),
+    # at omega = 1, K = chi_inv = -0.2j: Re(chi_inv + K) = 0 and |Im chi_inv| = |Im K|
+    "degenerate-response": osc_config(s_ff=0.5, back_action={"type": "constant", "re": 0.0,
+                                                             "im": -0.2}),
     "lossless-spin-probe": spin_config(probe={"type": "free_mass", "mass": 1.0}),
 }
 
@@ -1149,6 +1192,11 @@ class TestArraySweepErrors:
             run_budget(parse_config(REJECTED_CONFIGS["overflowing-triad"]))
         assert str(exc.value) == ("omega=0.5: optimal triad at s_ff=1e+300 for chi_inv=(0.75-0.1j), "
                                   "K=0j: s_xx must be finite and >= 0, got nan")
+
+    def test_a_degenerate_response_names_omega(self):
+        with pytest.raises(DomainError) as exc:
+            run_budget(parse_config(REJECTED_CONFIGS["degenerate-response"]))
+        assert str(exc.value) == "omega=1.0: degenerate response chi_inv=-0.2j, K=-0.2j"
 
     @pytest.mark.parametrize("thermal", [{"type": "zero"}, {"type": "uniform", "temperature": 0.5}])
     def test_constant_k_and_bath_are_not_evaluated_per_point(self, thermal, monkeypatch):

@@ -218,8 +218,8 @@ def test_public_names_are_pinned():
         "FdtViolationError", "FreeMass", "GridSpec", "LosslessProbeError", "NoiseTriad",
         "OptimumReport", "OracleConfig", "OracleResult", "PhaseTransitionProbe", "PhysConstants",
         "QnlError", "RangeError", "Regime", "SffSweepSpec", "SpinFigurePoint",
-        "SpinFigureTable", "SpinMeterParams", "Susceptibility", "SweepConfig", "TableMeta",
-        "TabulatedSusceptibility", "ThermalModel", "UniformTemperature", "VerificationReport",
+        "SpinFigureTable", "SweepConfig", "TableMeta", "TabulatedSusceptibility",
+        "UniformTemperature", "VerificationReport",
         "ZeroTemperature", "brute_force_min", "commutator_check", "dql", "fdt_psd",
         "feedback_equivalent_gauge", "gauge_transform", "load_config", "load_table",
         "local_uncertainty_pair", "matched_sum_noise", "negative_mass_oscillator",
@@ -232,6 +232,34 @@ def test_public_names_are_pinned():
     namespace = {}
     exec("from qnl import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == qnl.__all__
+
+
+def test_readme_quickstart_runs_and_gives_its_commented_values():
+    # a public name removed or renamed in the library but not in the README fails
+    # here, and so does a commented value that no longer holds
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quickstart\n\n```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    commented = {code.strip(): comment.strip() for code, _, comment in
+                 (line.partition("#") for line in block.splitlines()) if comment}
+    assert commented == {
+        "d = probe.chi_inv(1.0)": "-0.2j at resonance",
+        "qnl.sql(d)": "0.2",
+        "qnl.dql(d)": "0.2",
+        "qnl.threshold_full(d, 0.1 + 0.3j)": "0.35",
+        "best.s_sum": "0.2  (dissipation-limited)",
+        "best.regime": "Regime.DQL_LIMITED",
+        "qnl.uncertainty_slack(best.optimal_triad, 0.1 + 0.3j)": "~0: saturating meter",
+        "check.s_sum_min": "agrees to ~1e-15",
+    }
+    assert ns["d"] == -0.2j
+    for code, value in (("qnl.sql(d)", 0.2), ("qnl.dql(d)", 0.2),
+                        ("qnl.threshold_full(d, 0.1 + 0.3j)", 0.35), ("best.s_sum", 0.2)):
+        assert abs(eval(code, ns) - value) <= 1e-15, code
+    assert eval("best.regime", ns) is qnl.Regime.DQL_LIMITED
+    assert abs(eval("qnl.uncertainty_slack(best.optimal_triad, 0.1 + 0.3j)", ns)) <= 1e-15
+    assert abs(eval("check.s_sum_min", ns) - ns["best"].s_sum) <= 1e-15
 
 
 def test_benchmark_tracer_hooks_every_target(monkeypatch):

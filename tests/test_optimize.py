@@ -175,7 +175,7 @@ class TestFixedEffectiveSigmaZero:
         report = optimize_fixed_eff_backaction_sigma_zero(D_RES, 0.0, thr)
         assert report.s_sum == 0.2
         assert report.regime is Regime.DQL_LIMITED
-        assert report.constrained_sigma_zero
+        assert report.sigma_opt == 0.0
         check_report(report, D_RES, 0.0)
 
     def test_frozen_value_at_twice_threshold(self):
@@ -307,7 +307,7 @@ class TestFixedBackAction:
             free = optimize_fixed_backaction(d, k, s, allow_sigma=True)
             pinned = optimize_fixed_backaction(d, k, s, allow_sigma=False)
             assert free.s_sum <= pinned.s_sum * (1.0 + 1e-12)
-            assert pinned.constrained_sigma_zero and not free.constrained_sigma_zero
+            assert pinned.sigma_opt == 0.0
             check_report(free, d, k)
             check_report(pinned, d, k)
 

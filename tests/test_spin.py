@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from qnl import (
     DampedOscillator,
     DomainError,
-    SpinMeterParams,
     matched_sum_noise,
     negative_mass_oscillator,
     optimal_spin_response,
@@ -25,23 +24,20 @@ D_RES = complex(0.0, -0.2)  # chi = 5j
 
 
 def random_params(rng):
-    return SpinMeterParams(
-        theta_i=rng.uniform(0.05, 4.0),
-        theta_s=rng.uniform(0.0, 3.0),
-        chi_s=complex(rng.normal(), rng.normal()),
-    )
+    """(theta_i, theta_s, chi_s)"""
+    return rng.uniform(0.05, 4.0), rng.uniform(0.0, 3.0), complex(rng.normal(), rng.normal())
 
 
 class TestSpinTriad:
     def test_plain_interferometer_without_spin(self):
         for theta_i, hbar in ((0.5, 1.0), (2.0, 0.7)):
-            triad = spin_triad(SpinMeterParams(theta_i, 0.0, 0j), hbar=hbar)
+            triad = spin_triad(theta_i, 0.0, 0j, hbar=hbar)
             assert triad.s_xf == 0.0
             assert triad.s_ff == hbar * theta_i
             assert_allclose(triad.s_xx * triad.s_ff, hbar**2 / 4.0, rtol=1e-15)
 
     def test_frozen_example(self):
-        triad = spin_triad(SpinMeterParams(1.0, 1.0, complex(-0.5, 0.1)))
+        triad = spin_triad(1.0, 1.0, complex(-0.5, 0.1))
         assert_allclose(triad.s_xx, 0.61, rtol=1e-15)
         assert triad.s_xf == complex(-0.5, 0.1)
         assert triad.s_ff == 1.0
@@ -49,33 +45,42 @@ class TestSpinTriad:
     def test_saturation_identity_over_random_draws(self):
         rng = np.random.default_rng(51)
         for _ in range(200):
-            p = random_params(rng)
+            theta_i, theta_s, cs = random_params(rng)
             hbar = rng.choice([1.0, 0.7, 2.0])
-            triad = spin_triad(p, hbar=hbar)
-            cs = complex(p.chi_s)
+            triad = spin_triad(theta_i, theta_s, cs, hbar=hbar)
             lhs = triad.s_xx * triad.s_ff - abs(triad.s_xf) ** 2
-            rhs = hbar**2 * p.theta_s * abs(cs.imag) + hbar**2 / 4.0
+            rhs = hbar**2 * theta_s * abs(cs.imag) + hbar**2 / 4.0
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
             assert abs(uncertainty_slack(triad, 0.0, hbar)) <= 1e-12 * (lhs + 1.0)
 
     def test_sigma_tracks_spin_dissipation(self):
         rng = np.random.default_rng(52)
         for _ in range(100):
-            p = random_params(rng)
-            triad = spin_triad(p)
-            assert_allclose(sigma(triad, 0.0), -p.theta_s * complex(p.chi_s).imag, rtol=1e-13,
-                            atol=1e-15)
+            theta_i, theta_s, cs = random_params(rng)
+            triad = spin_triad(theta_i, theta_s, cs)
+            assert_allclose(sigma(triad, 0.0), -theta_s * cs.imag, rtol=1e-13, atol=1e-15)
 
     def test_requires_functioning_interferometer(self):
         with pytest.raises(DomainError):
-            spin_triad(SpinMeterParams(0.0, 1.0, 1j))
+            spin_triad(0.0, 1.0, 1j)
         with pytest.raises(DomainError):
-            SpinMeterParams(-1.0, 0.0, 0j)
+            spin_triad(-1.0, 0.0, 0j)
+
+    @pytest.mark.parametrize("theta_i, theta_s, text", [
+        (0.0, 1.0, "theta_i must be finite and > 0 for a functioning meter, got 0.0"),
+        (math.inf, 1.0, "theta_i must be finite and > 0 for a functioning meter, got inf"),
+        (1.0, -0.5, "theta_s must be finite and >= 0, got -0.5"),
+        (1.0, math.nan, "theta_s must be finite and >= 0, got nan"),
+    ])
+    def test_one_check_per_coupling(self, theta_i, theta_s, text):
+        with pytest.raises(DomainError) as exc:
+            spin_triad(theta_i, theta_s, 1j)
+        assert str(exc.value) == text
 
     def test_callable_spin_response_evaluated_at_frequency(self):
         chi_s = negative_mass_oscillator(mass=1.0, omega_s=1.0, gamma_s=0.2)
         assert chi_s(1.0) == -1.0 / complex(0.0, -0.2)
-        triad = spin_triad(SpinMeterParams(1.0, 0.5, chi_s(1.0)))
+        triad = spin_triad(1.0, 0.5, chi_s(1.0))
         assert triad.s_xf == 0.5 * chi_s(1.0)
 
 
@@ -95,7 +100,7 @@ class TestMatched:
             theta_i = rng.uniform(0.1, 5.0)
             chi = 1.0 / d
             product = -theta_i * chi
-            triad = spin_triad(SpinMeterParams(theta_i, 1.0, product))
+            triad = spin_triad(theta_i, 1.0, product)
             assert rel(sum_noise_psd(triad, d, 0.0), matched_sum_noise(theta_i, d)) <= 1e-12
 
     def test_dominates_the_optimum_on_a_coupling_sweep(self):
@@ -162,7 +167,7 @@ class TestOptimalSpinResponse:
         d = 1.0 / chi
         for theta_i in np.geomspace(0.05, 20.0, 25):
             product = optimal_spin_response(theta_i, chi)
-            triad = spin_triad(SpinMeterParams(theta_i, 1.0, product), hbar=hbar)
+            triad = spin_triad(theta_i, 1.0, product, hbar=hbar)
             s_eff = hbar * theta_i
             best = optimize_fixed_eff_backaction(d, 0.0, s_eff, hbar=hbar)
             assert rel(sum_noise_psd(triad, d, 0.0), best.s_sum) <= 1e-10
