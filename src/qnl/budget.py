@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, DomainError, FdtViolationError
-from .meter import commutator_check, gauge_transform, sigma, sum_noise_psd, uncertainty_slack
+from .meter import _gauge_deviations
 from .optimize import (
     _optimum_grid,
     optimize_fixed_backaction,
@@ -26,7 +26,7 @@ from .optimize import (
     phase_transition_probe,
     threshold_eff,
 )
-from .oracle import brute_force_min, random_saturating_triad
+from .oracle import brute_force_min, saturating_s_xx
 from .spectra import (
     ComplexTable,
     DampedOscillator,
@@ -107,10 +107,10 @@ class SffSweepSpec(GridSpec):
 class SweepConfig:
     """A parsed configuration with its mode's rules applied.  k_of_omega is the K
     that the optimizer sees: Re K under the effective-budget convention.
-    s_ff_sweep is set exactly in the sweep mode, which requires omega.  A sweep
-    reads each model through its array form, which only the models a config
-    describes have; verify also calls the scalar chi_inv and K at its sampled
-    points."""
+    s_ff_sweep is set exactly in the sweep mode, which requires omega.  A sweep,
+    and verify at its sampled points, reads each model through its array form,
+    which only the models a config describes have; verify's fdt-floor check
+    calls the bath's scalar temperature_at."""
 
     probe: DampedOscillator | FreeMass | TabulatedSusceptibility
     k_of_omega: ComplexTable | _ConstantK
@@ -439,15 +439,24 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _verify_instances(cfg: SweepConfig, table, rng: np.random.Generator, samples: int):
-    """Sample (omega, chi_inv, K, s_ff) working points from the rows of the config's table."""
+def _verify_instances(cfg: SweepConfig, table, rng: np.random.Generator, samples: int) -> tuple:
+    """Working points sampled from the rows of the config's table, as the arrays
+    (omega, Re chi_inv, Im chi_inv, Re K, Im K, s_ff).  The models are read through
+    their array forms, which give the scalar calls' values bit for bit."""
     grid = table.arrays[0]  # the frequencies, or the spin sweep's budgets
-    picks = np.sort(rng.choice(len(grid), size=min(samples, len(grid)), replace=False))
+    points = grid[np.sort(rng.choice(len(grid), size=min(samples, len(grid)), replace=False))]
+    n = len(points)
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         d = cfg.probe.chi_inv(cfg.omega)
-        return [(cfg.omega, d, 0j, s) for s in grid[picks].tolist()]
-    return [(w, cfg.probe.chi_inv(w), complex(cfg.k_of_omega(w)), float(cfg.s_ff))
-            for w in grid[picks].tolist()]
+        return (np.full(n, cfg.omega), np.full(n, d.real), np.full(n, d.imag), np.zeros(n),
+                np.zeros(n), points)
+    return (points, *cfg.probe._chi_inv_grid(points)[:2], *cfg.k_of_omega._on_grid(points)[:2],
+            np.full(n, cfg.s_ff))
+
+
+def _worst(values, start: float = 0.0) -> float:
+    """The largest of start and the values (any array-like): NaN where any is NaN."""
+    return float(np.max(values, initial=start))
 
 
 def verify(
@@ -465,8 +474,11 @@ def verify(
     cancellation, the derivative structure at the threshold of the first
     lossy sampled instance (the first lossy point among the seeded picks of
     samples rows of the table), thermal-floor consistency, and (optionally)
-    a comparison of the table with the golden one.  samples must be >= 1.
-    jobs is accepted and has no effect.
+    a comparison of the table with the golden one.  The gauge, closed-form
+    and commutator checks run on arrays over the sampled points, bit for bit
+    the scalar functions' values; the oracle is called once per point.  A
+    NaN fails the check it reaches.  samples must be >= 1.  jobs is
+    accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")
@@ -474,66 +486,50 @@ def verify(
     hbar = cfg.constants.hbar
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
-    instances = _verify_instances(cfg, table, rng, samples)
+    omegas, d_re, d_im, k_re, k_im, s_ff = _verify_instances(cfg, table, rng, samples)
+    ds, ks = (list(map(complex, a.tolist(), b.tolist())) for a, b in ((d_re, d_im), (k_re, k_im)))
 
     # The gauge and oracle checks skip the instances at and below the meter FDT
     # floor; where that is every instance, their detail says so.
-    above_floor = [i for i, (_, _, kv, s_ff) in enumerate(instances) if s_ff > hbar * abs(kv.imag)]
-    unchecked = "" if above_floor else "no sampled point above the meter FDT floor"
+    up = np.flatnonzero(s_ff > hbar * np.abs(k_im))
+    unchecked = "" if len(up) else "no sampled point above the meter FDT floor"
+    d_up, k_up, s_up = (d_re[up], d_im[up]), (k_re[up], k_im[up]), s_ff[up]
 
-    # Gauge / feedback invariance on saturating triads at config scale.
-    worst = 0.0
-    for idx in above_floor:
-        w, d, kv, s_ff = instances[idx]
-        triad = random_saturating_triad(kv, s_ff, seed=seed + idx, hbar=hbar)
-        kernel = complex(rng.normal(), rng.normal()) * abs(d + kv)  # in units of chi_inv
-        eff, gv = gauge_transform(triad, kv, kernel)
-        # deviations measured against the terms summed on the larger side
-        sum_scale = max(
-            abs(d + kv) ** 2 * triad.s_xx + 2 * abs(d + kv) * abs(triad.s_xf) + triad.s_ff,
-            abs(d + gv) ** 2 * eff.s_xx + 2 * abs(d + gv) * abs(eff.s_xf) + eff.s_ff,
-        )
-        worst = max(
-            worst, abs(sum_noise_psd(eff, d, gv) - sum_noise_psd(triad, d, kv)) / sum_scale
-        )
-        slack_scale = max(
-            triad.s_xx * triad.s_ff + abs(triad.s_xf) ** 2,
-            eff.s_xx * eff.s_ff + abs(eff.s_xf) ** 2,
-        ) + hbar * hbar / 4.0
-        worst = max(
-            worst,
-            abs(uncertainty_slack(eff, gv, hbar) - uncertainty_slack(triad, kv, hbar)) / slack_scale,
-        )
-        sig_scale = max(
-            abs(kv.imag) * triad.s_xx + abs(triad.s_xf.imag),
-            abs(gv.imag) * eff.s_xx + abs(eff.s_xf.imag),
-        ) + hbar
-        worst = max(worst, abs(sigma(eff, gv) - sigma(triad, kv)) / sig_scale)
+    # Gauge / feedback invariance on saturating triads at config scale: the
+    # kernels in units of chi_inv, then S_xF uniform in the disc of radius 5*hbar.
+    dk_abs = np.hypot(d_up[0] + k_up[0], d_up[1] + k_up[1])
+    kernels = rng.normal(size=(len(up), 2)) * dk_abs[:, None]
+    u = rng.random((len(up), 2))
+    r, phi = 5.0 * hbar * np.sqrt(u[:, 0]), 2.0 * math.pi * u[:, 1]
+    s_xf = (r * np.cos(phi), r * np.sin(phi))
+    triads = (saturating_s_xx(*s_xf, s_up, k_up[1], hbar), *s_xf, s_up)
+    worst = _worst(_gauge_deviations(d_up, k_up, triads, kernels.T, hbar))
     checks.append(CheckResult("gauge-invariance", worst <= 1e-12, worst, 1e-12, unchecked))
 
     # Closed form vs brute force.
-    worst = 0.0
-    undercut = 0.0
-    for idx in above_floor:
-        w, d, kv, s_ff = instances[idx]
-        c = optimize_fixed_backaction(d, kv, s_ff, hbar=hbar).s_sum
-        got = brute_force_min(d, kv, s_ff, hbar=hbar).s_sum_min
-        worst = max(worst, abs(got - c) / c)
-        undercut = max(undercut, (c - got) / c)
+    opt = _optimum_grid(*d_up, *k_up, s_up, True, hbar)
+    for i in np.flatnonzero(opt["bad"]).tolist():  # the scalar call raises the error
+        optimize_fixed_backaction(ds[up[i]], ks[up[i]], float(s_up[i]), hbar=hbar)
+    c = opt["s_sum"]
+    got = np.array([brute_force_min(ds[i], ks[i], s, hbar=hbar).s_sum_min
+                    for i, s in zip(up.tolist(), s_up.tolist())])
+    worst, undercut = _worst(np.abs(got - c) / c), _worst((c - got) / c)
     checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3, unchecked))
     checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3, unchecked))
 
     # Commutator cancellation at every sampled point, relative to the sum of
-    # the magnitudes of the cancelling terms 2hbar(Im(chi_inv + K) - Im K - Im chi_inv).
-    worst = 0.0
-    for w, d, kv, _ in instances:
-        terms = 2.0 * hbar * (abs((d + kv).imag) + abs(kv.imag) + abs(d.imag))
-        residual = commutator_check(d, kv, hbar)[2]
-        worst = max(worst, abs(residual) / terms if residual else 0.0)
+    # the magnitudes of the cancelling terms 2hbar(Im(chi_inv + K) - Im K - Im chi_inv):
+    # the residual of commutator_check, op for op.
+    dk_im = d_im + k_im
+    c_sum = 0.0 + 2.0 * ((d_re + k_re) * 0.0 - dk_im * -hbar) - 2.0 * hbar * k_im
+    residual = c_sum + -2.0 * hbar * d_im
+    terms = 2.0 * hbar * (np.abs(dk_im) + np.abs(k_im) + np.abs(d_im))
+    with np.errstate(invalid="ignore"):  # 0/0 where every term is 0, and so the residual
+        worst = _worst(np.where(residual != 0.0, np.abs(residual) / terms, 0.0))
     checks.append(CheckResult("commutator-residual", worst <= 1e-14, worst, 1e-14))
 
     # Threshold derivative structure at the first lossy sampled point.
-    for w, d, kv, s_ff in instances:
+    for w, d, kv in zip(omegas.tolist(), ds, ks):
         if d.imag == 0.0:
             continue
         try:
@@ -556,10 +552,8 @@ def verify(
                                   "no probeable lossy point sampled"))
 
     # Thermal force PSD never below the dissipation floor.
-    worst = -math.inf
-    for w, d, kv, _ in instances:
-        floor = dql(d, hbar=hbar)
-        worst = max(worst, floor - fdt_psd(d, cfg.thermal, w, cfg.constants))
+    worst = _worst([dql(d, hbar=hbar) - fdt_psd(d, cfg.thermal, w, cfg.constants)
+                    for w, d in zip(omegas.tolist(), ds)], -math.inf)
     checks.append(CheckResult("fdt-floor", worst <= 0.0, worst, 0.0))
 
     if golden_path is not None:

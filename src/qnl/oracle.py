@@ -58,22 +58,21 @@ class OracleResult:
     iterations: int
 
 
-def saturating_s_xx(re_s_xf, im_s_xf, s_ff: float, k_im: float, hbar: float = 1.0):
+def saturating_s_xx(re_s_xf, im_s_xf, s_ff, k_im, hbar: float = 1.0):
     """Smallest S_xx with zero uncertainty slack at the given cross PSD:
     max(S+, S-), S+- = (|S_xF|^2 -+ hbar*Im S_xF + hbar^2/4)/(s_ff -+ hbar*k_im)
     being the zeros of the two one-sided slacks of local_uncertainty_pair.
-    Works element-wise on arrays; a scalar input gives a Python float.  NaN
-    at and below the meter FDT floor s_ff <= hbar*|k_im|.
+    Works element-wise on arrays, s_ff and k_im included, which broadcast with
+    the cross PSD; a scalar input gives a Python float.  NaN at and below the
+    meter FDT floor s_ff <= hbar*|k_im|.
     """
-    re = np.asarray(re_s_xf, dtype=float)
-    im = np.asarray(im_s_xf, dtype=float)
-    if s_ff <= hbar * abs(k_im):
-        s_xx = np.full(np.broadcast_shapes(re.shape, im.shape), math.nan)
-    else:
-        m2, h_im, quarter = re * re + im * im, hbar * im, hbar * hbar / 4.0
+    re, im, s_ff, k_im = (np.asarray(v, dtype=float) for v in (re_s_xf, im_s_xf, s_ff, k_im))
+    m2, h_im, quarter = re * re + im * im, hbar * im, hbar * hbar / 4.0
+    with np.errstate(divide="ignore"):  # a zero denominator at the floor, where NaN is returned
         plus = (m2 - h_im + quarter) / (s_ff - hbar * k_im)
         minus = (m2 + h_im + quarter) / (s_ff + hbar * k_im)
-        s_xx = np.where(plus > minus, plus, minus)  # as _surface chooses, NaN included
+    # where(plus > minus, ...) as _surface chooses, NaN included
+    s_xx = np.where(s_ff > hbar * np.abs(k_im), np.where(plus > minus, plus, minus), math.nan)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
 
 
@@ -174,7 +173,7 @@ def random_saturating_triad(
 
     (Re S_xF, Im S_xF) is drawn uniformly in the disc of radius 5*hbar (S_xF
     scales like hbar in every unit system) and S_xx solved from the
-    zero-slack condition by the oracle's float saturating_s_xx.  Deterministic
+    zero-slack condition by _surface, saturating_s_xx on Python floats.  Deterministic
     per seed.  At the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates
     and the call raises EmptyFeasibleRegionError, as brute_force_min does.
     """

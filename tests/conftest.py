@@ -1,4 +1,4 @@
-"""Shared draw helpers for randomized checks.
+"""Shared draw helpers for randomized checks, and scalar references.
 
 Instances are kept at desk scale (response components of order unity,
 |Im chi_inv| bounded away from zero, budgets within a couple of decades of
@@ -9,7 +9,7 @@ double precision no matter the algorithm.
 
 import numpy as np
 
-from qnl import threshold_full
+from qnl import gauge_transform, sigma, sum_noise_psd, threshold_full, uncertainty_slack
 
 
 def rel(a: float, b: float) -> float:
@@ -32,3 +32,20 @@ def draw_budget(rng: np.random.Generator, chi_inv: complex, k: complex,
     floor = hbar * abs(k.imag)
     s = thr * 10.0 ** rng.uniform(-decades, decades)
     return max(s, floor * (1.0 + 10.0 ** rng.uniform(-4.0, 0.0)))
+
+
+def gauge_deviations(chi_inv: complex, k: complex, triad, kernel: complex, hbar: float) -> tuple:
+    """verify's gauge check at one point from the scalar meter functions: how far
+    sum_noise_psd, uncertainty_slack and sigma move under gauge_transform, each
+    relative to the terms summed on the larger side."""
+    eff, gv = gauge_transform(triad, k, kernel)
+    m, n = abs(chi_inv + k), abs(chi_inv + gv)
+    sum_scale = max(m * m * triad.s_xx + 2.0 * m * abs(triad.s_xf) + triad.s_ff,
+                    n * n * eff.s_xx + 2.0 * n * abs(eff.s_xf) + eff.s_ff)
+    slack_scale = max(triad.s_xx * triad.s_ff + abs(triad.s_xf) * abs(triad.s_xf),
+                      eff.s_xx * eff.s_ff + abs(eff.s_xf) * abs(eff.s_xf)) + hbar * hbar / 4.0
+    sig_scale = max(abs(k.imag) * triad.s_xx + abs(triad.s_xf.imag),
+                    abs(gv.imag) * eff.s_xx + abs(eff.s_xf.imag)) + hbar
+    return (abs(sum_noise_psd(eff, chi_inv, gv) - sum_noise_psd(triad, chi_inv, k)) / sum_scale,
+            abs(uncertainty_slack(eff, gv, hbar) - uncertainty_slack(triad, k, hbar)) / slack_scale,
+            abs(sigma(eff, gv) - sigma(triad, k)) / sig_scale)

@@ -7,14 +7,16 @@ call from its stored chi_inv, k, s_ff, hbar and refine), of
 tests/data/verify_reports.json (each config's verify report at seed 1) and of
 tests/data/table_digests.json (the sha256 of each table's CSV and JSON text),
 and prints every entry that moved, each moved oracle pin with its relative
-error against the closed form before and after, and every new pin (an entry
-that holds only inputs).  Without --check it rewrites the three files; with
+error against the closed form before and after, every new pin (an entry
+that holds only inputs), and each report line that moved, was added or was
+removed.  Without --check it rewrites the three files; with
 --check it writes nothing and exits 1 if any entry moved.  Pytest does not
 collect this file.
 """
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from qnl import (OracleConfig, QnlError, brute_force_min, load_config,
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 OUTPUTS = ("s_sum_min", "s_xx", "s_xf", "s_ff_out", "iterations")
+CHECK_LINE = re.compile(r"^\[(PASS|FAIL)\] ([\w-]+): measured=(\S+)")
 
 
 def unhex(pair):
@@ -74,16 +77,32 @@ def regen_pins(cases: list) -> tuple[list, list]:
     return fresh, moved
 
 
+def report_lines(text: str) -> dict:
+    """A report's lines by key: a check line's check name, any other line its text."""
+    return {(m.group(2) if (m := CHECK_LINE.match(line)) else line): line
+            for line in text.splitlines()}
+
+
 def regen_reports(reports: dict) -> tuple[dict, list]:
     fresh = {name: verify(load_config(str(CONFIGS / name)), seed=1).render() for name in reports}
     moved = []
     for name, text in fresh.items():
-        for old, new in zip(reports[name].splitlines(), text.splitlines()):
-            if old != new:
-                was, now = (float(line.split("measured=")[1].split()[0]) for line in (old, new))
+        old, new = report_lines(reports[name]), report_lines(text)
+        for key, line in new.items():
+            if key not in old:
+                moved.append(f"{name}: added {line!r}")
+            elif old[key] != line:  # a check line, as key names a check
+                (was_verdict, was), (verdict, now) = (CHECK_LINE.match(x).group(1, 3)
+                                                      for x in (old[key], line))
+                if was == now:  # the detail or the tolerance changed
+                    moved.append(f"{name}: {old[key]!r} -> {line!r}")
+                    continue
+                was, now = float(was), float(now)
                 change = abs(now - was) / abs(was) if was else float("inf")
-                moved.append(f"{name}: {new.split(':')[0]} moved by {change:.2e} relative "
-                             f"({was:.3e} -> {now:.3e})")
+                flip = f", was {was_verdict}" if was_verdict != verdict else ""
+                moved.append(f"{name}: [{verdict}] {key} moved by {change:.2e} relative "
+                             f"({was:.3e} -> {now:.3e}{flip})")
+        moved += [f"{name}: removed {line!r}" for key, line in old.items() if key not in new]
     return fresh, moved
 
 

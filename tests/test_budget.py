@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -16,11 +18,13 @@ from qnl import (
     DomainError,
     FdtViolationError,
     LosslessProbeError,
+    NoiseTriad,
     QnlError,
     RangeError,
     SffSweepSpec,
     SpinFigurePoint,
     SpinFigureTable,
+    commutator_check,
     dql,
     fdt_psd,
     load_config,
@@ -32,11 +36,13 @@ from qnl import (
     parse_config,
     run_budget,
     run_spin_figure,
+    saturating_s_xx,
     sql,
     threshold_eff,
     verify,
 )
 from qnl import budget, oracle, tables
+from conftest import gauge_deviations
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REPORTS = Path(__file__).resolve().parent / "data" / "verify_reports.json"
@@ -1252,10 +1258,175 @@ def test_verify_runs_the_sweep_once(config, tmp_path, monkeypatch):
     cfg = parse_config(config)
     golden = tmp_path / "golden.csv"
     golden.write_text(run_budget(cfg).to_csv(), encoding="utf-8")
-    calls, kernel = [], budget._optimum_grid
-    monkeypatch.setattr(budget, "_optimum_grid", lambda *args: calls.append(1) or kernel(*args))
+    calls, sweep_table = [], budget._sweep_table
+    monkeypatch.setattr(budget, "_sweep_table", lambda *args: calls.append(1) or sweep_table(*args))
     assert verify(cfg, samples=3).passed and len(calls) == 1
     assert verify(cfg, samples=3, golden_path=str(golden)).passed and len(calls) == 2
+
+
+ARRAY_CHECK_CONFIGS = {
+    "oscillator_budget": lambda: load_config(str(CONFIGS / "oscillator_budget.json")),
+    "si_oscillator": lambda: load_config(str(CONFIGS / "si_oscillator.json")),
+    "spin_figure": lambda: load_config(str(CONFIGS / "spin_figure.json")),
+    "effective-complex-k": lambda: parse_config(osc_config(
+        mode="fixed_effective", s_ff=0.3, back_action={"type": "constant", "re": 0.1, "im": 0.05})),
+    "sff-tabulated-complex-k": lambda: parse_config(osc_config(
+        s_ff=0.3, back_action={"type": "tabulated", "omega": [0.4, 1.6], "re": [0.05, -0.1],
+                               "im": [0.02, 0.1]})),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_CHECK_CONFIGS))
+def test_array_checks_are_the_scalar_functions_point_by_point(name, monkeypatch):
+    # verify's array passes against the scalar library at each sampled point:
+    # the points are the scalar chi_inv and K; each gauge deviation is the one
+    # NoiseTriad, gauge_transform, sum_noise_psd, uncertainty_slack and sigma
+    # give, with ==; the oracle and commutator lines are the scalar loop's
+    cfg = ARRAY_CHECK_CONFIGS[name]()
+    hbar = cfg.constants.hbar
+    seen = {}
+
+    def recorded(name, func):
+        def call(*args):
+            seen[name] = (args, func(*args))
+            return seen[name][1]
+
+        monkeypatch.setattr(budget, name, call)
+
+    recorded("_verify_instances", budget._verify_instances)
+    recorded("_gauge_deviations", budget._gauge_deviations)
+    searched = oracle_calls(monkeypatch)
+    by_name = {c.name: c for c in verify(cfg, seed=1, samples=40).checks}
+
+    omegas, *parts = (a.tolist() for a in seen["_verify_instances"][1])
+    points = [(w, complex(a, b), complex(c, d), s) for w, a, b, c, d, s in zip(omegas, *parts)]
+    for w, d, kv, s_ff in points:
+        if cfg.mode == "sweep_SFF_at_fixed_omega":
+            assert (w, d, kv) == (cfg.omega, cfg.probe.chi_inv(cfg.omega), 0j)
+        else:
+            assert (d, kv, s_ff) == (cfg.probe.chi_inv(w), complex(cfg.k_of_omega(w)), cfg.s_ff)
+    above = [(d, kv, s_ff) for _, d, kv, s_ff in points if s_ff > hbar * abs(kv.imag)]
+    assert above and searched == above
+
+    ((d, kv, triad, gv, _), got) = seen["_gauge_deviations"]
+    got = list(zip(*(a.tolist() for a in got)))
+    want = []
+    for (dv, k, s_ff), *row in zip(above, *(a.tolist() for a in (*triad[:3], *gv))):
+        s_xx, xf_re, xf_im, g_re, g_im = row
+        assert s_xx == saturating_s_xx(xf_re, xf_im, s_ff, k.imag, hbar)
+        want.append(gauge_deviations(dv, k, NoiseTriad(s_xx, complex(xf_re, xf_im), s_ff),
+                                     complex(g_re, g_im), hbar))
+    assert got == want
+    assert by_name["gauge-invariance"].measured == max(0.0, *(v for row in want for v in row))
+
+    closed = [optimize_fixed_backaction(dv, k, s_ff, hbar=hbar).s_sum for dv, k, s_ff in above]
+    oracle_min = [oracle.brute_force_min(dv, k, s_ff, hbar=hbar).s_sum_min for dv, k, s_ff in above]
+    assert by_name["oracle-agreement"].measured == max(
+        0.0, *(abs(o - c) / c for c, o in zip(closed, oracle_min)))
+    assert by_name["oracle-no-undercut"].measured == max(
+        0.0, *((c - o) / c for c, o in zip(closed, oracle_min)))
+    worst = 0.0
+    for _, dv, k, _ in points:
+        residual = commutator_check(dv, k, hbar)[2]
+        terms = 2.0 * hbar * (abs((dv + k).imag) + abs(k.imag) + abs(dv.imag))
+        worst = max(worst, abs(residual) / terms if residual else 0.0)
+    assert by_name["commutator-residual"].measured == worst
+
+
+def test_verify_reruns_flagged_points_through_the_scalar_optimizer(monkeypatch):
+    # with every point flagged, the sweep re-runs its 101 rows and verify each
+    # point above the floor, in order, through optimize_fixed_backaction, which
+    # accepts them: the report is the same
+    cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
+    want = verify(cfg, seed=1).render()
+    kernel, scalar, calls = budget._optimum_grid, budget.optimize_fixed_backaction, []
+
+    def all_bad(*args):
+        opt = kernel(*args)
+        return dict(opt, bad=np.ones_like(opt["bad"]))
+
+    monkeypatch.setattr(budget, "_optimum_grid", all_bad)
+    monkeypatch.setattr(budget, "optimize_fixed_backaction",
+                        lambda *args, **kw: calls.append(args[:3]) or scalar(*args, **kw))
+    searched = oracle_calls(monkeypatch)
+    assert verify(cfg, seed=1).render() == want
+    assert len(searched) == 6 and calls[101:] == searched and len(calls) == 107
+
+
+def nan_at_the_third(func, field=None):
+    """func, with a NaN at the third element of its array result, or in the given
+    field of its third call's result."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        result = func(*args, **kwargs)
+        calls.append(1)
+        if field is None:
+            result[2] = math.nan
+        elif len(calls) == 3:
+            result = dataclasses.replace(result, **{field: math.nan})
+        return result
+
+    return patched
+
+
+@pytest.mark.parametrize("target, func, field, failing", [
+    ("brute_force_min", oracle.brute_force_min, "s_sum_min",
+     ("oracle-agreement", "oracle-no-undercut")),
+    ("saturating_s_xx", oracle.saturating_s_xx, None, ("gauge-invariance",)),
+], ids=["oracle", "gauge"])
+def test_a_nan_never_passes_a_check(target, func, field, failing, monkeypatch):
+    # a NaN that follows a number still fails the check it reaches, and only that one
+    cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
+    monkeypatch.setattr(budget, target, nan_at_the_third(func, field))
+    report = verify(cfg, seed=1)
+    for check in report.checks:
+        assert check.passed == (check.name not in failing)
+        assert math.isnan(check.measured) == (check.name in failing)
+    assert f"[FAIL] {failing[0]}: measured=nan tol=" in report.render()
+
+
+def test_a_nan_thermal_psd_fails_the_fdt_floor(monkeypatch):
+    cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
+    calls = []
+    monkeypatch.setattr(budget, "fdt_psd", lambda *args: math.nan if calls.append(1) or
+                        len(calls) == 3 else fdt_psd(*args))
+    check = verify(cfg, seed=1).checks[-1]
+    assert check.name == "fdt-floor" and not check.passed and math.isnan(check.measured)
+
+
+def test_regen_reports_names_each_changed_line_and_writes_nothing():
+    # a report that gains, loses or changes a line, its verdict line included,
+    # is reported line by line, not with an IndexError
+    path = Path(__file__).resolve().parent / "regen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("regen_fixtures", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    data = {p: p.read_bytes() for p in REPORTS.parent.iterdir()}
+    pinned = json.loads(REPORTS.read_text())
+    osc = pinned["oscillator_budget.json"].splitlines()
+    si = pinned["si_oscillator.json"].splitlines()
+    fdt, extra = osc[-2], "[PASS] extra-check: measured=1.000e+00 tol=1.000e+00"
+    assert fdt.startswith("[PASS] fdt-floor:") and osc[-1] == "verification PASSED"
+    gauge, agreement = si[0], si[1]
+    was = float(gauge.split("measured=")[1].split()[0])
+    doctored = {
+        "oscillator_budget.json": "\n".join([*osc[:-2], extra, "verification FAILED"]),
+        "si_oscillator.json": "\n".join([gauge.replace("[PASS]", "[FAIL]").replace(
+            f"{was:.3e}", "2.000e-12"), agreement.replace("[PASS]", "[FAIL]"), *si[2:]]),
+    }
+    fresh, moved = regen.regen_reports(doctored)
+    assert fresh == pinned
+    assert moved == [
+        f"oscillator_budget.json: added {fdt!r}",
+        "oscillator_budget.json: added 'verification PASSED'",
+        f"oscillator_budget.json: removed {extra!r}",
+        "oscillator_budget.json: removed 'verification FAILED'",
+        f"si_oscillator.json: [PASS] gauge-invariance moved by {abs(was - 2e-12) / 2e-12:.2e} "
+        f"relative (2.000e-12 -> {was:.3e}, was FAIL)",
+        f"si_oscillator.json: {agreement.replace('[PASS]', '[FAIL]')!r} -> {agreement!r}",
+    ]
+    assert {p: p.read_bytes() for p in REPORTS.parent.iterdir()} == data
 
 
 def test_rows_coerce_numbers_and_regime():

@@ -16,7 +16,8 @@ from qnl import (
     sum_noise_psd,
     uncertainty_slack,
 )
-from conftest import draw_back_action
+from qnl.meter import _gauge_deviations
+from conftest import draw_back_action, gauge_deviations
 
 
 def random_triad(rng):
@@ -141,6 +142,24 @@ def test_gauge_invariance_over_random_draws():
             <= 1e-12 * slack_scale
         sig_scale = abs(k.imag) * triad.s_xx + abs(triad.s_xf.imag) + 1.0
         assert abs(sigma(triad, k) - sigma(eff, gv)) <= 1e-12 * sig_scale
+
+
+def test_gauge_deviations_are_the_scalar_functions_bit_for_bit():
+    # verify's array gauge pass against the scalar meter functions on 5,000
+    # physical triads per unit scale, with ==: the two share every IEEE
+    # operation, each squared modulus m * m included
+    rng = np.random.default_rng(31)
+    n = 5000
+    for hbar in (1.0, 0.7, 2.0**-40):
+        d, kv, gv, xf = (hbar * rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-2, 2, n)
+                         for _ in range(4))
+        s_xx = hbar * 10.0 ** rng.uniform(-2, 2, n)
+        s_ff = (xf[0] * xf[0] + xf[1] * xf[1]) / s_xx * rng.uniform(1.01, 3.0, n) + hbar
+        got = _gauge_deviations(d, kv, (s_xx, *xf, s_ff), gv, hbar)
+        want = [gauge_deviations(complex(*p[0:2]), complex(*p[2:4]),
+                                 NoiseTriad(p[4], complex(*p[5:7]), p[7]), complex(*p[8:10]), hbar)
+                for p in zip(*(a.tolist() for a in (*d, *kv, s_xx, *xf, s_ff, *gv)))]
+        assert list(zip(*(a.tolist() for a in got))) == want
 
 
 def test_time_symmetric_gauge_strips_the_noncommuting_back_action():

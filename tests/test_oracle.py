@@ -498,6 +498,30 @@ def test_saturating_s_xx_vectorized_matches_scalar():
                     assert result.s_sum_min == dk2 * s_xx + (2.0 * (dk_re * x - dk_im * y) + s_ff)
 
 
+def test_saturating_s_xx_broadcasts_the_budget_and_k():
+    # array s_ff and k_im, each point above, exactly at or below its own meter
+    # FDT floor: an element above it is the scalar call's value, a Python
+    # float, with ==; one at or below it is NaN, as the scalar call is
+    rng = np.random.default_rng(47)
+    for hbar in (1.0, 0.7, 1.054e-34):
+        k_im = rng.uniform(0.05, 0.5, 30) * rng.choice([-1.0, 1.0], 30) * rng.uniform(0.1, 10.0)
+        s_ff = hbar * np.abs(k_im) * np.tile([1.5, 1.0, 0.5], 10)
+        re, im = hbar * rng.normal(size=(2, 30))
+        got = saturating_s_xx(re, im, s_ff, k_im, hbar)
+        assert got.shape == (30,)
+        assert np.isnan(got).tolist() == [False, True, True] * 10
+        for r, i, s, k, g in zip(*(a.tolist() for a in (re, im, s_ff, k_im, got))):
+            want = saturating_s_xx(r, i, s, k, hbar)
+            assert type(want) is float
+            assert g == want if s > hbar * abs(k) else math.isnan(want)
+        # a column of cross PSDs against a row of budgets and K
+        grid = saturating_s_xx(re[:, None], im[:, None], s_ff[::3], k_im[::3], hbar)
+        assert grid.shape == (30, 10)
+        assert grid.tolist() == [[saturating_s_xx(r, i, s, k, hbar)
+                                  for s, k in zip(s_ff[::3].tolist(), k_im[::3].tolist())]
+                                 for r, i in zip(re.tolist(), im.tolist())]
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
