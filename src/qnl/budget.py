@@ -26,7 +26,7 @@ from .optimize import (
     phase_transition_probe,
     threshold_eff,
 )
-from .oracle import brute_force_min, saturating_s_xx
+from .oracle import _oracle_grid, brute_force_min, saturating_s_xx
 from .spectra import (
     ComplexTable,
     DampedOscillator,
@@ -37,7 +37,6 @@ from .spectra import (
     UniformTemperature,
     ZeroTemperature,
     _finite_at,
-    dql,
     fdt_psd,
     sql,
 )
@@ -334,21 +333,27 @@ def _sweep_table(cls, cfg: SweepConfig, arrays: list, bad, point):
     return cls(arrays, meta)
 
 
+def _fdt_grid(cfg: SweepConfig, omegas: np.ndarray, d_im: np.ndarray) -> tuple:
+    """dql and fdt_psd at omegas, Im chi_inv being d_im there, bit for bit (math.tanh:
+    np.tanh differs from it in the last bit), and a mask True where the bath is out of range."""
+    hbar = cfg.constants.hbar
+    with np.errstate(all="ignore"):  # a point that overflows is flagged by the caller
+        temperature, t_bad = cfg.thermal._temperature_grid(omegas)
+        dql_col, two_kt = hbar * np.abs(d_im), 2.0 * cfg.constants.k_b * temperature
+        tanh = np.fromiter(map(math.tanh, (hbar * omegas / two_kt).tolist()), float, len(omegas))
+        return dql_col, np.where(two_kt == 0.0, dql_col, dql_col / tanh), t_bad
+
+
 def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndarray]:
     """_budget_point over the grid, bit for bit: the table's arrays and a mask True
     where it raises.  It reads each model through its array form, which every
     model a config describes has."""
-    hbar, k_b = cfg.constants.hbar, cfg.constants.k_b
+    hbar = cfg.constants.hbar
     with np.errstate(all="ignore"):  # a row that overflows is flagged, and re-run to raise
         d_re, d_im, bad = cfg.probe._chi_inv_grid(omegas)
         k_re, k_im, k_bad = cfg.k_of_omega._on_grid(omegas)
         opt = _optimum_grid(d_re, d_im, k_re, k_im, cfg.s_ff, cfg.allow_sigma, hbar)
-        temperature, t_bad = cfg.thermal._temperature_grid(omegas)
-        dql_col = hbar * np.abs(d_im)
-        # fdt_psd, with math.tanh: np.tanh differs from it in the last bit
-        two_kt = 2.0 * k_b * temperature
-        tanh = np.fromiter(map(math.tanh, (hbar * omegas / two_kt).tolist()), float, len(omegas))
-        s_fdt = np.where(two_kt == 0.0, dql_col, dql_col / tanh)
+        dql_col, s_fdt, t_bad = _fdt_grid(cfg, omegas, d_im)
         floats = [omegas, hbar * np.hypot(d_re, d_im), dql_col, opt["s_threshold"], opt["s_sum"],
                   s_fdt, opt["s_sum"] + s_fdt, opt["sigma_opt"], opt["s_xx"], opt["s_xf_re"],
                   opt["s_xf_im"]]
@@ -474,11 +479,11 @@ def verify(
     cancellation, the derivative structure at the threshold of the first
     lossy sampled instance (the first lossy point among the seeded picks of
     samples rows of the table), thermal-floor consistency, and (optionally)
-    a comparison of the table with the golden one.  The gauge, closed-form
-    and commutator checks run on arrays over the sampled points, bit for bit
-    the scalar functions' values; the oracle is called once per point.  A
-    NaN fails the check it reaches.  samples must be >= 1.  jobs is
-    accepted and has no effect.
+    a comparison of the table with the golden one.  Every check but the
+    threshold probe runs on arrays over the sampled points, bit for bit the
+    scalar functions' values: the oracle is one _oracle_grid pass, and a point
+    it flags is re-run through brute_force_min.  A NaN fails the check it
+    reaches.  samples must be >= 1.  jobs is accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")
@@ -510,9 +515,10 @@ def verify(
     opt = _optimum_grid(*d_up, *k_up, s_up, True, hbar)
     for i in np.flatnonzero(opt["bad"]).tolist():  # the scalar call raises the error
         optimize_fixed_backaction(ds[up[i]], ks[up[i]], float(s_up[i]), hbar=hbar)
-    c = opt["s_sum"]
-    got = np.array([brute_force_min(ds[i], ks[i], s, hbar=hbar).s_sum_min
-                    for i, s in zip(up.tolist(), s_up.tolist())])
+    c, found = opt["s_sum"], _oracle_grid(*d_up, *k_up, s_up, hbar)
+    got = found["s_sum_min"]
+    for i in np.flatnonzero(found["bad"]).tolist():  # the scalar call raises, or gives its value
+        got[i] = brute_force_min(ds[up[i]], ks[up[i]], float(s_up[i]), hbar=hbar).s_sum_min
     worst, undercut = _worst(np.abs(got - c) / c), _worst((c - got) / c)
     checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3, unchecked))
     checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3, unchecked))
@@ -552,8 +558,10 @@ def verify(
                                   "no probeable lossy point sampled"))
 
     # Thermal force PSD never below the dissipation floor.
-    worst = _worst([dql(d, hbar=hbar) - fdt_psd(d, cfg.thermal, w, cfg.constants)
-                    for w, d in zip(omegas.tolist(), ds)], -math.inf)
+    dql_col, s_fdt, t_bad = _fdt_grid(cfg, omegas, d_im)
+    for i in np.flatnonzero(t_bad | ~np.isfinite(s_fdt)).tolist():  # the scalar call raises
+        fdt_psd(ds[i], cfg.thermal, float(omegas[i]), cfg.constants)
+    worst = _worst(dql_col - s_fdt, -math.inf)
     checks.append(CheckResult("fdt-floor", worst <= 0.0, worst, 0.0))
 
     if golden_path is not None:

@@ -15,7 +15,9 @@ relation alone: on the circle S+ = S- = Im S_xF/Im K, so f is linear in
 S_xF there, and each piece's vertex is where its gradient vanishes.  The
 search evaluates f at the kink minimum and at both vertices and returns the
 lowest; each candidate is the sum noise of an explicit physical triad, so
-the search cannot undercut the true minimum beyond roundoff.  It is
+the search cannot undercut the true minimum beyond roundoff.  It runs on
+arrays of points (_oracle_grid, which verify calls once for all its sampled
+points); brute_force_min is that search at one point.  It is
 unit-covariant: under hbar -> l*hbar, chi_inv -> m*chi_inv, K -> m*K and
 s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -33,25 +36,21 @@ from .meter import NoiseTriad
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search parameters for brute_force_min.
-
-    With refine=False the kink minimum is returned as is; otherwise f is
-    also evaluated at the vertices of its two smooth pieces, and the lowest
-    of the three values wins.
-    """
+    """Search parameters for brute_force_min: with refine=False the kink minimum
+    is returned as is; otherwise f is also evaluated at the vertices of its two
+    smooth pieces, and the lowest of the three values wins."""
 
     refine: bool = True
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """brute_force_min's minimum, the triad that attains it, and which
-    candidate won: iterations is 0 where the kink minimum wins (always with
-    refine=False) and 1 where a smooth piece's vertex wins.  At a kink
-    minimum with Im K != 0, s_sum_min takes S_xx = Im S_xF/Im K.  The
-    triad's S_xx is saturating_s_xx at the rounded argmin; within about
-    1e-13 of the meter FDT floor, that rounding moves it by up to a few
-    percent."""
+    """brute_force_min's minimum, the triad that attains it, and which candidate
+    won: iterations is 0 where the kink minimum wins (always with refine=False)
+    and 1 where a smooth piece's vertex wins.  At a kink minimum with Im K != 0,
+    s_sum_min takes S_xx = Im S_xF/Im K.  The triad's S_xx is saturating_s_xx at
+    the rounded argmin; within about 1e-13 of the meter FDT floor, that rounding
+    moves it by up to a few percent."""
 
     s_sum_min: float
     argmin_triad: NoiseTriad
@@ -71,22 +70,8 @@ def saturating_s_xx(re_s_xf, im_s_xf, s_ff, k_im, hbar: float = 1.0):
     with np.errstate(divide="ignore"):  # a zero denominator at the floor, where NaN is returned
         plus = (m2 - h_im + quarter) / (s_ff - hbar * k_im)
         minus = (m2 + h_im + quarter) / (s_ff + hbar * k_im)
-    # where(plus > minus, ...) as _surface chooses, NaN included
     s_xx = np.where(s_ff > hbar * np.abs(k_im), np.where(plus > minus, plus, minus), math.nan)
     return float(s_xx) if s_xx.ndim == 0 else s_xx
-
-
-def _surface(s_ff: float, k_im: float, hbar: float):
-    """saturating_s_xx on Python floats, op for op."""
-    quarter, den_plus, den_minus = hbar * hbar / 4.0, s_ff - hbar * k_im, s_ff + hbar * k_im
-
-    def s_xx(re: float, im: float) -> float:
-        m2, h_im = re * re + im * im, hbar * im
-        plus = (m2 - h_im + quarter) / den_plus
-        minus = (m2 + h_im + quarter) / den_minus
-        return plus if plus > minus else minus
-
-    return s_xx
 
 
 def _checked_budget(s_ff, k_im: float, hbar: float) -> float:
@@ -103,6 +88,50 @@ def _checked_budget(s_ff, k_im: float, hbar: float) -> float:
         raise EmptyFeasibleRegionError(
             f"s_ff={s_ff!r} at the meter FDT floor: no finite S_xx saturates")
     return s_ff
+
+
+def _oracle_grid(d_re, d_im, k_re, k_im, s_ff, hbar, refine: bool = True) -> dict:
+    """brute_force_min's search, op for op, over 1-d arrays (or scalars) of Re/Im
+    chi_inv and Re/Im K, with which s_ff and hbar broadcast: "s_sum_min", the argmin
+    as "s_xx", "s_xf_re", "s_xf_im", and "vertex", True where a piece's vertex wins,
+    each the scalar call's value bit for bit, and "bad", True where it may raise or differ."""
+    d_re, d_im, k_re, k_im = np.atleast_1d(d_re, d_im, k_re, k_im)
+    with np.errstate(all="ignore"):
+        dk_re, dk_im = d_re + k_re, d_im + k_im
+        # abs(dk) ** 2 as CPython computes it: libm's hypot, which np.hypot calls, then
+        # libm's pow, which np.square does not; 2^1022, flagged, where pow would overflow
+        m = np.hypot(dk_re, dk_im).clip(max=2.0 ** 511).tolist()
+        dk2 = np.fromiter(map(math.pow, m, repeat(2.0)), float, len(m))
+        # the kink S+ = S-: on the circle S+ = S- = Im S_xF/Im K, and f is linear in S_xF
+        quarter, c = hbar * hbar / 4.0, hbar * np.abs(k_im)
+        rho = np.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
+        center, radius = s_ff / (2.0 * k_im), s_ff * rho / (2.0 * np.abs(k_im))
+        gx, gy = 2.0 * dk_re, dk2 / k_im - 2.0 * dk_im  # f's gradient on the kink
+        g = np.fromiter(map(math.hypot, gx.tolist(), gy.tolist()), float, len(m))  # not np.hypot's
+        ux = np.where(g != 0.0, gx / g, 0.0)  # f constant where g = 0
+        uy = np.where(g != 0.0, gy / g, np.copysign(1.0, center))
+        bx, ry = -radius * ux, radius * uy
+        # y = center - ry, without cancellation: center^2 - radius^2 = hbar^2/4
+        by = np.where(center * ry > 0.0, (quarter + bx * bx) / (center + ry), center - ry)
+        # at Im K = 0 the line Im S_xF = 0, where f is a quadratic in Re S_xF
+        line = k_im == 0.0
+        bx, by = np.where(line, -dk_re * s_ff / dk2, bx), np.where(line, 0.0, by)
+        # f on the surface at the kink minimum (at Im K = 0) and at the vertices of F+ and F-
+        t = np.array([s_ff - hbar * k_im, s_ff + hbar * k_im]) / dk2
+        x = np.array([bx, -dk_re * t[0], -dk_re * t[1]])
+        y = np.array([by, 0.5 * hbar + dk_im * t[0], -0.5 * hbar + dk_im * t[1]])
+        s_xx = saturating_s_xx(x, y, s_ff, k_im, hbar)
+        f = dk2 * s_xx + (2.0 * (dk_re * x - dk_im * y) + s_ff)
+        best = np.where(line, f[0], dk2 * (by / k_im) + (2.0 * (dk_re * bx - dk_im * by) + s_ff))
+        pick = np.zeros(best.shape, dtype=int)
+        for j in (1, 2) if refine else ():  # off the kink, f is least at a vertex
+            won = f[j] < best
+            best, pick = np.where(won, f[j], best), np.where(won, j, pick)
+        bx, by, s_xx = (v[pick, np.arange(len(pick))] for v in (x, y, s_xx))
+        bad = ~((s_ff > c) & (dk2 > 0.0) & (dk2 < 2.0 ** 1022) & (s_xx >= 0.0)
+                & np.isfinite(best + s_xx + bx + by))
+    return {"s_sum_min": best, "s_xx": s_xx, "s_xf_re": bx, "s_xf_im": by, "vertex": pick > 0,
+            "bad": bad}
 
 
 def brute_force_min(
@@ -125,45 +154,18 @@ def brute_force_min(
     den+- = s_ff -+ hbar*Im K, with vertices x = -Re D*den+-/|D|^2,
     y = +-hbar/2 + Im D*den+-/|D|^2.  Over the tests' seeded 900-draw set the
     error against the closed form is at most 1.7e-11, the roundoff of the sum
-    noise, and 4.7e-14 on 600 draws within 10 % of the meter FDT floor.  On a
-    2-core VM a call takes about 5 us.  Exactly at the floor,
-    s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
+    noise, and 4.7e-14 on 600 draws within 10 % of the meter FDT floor.  It
+    is _oracle_grid at one point: about 0.1 ms a call on a 2-core VM, where
+    one _oracle_grid call takes about 0.14 ms for 151 points.  Exactly at the
+    floor, s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
     """
     d, kv = complex(chi_inv), complex(k)
-    dk, k_im = d + kv, kv.imag
-    s_ff = _checked_budget(s_ff, k_im, hbar)
-    dk2, dk_re, dk_im = abs(dk) ** 2, dk.real, dk.imag
-    if dk2 == 0.0:
+    s_ff = _checked_budget(s_ff, kv.imag, hbar)
+    if abs(d + kv) ** 2 == 0.0:
         raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
-    s_xx = _surface(s_ff, k_im, hbar)
-
-    def f(re: float, im: float) -> float:  # on the surface
-        return dk2 * s_xx(re, im) + (2.0 * (dk_re * re - dk_im * im) + s_ff)
-
-    # the sigma = 0 kink S+ = S-: Im K*(|S_xF|^2 + hbar^2/4) = s_ff*Im S_xF
-    quarter, c = hbar * hbar / 4.0, hbar * abs(k_im)
-    rho = math.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
-    if k_im == 0.0:  # the line Im S_xF = 0, where f is a quadratic in Re S_xF
-        bx, by = -dk_re * s_ff / dk2, 0.0
-        best_val = f(bx, by)
-    else:  # the circle, where S+ = S- = Im S_xF/Im K and f is linear in S_xF
-        center, radius = s_ff / (2.0 * k_im), s_ff * rho / (2.0 * abs(k_im))
-        gx, gy = 2.0 * dk_re, dk2 / k_im - 2.0 * dk_im  # f's gradient on the kink
-        g = math.hypot(gx, gy)
-        ux, uy = (gx / g, gy / g) if g else (0.0, math.copysign(1.0, center))  # f constant
-        bx, ry = -radius * ux, radius * uy
-        # y = center - ry, without cancellation: center^2 - radius^2 = hbar^2/4
-        by = (quarter + bx * bx) / (center + ry) if center * ry > 0.0 else center - ry
-        best_val = dk2 * (by / k_im) + (2.0 * (dk_re * bx - dk_im * by) + s_ff)
-    iterations = 0
-    if cfg is None or cfg.refine:  # off the kink, f is least at the vertex of F+ or F-
-        for den, y0 in ((s_ff - hbar * k_im, 0.5 * hbar), (s_ff + hbar * k_im, -0.5 * hbar)):
-            t = den / dk2
-            x, y = -dk_re * t, y0 + dk_im * t
-            val = f(x, y)
-            if val < best_val:
-                best_val, bx, by, iterations = val, x, y, 1
-    return OracleResult(best_val, NoiseTriad(s_xx(bx, by), complex(bx, by), s_ff), iterations)
+    found = _oracle_grid(d.real, d.imag, kv.real, kv.imag, s_ff, hbar, cfg is None or cfg.refine)
+    s_sum, s_xx, x, y, vertex, _ = (v.item() for v in found.values())
+    return OracleResult(s_sum, NoiseTriad(s_xx, complex(x, y), s_ff), int(vertex))
 
 
 def random_saturating_triad(
@@ -173,7 +175,7 @@ def random_saturating_triad(
 
     (Re S_xF, Im S_xF) is drawn uniformly in the disc of radius 5*hbar (S_xF
     scales like hbar in every unit system) and S_xx solved from the
-    zero-slack condition by _surface, saturating_s_xx on Python floats.  Deterministic
+    zero-slack condition by saturating_s_xx.  Deterministic
     per seed.  At the meter FDT floor, s_ff = hbar*|Im K|, no S_xx saturates
     and the call raises EmptyFeasibleRegionError, as brute_force_min does.
     """
@@ -183,4 +185,4 @@ def random_saturating_triad(
     r = 5.0 * hbar * math.sqrt(rng.random())
     phi = 2.0 * math.pi * rng.random()
     re, im = r * math.cos(phi), r * math.sin(phi)
-    return NoiseTriad(_surface(s_ff, kv.imag, hbar)(re, im), complex(re, im), s_ff)
+    return NoiseTriad(saturating_s_xx(re, im, s_ff, kv.imag, hbar), complex(re, im), s_ff)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -823,14 +822,16 @@ class TestSpinFigure:
 
 
 def oracle_calls(monkeypatch) -> list:
-    """The arguments of every brute_force_min call verify makes from now on."""
+    """The points (chi_inv, K, s_ff), in order, of every oracle search verify's
+    kernel calls make from now on."""
     searched = []
 
-    def counted(*args, **kwargs):
-        searched.append(args)
-        return oracle.brute_force_min(*args, **kwargs)
+    def counted(d_re, d_im, k_re, k_im, s_ff, *args):
+        searched.extend(zip(map(complex, d_re.tolist(), d_im.tolist()),
+                            map(complex, k_re.tolist(), k_im.tolist()), s_ff.tolist()))
+        return oracle._oracle_grid(d_re, d_im, k_re, k_im, s_ff, *args)
 
-    monkeypatch.setattr(budget, "brute_force_min", counted)
+    monkeypatch.setattr(budget, "_oracle_grid", counted)
     return searched
 
 
@@ -1215,8 +1216,10 @@ class TestArraySweepErrors:
             monkeypatch.setattr(cls, name, lambda self, w, m=method: calls.append(w) or m(self, w))
         assert run_budget(cfg).to_csv() == expected
         assert calls == []
-        verify(cfg, samples=3)  # the sampled checks call K and the bath at their points only
-        assert 0 < len(calls) <= 2 * 3
+        verify(cfg, samples=3)  # the sampled checks read K and the bath as arrays too
+        assert calls == []
+        cfg.k_of_omega(1.0), cfg.thermal.temperature_at(1.0)  # the hooks see scalar calls
+        assert calls == [1.0, 1.0]
 
     def test_vanishing_chi_inv_plus_k(self):
         # lossless oscillator and real K = -chi_inv at the 31st grid point
@@ -1353,25 +1356,45 @@ def test_verify_reruns_flagged_points_through_the_scalar_optimizer(monkeypatch):
     assert len(searched) == 6 and calls[101:] == searched and len(calls) == 107
 
 
+def test_verify_reruns_rows_the_oracle_kernel_flags_through_brute_force_min(monkeypatch):
+    # a row the kernel flags takes brute_force_min's value, or its error: with
+    # every row flagged and every kernel value NaN, the report is unchanged and
+    # each point above the floor is re-run once, in order; a scalar error
+    # propagates as it is
+    cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
+    want = verify(cfg, seed=1).render()
+    searched = oracle_calls(monkeypatch)
+    kernel, scalar, calls = budget._oracle_grid, oracle.brute_force_min, []
+
+    def all_bad(*args):
+        found = kernel(*args)
+        return dict(found, s_sum_min=np.full_like(found["s_sum_min"], math.nan),
+                    bad=np.ones_like(found["bad"]))
+
+    monkeypatch.setattr(budget, "_oracle_grid", all_bad)
+    monkeypatch.setattr(budget, "brute_force_min",
+                        lambda *args, **kw: calls.append(args) or scalar(*args, **kw))
+    assert verify(cfg, seed=1).render() == want
+    assert len(searched) == 6 and calls == searched
+    monkeypatch.setattr(budget, "brute_force_min", lambda *args, **kw: scalar(0.5, -0.5, 1.0))
+    with pytest.raises(DomainError, match=r"^chi_inv \+ K vanishes: chi_inv=\(0.5\+0j\)"):
+        verify(cfg, seed=1)
+
+
 def nan_at_the_third(func, field=None):
-    """func, with a NaN at the third element of its array result, or in the given
-    field of its third call's result."""
-    calls = []
+    """func, with a NaN at the third element of its array result, or of the given
+    field of its dict result."""
 
     def patched(*args, **kwargs):
         result = func(*args, **kwargs)
-        calls.append(1)
-        if field is None:
-            result[2] = math.nan
-        elif len(calls) == 3:
-            result = dataclasses.replace(result, **{field: math.nan})
+        (result if field is None else result[field])[2] = math.nan
         return result
 
     return patched
 
 
 @pytest.mark.parametrize("target, func, field, failing", [
-    ("brute_force_min", oracle.brute_force_min, "s_sum_min",
+    ("_oracle_grid", oracle._oracle_grid, "s_sum_min",
      ("oracle-agreement", "oracle-no-undercut")),
     ("saturating_s_xx", oracle.saturating_s_xx, None, ("gauge-invariance",)),
 ], ids=["oracle", "gauge"])
@@ -1387,11 +1410,21 @@ def test_a_nan_never_passes_a_check(target, func, field, failing, monkeypatch):
 
 
 def test_a_nan_thermal_psd_fails_the_fdt_floor(monkeypatch):
+    # the sweep's thermal PSD is left alone, verify's reads NaN at its third
+    # point; the scalar fdt_psd it re-runs there raises nothing
     cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
-    calls = []
-    monkeypatch.setattr(budget, "fdt_psd", lambda *args: math.nan if calls.append(1) or
-                        len(calls) == 3 else fdt_psd(*args))
+    helper, calls = budget._fdt_grid, []
+
+    def nan_in_verify(*args):
+        dql_col, s_fdt, t_bad = helper(*args)
+        calls.append(1)
+        if len(calls) == 2:
+            s_fdt[2] = math.nan
+        return dql_col, s_fdt, t_bad
+
+    monkeypatch.setattr(budget, "_fdt_grid", nan_in_verify)
     check = verify(cfg, seed=1).checks[-1]
+    assert len(calls) == 2
     assert check.name == "fdt-floor" and not check.passed and math.isnan(check.measured)
 
 

@@ -24,6 +24,7 @@ from qnl import (
     threshold_full,
     uncertainty_slack,
 )
+from qnl.oracle import _oracle_grid
 from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
 
 D_RES = complex(0.0, -0.2)
@@ -282,8 +283,21 @@ def triad_sum_noise(d, k, s_ff, hbar, s_xf):
         return float((dk_re * dk_re + dk_im * dk_im) * s_xx + 2 * (dk_re * x - dk_im * y) + s_ff)
 
 
-@pytest.mark.parametrize("name", ["seeded-900", "near-floor", "real-k-nearly-lossless",
-                                  "tiny-im-k", "huge-budget", "skip-boundary", "below-rule"])
+ACCURACY_SETS = ["seeded-900", "near-floor", "real-k-nearly-lossless", "tiny-im-k", "huge-budget",
+                 "skip-boundary", "below-rule"]
+KERNEL_FIELDS = ("s_sum_min", "s_xx", "s_xf_re", "s_xf_im", "vertex")
+
+
+def oracle_grid(cases, refine=True):
+    """The rows (s_sum_min, S_xx, Re S_xF, Im S_xF, vertex won) of one _oracle_grid
+    call over the arrays of the (chi_inv, K, s_ff, hbar) cases; no row is flagged."""
+    d, k, s_ff, hbar = (np.array(v) for v in zip(*cases))
+    found = _oracle_grid(d.real, d.imag, k.real, k.imag, s_ff, hbar, refine)
+    assert not found["bad"].any()
+    return list(zip(*(found[key].tolist() for key in KERNEL_FIELDS)))
+
+
+@pytest.mark.parametrize("name", ACCURACY_SETS)
 def test_accuracy_sets(name):
     # each set errs by at most 1e-8 against the closed form (1e-7 within 1e-6
     # of the floor) and undercuts it by at most 1e-10; the search resolves
@@ -294,12 +308,15 @@ def test_accuracy_sets(name):
     # piece's vertex wins or Im K = 0, else the kink triad's (kink_sum_noise).
     # Within 2e-13 of the floor the closed form reads up to 1.5e-9 above that
     # value, so on below-rule the undercut counts against the lower of the two.
+    # The set is searched by one kernel call, brute_force_min's bit for bit
+    # (test_the_kernel_is_brute_force_min_point_by_point).
     worst = undercut = 0.0
-    for j, (d, k, s_ff, hbar) in enumerate(accuracy_set(name)):
-        result = brute_force_min(d, k, s_ff, hbar=hbar)
+    cases = accuracy_set(name)
+    for j, ((d, k, s_ff, hbar), row) in enumerate(zip(cases, oracle_grid(cases))):
+        got, s_xx, x, y, vertex = row
         closed = optimize_fixed_backaction(d, k, s_ff, hbar=hbar).s_sum
-        got, t = result.s_sum_min, result.argmin_triad
-        arbiter = kink_sum_noise if result.iterations == 0 and k.imag != 0.0 else triad_sum_noise
+        t = NoiseTriad(s_xx, complex(x, y), s_ff)
+        arbiter = kink_sum_noise if not vertex and k.imag != 0.0 else triad_sum_noise
         exact = arbiter(d, k, s_ff, hbar, t.s_xf)
         assert abs(got - exact) <= 1e-15 * terms_magnitude(d, k, t), (j, got, exact)
         worst = max(worst, rel(got, closed))
@@ -308,6 +325,28 @@ def test_accuracy_sets(name):
         undercut = max(undercut, (closed - got) / closed)
     assert worst <= (1e-7 if name in ("skip-boundary", "below-rule") else 1e-8), (worst, undercut)
     assert undercut <= 1e-10, (worst, undercut)
+
+
+@pytest.mark.parametrize("name", [*ACCURACY_SETS, "pins"])
+def test_the_kernel_is_brute_force_min_point_by_point(name):
+    # _oracle_grid over a whole set as arrays, each draw with its own hbar,
+    # against one brute_force_min call per draw, with refine on and off: every
+    # field is equal bit for bit (float.hex tells -0.0 from 0.0).  The sets hold
+    # Im K = 0 (real-k-nearly-lossless and pins), and the pins chi_inv = K = 0.5i,
+    # where f's gradient on the kink is exactly 0
+    cases = accuracy_set(name) if name != "pins" else [
+        pin_input(case) for case in json.loads(PINS.read_text())]
+    if name == "pins":
+        assert any(k.imag == 0.0 for _, k, _, _ in cases)
+        assert any(k.imag and 2.0 * (d + k).real == abs(d + k) ** 2 / k.imag - 2.0 * (d + k).imag
+                   == 0.0 for d, k, _, _ in cases)
+    for refine in (True, False):
+        for j, ((d, k, s_ff, hbar), row) in enumerate(zip(cases, oracle_grid(cases, refine))):
+            result = brute_force_min(d, k, s_ff, OracleConfig(refine=refine), hbar=hbar)
+            t = result.argmin_triad
+            want = (result.s_sum_min, t.s_xx, t.s_xf.real, t.s_xf.imag)
+            assert [*map(float.hex, row[:4]), row[4]] == [*map(float.hex, want),
+                                                          result.iterations == 1], (j, refine)
 
 
 def complex_nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
