@@ -7,6 +7,8 @@ that grow with s_ff/dql, so wildly conditioned instances would exhaust
 double precision no matter the algorithm.
 """
 
+import hashlib
+
 import numpy as np
 
 from qnl import gauge_transform, sigma, sum_noise_psd, threshold_full, uncertainty_slack
@@ -32,6 +34,34 @@ def draw_budget(rng: np.random.Generator, chi_inv: complex, k: complex,
     floor = hbar * abs(k.imag)
     s = thr * 10.0 ** rng.uniform(-decades, decades)
     return max(s, floor * (1.0 + 10.0 ** rng.uniform(-4.0, 0.0)))
+
+
+def kernel_draws(n: int, seed: int) -> list:
+    """n draws (chi_inv, K, s_ff): a third with Im K = 0, every seventh probe
+    lossless, every eleventh lossy budget exactly at the threshold."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n):
+        d, k = draw_lossy_chi_inv(rng), draw_back_action(rng)
+        if i % 3 == 0:
+            k = complex(k.real, 0.0)
+        if i % 7 == 0:
+            d = complex(d.real, 0.0)
+            s = max(abs(k.imag), 0.01) * 10.0 ** rng.uniform(0.0, 1.5)
+        elif i % 11 == 0:
+            s = threshold_full(d, k)
+        else:
+            s = draw_budget(rng, d, k)
+        draws.append((d, k, s))
+    return draws
+
+
+def optimum_digest(rows) -> str:
+    """sha256 of optimum reports, one row each: the regime's value, then the
+    float.hex (the value and the sign of a zero) of s_sum, s_threshold, the
+    triad's s_xx, Re s_xf, Im s_xf and s_ff, and sigma_opt."""
+    text = "\n".join(" ".join([regime, *map(float.hex, values)]) for regime, *values in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def gauge_deviations(chi_inv: complex, k: complex, triad, kernel: complex, hbar: float) -> tuple:

@@ -9,7 +9,9 @@ tests/data/table_digests.json (the sha256 of each table's CSV and JSON text),
 and prints every entry that moved, each moved oracle pin with its relative
 error against the closed form before and after, every new pin (an entry
 that holds only inputs), and each report line that moved, was added or was
-removed.  Without --check it rewrites the three files; with
+removed.  It also recomputes tests/data/optimum_digests.json, the digest of
+optimize_fixed_backaction's reports over the seeded draws stored in it, for
+each allow_sigma.  Without --check it rewrites the four files; with
 --check it writes nothing and exits 1 if any entry moved.  Pytest does not
 collect this file.
 """
@@ -20,6 +22,7 @@ import re
 import sys
 from pathlib import Path
 
+from conftest import kernel_draws, optimum_digest
 from qnl import (OracleConfig, QnlError, brute_force_min, load_config,
                  optimize_fixed_backaction, parse_config, run_budget, verify)
 
@@ -118,6 +121,24 @@ def regen_digests(pins: dict) -> tuple[dict, list]:
     return fresh, moved
 
 
+def report_row(report) -> tuple:
+    t = report.optimal_triad
+    return (report.regime.value, report.s_sum, report.s_threshold, t.s_xx, t.s_xf.real,
+            t.s_xf.imag, t.s_ff, report.sigma_opt)
+
+
+def regen_optimum_digests(pin: dict) -> tuple[dict, list]:
+    draws = kernel_draws(pin["n"], pin["seed"])
+    fresh = dict(pin, sha256={
+        flag: optimum_digest(report_row(optimize_fixed_backaction(d, k, s, allow_sigma=flag == "True"))
+                             for d, k, s in draws)
+        for flag in ("True", "False")})
+    old = pin.get("sha256", {})
+    moved = [f"allow_sigma={flag}: " + ("digest moved" if flag in old else "new digest")
+             for flag, digest in fresh["sha256"].items() if digest != old.get(flag)]
+    return fresh, moved
+
+
 def main(argv: list) -> int:
     check = argv == ["--check"]
     if argv and not check:
@@ -126,7 +147,8 @@ def main(argv: list) -> int:
     moved_any = False
     for name, regen in (("oracle_pins.json", regen_pins),
                         ("verify_reports.json", regen_reports),
-                        ("table_digests.json", regen_digests)):
+                        ("table_digests.json", regen_digests),
+                        ("optimum_digests.json", regen_optimum_digests)):
         path = DATA / name
         fresh, moved = regen(json.loads(path.read_text(encoding="utf-8")))
         for line in moved:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from qnl import (
     uncertainty_slack,
 )
 from qnl.optimize import _optimum_grid
-from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
+from conftest import (draw_back_action, draw_budget, draw_lossy_chi_inv, kernel_draws,
+                      optimum_digest, rel)
 
 D_RES = complex(0.0, -0.2)  # oscillator at resonance
 K_FULL = complex(0.1, 0.3)
@@ -373,56 +376,88 @@ class TestPhaseTransition:
             phase_transition_probe(complex(-3.0, 0.0), 0.0)
 
 
-def _kernel_draws(n: int, seed: int):
-    """Conftest draws; a third with Im K = 0, every seventh probe lossless,
-    every eleventh lossy budget exactly at the threshold."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for i in range(n):
-        d, k = draw_lossy_chi_inv(rng), draw_back_action(rng)
-        if i % 3 == 0:
-            k = complex(k.real, 0.0)
-        if i % 7 == 0:
-            d = complex(d.real, 0.0)
-            s = max(abs(k.imag), 0.01) * 10.0 ** rng.uniform(0.0, 1.5)
-        elif i % 11 == 0:
-            s = threshold_full(d, k)
-        else:
-            s = draw_budget(rng, d, k)
-        draws.append((d, k, s))
-    return draws
-
-
-def _bits(x: float) -> tuple:
-    return float(x), math.copysign(1.0, x)  # == on the value and on the sign of a zero
+OPTIMUM_DIGESTS = Path(__file__).resolve().parent / "data" / "optimum_digests.json"
+KERNEL_REPORT = ("s_sum", "s_threshold", "s_xx", "s_xf_re", "s_xf_im")
 
 
 @pytest.mark.parametrize("allow_sigma", [True, False])
 def test_array_kernel_matches_scalar_optimizer_bit_for_bit(allow_sigma):
-    # the sweep kernel repeats optimize_fixed_backaction op for op; compared
-    # with ==, never a tolerance, so a float ** or math.hypot in the scalar
-    # path (or any reordering) shows up as a mismatch
-    draws = _kernel_draws(20000, 2024)
-    d, k, s = (np.array(col) for col in zip(*draws))
+    # the kernel's reports over the seeded draws, as float.hex (the value and
+    # the sign of every zero), against the digest of optimize_fixed_backaction's
+    # reports that tests/data/optimum_digests.json pins and
+    # tests/regen_fixtures.py recomputes; any reordered operation shows up
+    pin = json.loads(OPTIMUM_DIGESTS.read_text(encoding="utf-8"))
+    d, k, s = (np.array(col) for col in zip(*kernel_draws(pin["n"], pin["seed"])))
     got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, 1.0)
     assert not got["bad"].any()
-    regimes, mismatches = set(), []
-    for i, (di, ki, si) in enumerate(draws):
-        r = optimize_fixed_backaction(di, ki, si, allow_sigma=allow_sigma)
-        want = (r.s_sum, r.s_threshold, r.sigma_opt, r.optimal_triad.s_xx,
-                r.optimal_triad.s_xf.real, r.optimal_triad.s_xf.imag)
-        have = tuple(got[key][i] for key in
-                     ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im"))
-        if [_bits(x) for x in have] != [_bits(x) for x in want] or \
-                got["dql"][i] != (r.regime is Regime.DQL_LIMITED):
-            mismatches.append((di, ki, si))
-        regimes.add((r.regime, math.isinf(r.s_threshold), r.sigma_opt != 0.0))
-    assert mismatches == []
+    regimes = np.where(got["dql"], Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value)
+    rows = zip(regimes.tolist(), *(got[key].tolist() for key in KERNEL_REPORT), s.tolist(),
+               got["sigma_opt"].tolist())
+    assert optimum_digest(rows) == pin["sha256"][str(allow_sigma)]
     # every branch was exercised: lossless, both lossy regimes, and (sigma
     # free) the dissipation-limited plateau with sigma != 0
-    assert (Regime.QCRB_LIMITED, True, False) in regimes
-    assert (Regime.QCRB_LIMITED, False, False) in regimes
-    assert (Regime.DQL_LIMITED, False, allow_sigma) in regimes
+    branches = set(zip(got["dql"].tolist(), np.isinf(got["s_threshold"]).tolist(),
+                       (got["sigma_opt"] != 0.0).tolist()))
+    assert (False, True, False) in branches
+    assert (False, False, False) in branches
+    assert (True, False, allow_sigma) in branches
+
+
+OPTIMIZER_ERRORS = [
+    # (chi_inv, K, s_ff, allow_sigma, hbar, exception, text), in the order of
+    # the checks: the budget, chi_inv + K, the meter FDT floor, the sum noise,
+    # the response, the triad's feasibility, then the triad's own validation
+    (complex(0.3, -0.2), complex(0.1, 0.05), 0.0, True, 1.0, DomainError,
+     "back-action PSD must be positive and finite, got 0.0"),
+    (complex(0.3, -0.2), complex(0.1, 0.05), math.inf, False, 1.0, DomainError,
+     "back-action PSD must be positive and finite, got inf"),
+    (complex(-0.1, 0.0), complex(0.2, 0.0), -1.0, True, 1.0, DomainError,
+     "back-action PSD must be positive and finite, got -1.0"),
+    (complex(0.3, -0.2), complex(-0.3, 0.2), math.nan, True, 1.0, DomainError,
+     "back-action PSD must be positive and finite, got nan"),
+    (complex(0.3, -0.2), complex(-0.3, 0.2), 0.1, True, 1.0, DomainError,
+     "chi_inv + K vanishes: chi_inv=(0.3-0.2j), K=(-0.3+0.2j)"),
+    (complex(0.3, -0.2), complex(0.1, 0.5), 0.1, True, 1.0, FdtViolationError,
+     "s_ff=0.1 below the meter FDT floor hbar*|Im K|=0.5"),
+    (complex(-0.1, 0.0), complex(0.2, 0.5), 0.4, True, 2.0, FdtViolationError,
+     "s_ff=0.4 below the meter FDT floor hbar*|Im K|=1.0"),
+    (complex(0.0, -0.2), complex(0.0, -0.2), 0.1, True, 1.0, FdtViolationError,
+     "s_ff=0.1 below the meter FDT floor hbar*|Im K|=0.2"),
+    (complex(0.0, -1e-100), 0j, 1e-300, True, 0.5, DomainError,
+     "sum noise is not finite at s_ff=1e-300: nan for chi_inv=-1e-100j, K=0j"),
+    (complex(0.0, -1e-100), 0j, 1e-300, False, 1.0, DomainError,
+     "sum noise is not finite at s_ff=1e-300: nan for chi_inv=-1e-100j, K=0j"),
+    (complex(1e200, 0.0), 0j, 1.0, True, 1.0, DomainError,
+     "sum noise is not finite at s_ff=1.0: inf for chi_inv=(1e+200+0j), K=0j"),
+    (complex(0.0, -0.2), complex(0.0, -0.2), 0.2, True, 1.0, DomainError,
+     "degenerate response chi_inv=-0.2j, K=-0.2j"),
+    (complex(0.0, -0.2), complex(0.0, -0.2), 0.5, True, 1.0, DomainError,
+     "degenerate response chi_inv=-0.2j, K=-0.2j"),
+    (complex(0.0, -0.2), complex(0.0, -0.2), 0.5, False, 1.0, DomainError,
+     "degenerate response chi_inv=-0.2j, K=-0.2j"),
+    (complex(0.0, -0.1), complex(1e-10, 1.0), 1e9, False, 1.0, DomainError,
+     "no feasible saturating triad for chi_inv=-0.1j, K=(1e-10+1j), s_ff=1000000000.0, "
+     "sigma=0.0"),
+    (complex(-0.1, 0.0), complex(0.1, 1.0), 1e9, True, 1.0, DomainError,
+     "no feasible saturating triad for chi_inv=(-0.1+0j), K=(0.1+1j), s_ff=1000000000.0, "
+     "sigma=0.0"),
+    (complex(0.0, -0.2), 0j, 1e300, True, 2.0, DomainError,
+     "optimal triad at s_ff=1e+300 for chi_inv=-0.2j, K=0j: s_xx must be finite and >= 0, "
+     "got nan"),
+    (complex(0.0, -0.2), 0j, 1.0000000000000002e154, True, 1.0, DomainError,
+     "optimal triad at s_ff=1.0000000000000002e+154 for chi_inv=-0.2j, K=0j: "
+     "s_xx must be finite and >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("d, k, s, allow_sigma, hbar, exc, text", OPTIMIZER_ERRORS)
+def test_every_optimizer_error_is_pinned(d, k, s, allow_sigma, hbar, exc, text):
+    # the exception type and its exact text, from the first check that fails;
+    # the array kernel flags the same point
+    with pytest.raises(exc) as raised:
+        optimize_fixed_backaction(d, k, s, allow_sigma=allow_sigma, hbar=hbar)
+    assert type(raised.value) is exc and str(raised.value) == text
+    assert _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, hbar)["bad"]
 
 
 def test_array_kernel_marks_every_point_the_scalar_optimizer_rejects():
@@ -454,7 +489,7 @@ def test_array_kernel_on_scalar_inputs_equals_the_fully_broadcast_call():
     # (the budget sweep, Im K dropped in the fixed-effective mode) must give
     # what the fully broadcast call gives, bit for bit, in the full shape;
     # allow_sigma as a column evaluates both series in one pass
-    d, k, s = (np.array(col) for col in zip(*_kernel_draws(2000, 7)))
+    d, k, s = (np.array(col) for col in zip(*kernel_draws(2000, 7)))
     cases = [(d[i].real, d[i].imag, k[i].real, k[i].imag, s) for i in (0, 1, 2)]
     cases += [(d.real, d.imag, k.real, k.imag, s[i]) for i in (1, 11)]
     cases += [(d.real, d.imag, k.real, 0.0, s[2])]
