@@ -479,10 +479,11 @@ def verify(
     cancellation, the derivative structure at the threshold of the first
     lossy sampled instance (the first lossy point among the seeded picks of
     samples rows of the table), thermal-floor consistency, and (optionally)
-    a comparison of the table with the golden one.  Every check but the
-    threshold probe runs on arrays over the sampled points, bit for bit the
-    scalar functions' values: the oracle is one _oracle_grid pass, and a point
-    it flags is re-run through brute_force_min.  A NaN fails the check it
+    a comparison of the table with the golden one.  Every check runs on
+    arrays, bit for bit the scalar functions' values: the threshold probe is
+    one _optimum_grid call over its five budgets, the oracle one _oracle_grid
+    pass over the sampled points, and a point it flags is re-run through
+    brute_force_min.  A NaN fails the check it
     reaches.  samples must be >= 1.  jobs is accepted and has no effect.
     """
     if samples < 1:

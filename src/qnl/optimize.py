@@ -17,8 +17,9 @@ Two resource conventions are supported:
 
 The first convention is the real-K case of the second: a real gauge kernel
 acts as a dynamic back action K = kernel with Im K = 0.  There is therefore
-one closed-form optimizer, optimize_fixed_backaction, and the
-fixed-effective entry points validate the kernel and call it.
+one closed-form optimizer, the array kernel _optimum_grid, which the sweeps
+call on whole grids.  optimize_fixed_backaction is that kernel at one point,
+and the fixed-effective entry points validate the kernel and call it.
 
 The optimized value crosses between the regimes with a continuous value and
 first derivative but a jumping second derivative, i.e. a phase-transition
@@ -37,10 +38,11 @@ The back-action PSD is the probing-strength resource here; for optical
 meters it scales with the circulating power, which is why the below-
 threshold branch is called power-limited.
 
-Sweeps call _optimum_grid, a numpy copy of optimize_fixed_backaction that
-repeats its IEEE operations in order, so the two agree bit for bit.  Hence
-the scalar code has no float ** (libm pow; numpy squares by x*x) and no
-math.hypot (CPython's own; abs(complex) and np.hypot call libm hypot).
+threshold_full and qcrb_lossless repeat the kernel's IEEE operations in
+order: a budget at threshold_full's value is the kernel's boundary budget,
+and tests compare qcrb_lossless with the optimizer by ==.  Hence they have
+no float ** (libm pow; numpy squares by x*x) and no math.hypot (CPython's
+own; abs(complex) and np.hypot call libm hypot).
 """
 
 from __future__ import annotations
@@ -152,54 +154,6 @@ def qcrb_lossless(chi_inv: complex, k: complex, s_ff: float, hbar: float = 1.0) 
     return 0.5 * hbar * hbar * (m * m) / (s_ff + root)
 
 
-def _s_ub(d: complex, kv: complex, s_ff: float, thr: float, hbar: float) -> float:
-    """Below-threshold optimum (also the sigma = 0 optimum above threshold)."""
-    dql_val = hbar * abs(d.imag)
-    if s_ff == thr:
-        return dql_val
-    c2 = (hbar * kv.imag) * (hbar * kv.imag)
-    num = dql_val * (thr * thr + s_ff * s_ff - c2)
-    den = thr * s_ff + math.sqrt(max((thr * thr - c2) * (s_ff * s_ff - c2), 0.0))
-    return max(num / den if den else math.nan, dql_val)  # den underflows: 0/0, a NaN sum
-
-
-def _check_sum(s_sum: float, d: complex, kv: complex, s_ff: float) -> None:
-    """DomainError naming s_ff where the sum noise overflowed to inf or NaN."""
-    if not math.isfinite(s_sum):
-        raise DomainError(f"sum noise is not finite at s_ff={s_ff!r}: {s_sum!r} "
-                          f"for chi_inv={d!r}, K={kv!r}")
-
-
-def _subopt_triad(d: complex, kv: complex, s_ff: float, sig: float, hbar: float) -> NoiseTriad:
-    """Saturating triad minimizing the sum noise at fixed (S_FF, sigma).
-
-    Rationalized form of the circle-parametrized minimum: no division by
-    Im^2 K, hence exact and stable through Im K -> 0, where it reduces to
-    the real-gauge optimum with kernel Re K.
-    """
-    dk = d + kv
-    a = dk.real * dk.real + d.imag * d.imag - kv.imag * kv.imag
-    dd2 = abs(complex(a, 2.0 * dk.real * kv.imag))
-    if dd2 == 0.0:
-        raise DomainError(f"degenerate response chi_inv={d!r}, K={kv!r}")
-    center = s_ff + 2.0 * kv.imag * sig
-    g = 2.0 * abs(sig) + hbar
-    r = math.sqrt(max(center * center - (kv.imag * g) * (kv.imag * g), 0.0))
-    den = 2.0 * dd2 * (center * dd2 + a * r)
-    if den <= 0.0:
-        raise DomainError(
-            f"no feasible saturating triad for chi_inv={d!r}, K={kv!r}, "
-            f"s_ff={s_ff!r}, sigma={sig!r}"
-        )
-    s_xx = (a * a * (g * g) + 4.0 * (dk.real * dk.real) * center * center) / den
-    s_xf = complex(-dk.real * r / dd2, kv.imag * s_xx - sig)
-    try:
-        return NoiseTriad(s_xx, s_xf, s_ff)
-    except DomainError as exc:  # an overflowed triad: name what it was solved for
-        raise DomainError(
-            f"optimal triad at s_ff={s_ff!r} for chi_inv={d!r}, K={kv!r}: {exc}") from None
-
-
 def optimize_fixed_eff_backaction(
     chi_inv: complex,
     kernel: complex,
@@ -255,46 +209,43 @@ def optimize_fixed_backaction(
     power-limited optimum (qcrb_lossless) instead.
 
     Requires s_ff >= hbar*|Im K| (meter FDT floor); boundary budgets equal
-    to the threshold are classified as dissipation-limited.
+    to the threshold are classified as dissipation-limited.  It is
+    _optimum_grid at one point: about 60 us a call on a 2-core VM, where one
+    _optimum_grid call takes about 8 ms for 1e5 points.
     """
-    kv = complex(k)
-    d = complex(chi_inv)
-    dk = d + kv
-    s = _validate_budget(s_ff)
-    m = abs(dk)
-    if m * m == 0.0:  # also where |chi_inv + K|^2, which thr and sigma_opt build on, underflows
-        raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
-    c = hbar * abs(kv.imag)
-    if s < c:
-        raise FdtViolationError(f"s_ff={s!r} below the meter FDT floor hbar*|Im K|={c!r}")
+    d, kv, s = complex(chi_inv), complex(k), float(s_ff)
+    opt = _optimum_grid(d.real, d.imag, kv.real, kv.imag, s, bool(allow_sigma), hbar)
+    s_sum, thr, sig, s_xx, x, y, _, dql, err = (v.item() for v in opt.values())
+    if err:
+        exc, text = _ERRORS[err - 1]
+        raise exc(text.format(d=d, k=kv, s=s, floor=hbar * abs(kv.imag), s_sum=s_sum, sig=sig))
+    try:
+        triad = NoiseTriad(s_xx, complex(x, y), s)
+    except DomainError as exc:  # an overflowed triad: name what it was solved for
+        raise DomainError(
+            f"optimal triad at s_ff={s!r} for chi_inv={d!r}, K={kv!r}: {exc}") from None
+    return OptimumReport(s_sum, Regime.DQL_LIMITED if dql else Regime.QCRB_LIMITED, thr, triad, sig)
 
-    if d.imag == 0.0:
-        s_sum = qcrb_lossless(d, kv, s, hbar)
-        _check_sum(s_sum, d, kv, s)
-        triad = _subopt_triad(d, kv, s, 0.0, hbar)
-        return OptimumReport(s_sum, Regime.QCRB_LIMITED, math.inf, triad, 0.0)
 
-    dql_val = hbar * abs(d.imag)
-    thr = threshold_full(d, kv, hbar)
-
-    if allow_sigma and s >= thr:
-        sig = -d.imag * (s - thr) / (m * m) or 0.0  # normalize -0.0 at the boundary
-        triad = _subopt_triad(d, kv, s, sig, hbar)
-        return OptimumReport(dql_val, Regime.DQL_LIMITED, thr, triad, sig)
-
-    s_sum = _s_ub(d, kv, s, thr, hbar)
-    _check_sum(s_sum, d, kv, s)  # before the triad, which an overflow makes NaN too
-    triad = _subopt_triad(d, kv, s, 0.0, hbar)
-    regime = Regime.DQL_LIMITED if s_sum <= dql_val else Regime.QCRB_LIMITED
-    return OptimumReport(s_sum, regime, thr, triad, 0.0)
+_ERRORS = (  # _optimum_grid's "err" codes 1-6, in the order of its checks
+    (DomainError, "back-action PSD must be positive and finite, got {s!r}"),
+    (DomainError, "chi_inv + K vanishes: chi_inv={d!r}, K={k!r}"),
+    (FdtViolationError, "s_ff={s!r} below the meter FDT floor hbar*|Im K|={floor!r}"),
+    (DomainError, "sum noise is not finite at s_ff={s!r}: {s_sum!r} for chi_inv={d!r}, K={k!r}"),
+    (DomainError, "degenerate response chi_inv={d!r}, K={k!r}"),
+    (DomainError, "no feasible saturating triad for chi_inv={d!r}, K={k!r}, s_ff={s!r}, "
+                  "sigma={sig!r}"),
+)
 
 
 def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
-    """optimize_fixed_backaction over arrays of Re/Im chi_inv, Re/Im K, s_ff
-    and allow_sigma, op for op: each value equals the scalar call's bit for bit.
-    Returns the report's fields (the regime as "dql", True where the DQL binds, the triad
-    as s_xx, s_xf_re, s_xf_im) and "bad", True where the scalar call raises, in the broadcast shape.
-    Each operation broadcasts only its own operands, so scalar work runs once."""
+    """The closed-form optimum over arrays of Re/Im chi_inv, Re/Im K, s_ff and
+    allow_sigma, in the broadcast shape: the report's fields (the regime as "dql",
+    True where the DQL binds, the triad as s_xx, s_xf_re, s_xf_im), "bad", True where
+    optimize_fixed_backaction raises, and "err", the int8 code of its first failing
+    check (_ERRORS; 0 where only the triad's own validation fails), computed only
+    when some point is bad and 0 everywhere otherwise.  Each operation broadcasts
+    only its own operands, so scalar work runs once."""
     d_re, d_im, k_re, k_im, s = map(np.asarray, (d_re, d_im, k_re, k_im, s))  # ~ stays logical
     with np.errstate(all="ignore"):
         dk_re = d_re + k_re
@@ -303,19 +254,20 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
         dql_val = hbar * np.abs(d_im)
         thr = np.where(lossless, np.inf, 0.5 * hbar * (m * m - 2.0 * d_im * k_im) / np.abs(d_im))
         above = (s >= thr) & ~lossless & allow_sigma
-        sig = np.where(above, -d_im * (s - thr) / (m * m), 0.0) + 0.0  # -0.0 as `or 0.0`
-        # qcrb_lossless
+        sig = np.where(above, -d_im * (s - thr) / (m * m), 0.0) + 0.0  # no -0.0
+        # qcrb_lossless, the exact optimum of a lossless probe
         c = hbar * np.abs(k_im)
         root = np.where(c == 0.0, s, np.sqrt(s * s - c * c))
         qcrb = 0.5 * hbar * hbar * (m * m) / (s + root)
-        # _s_ub; c * c is (hbar*Im K)^2 exactly, and np.maximum(x, y) is
-        # Python's max(x, y) for y not NaN, signed zeros included
+        # below the threshold, and at every budget with sigma pinned to zero;
+        # c * c is (hbar*Im K)^2 exactly, and a denominator that underflows to 0 gives NaN
         c2 = c * c
         num = dql_val * (thr * thr + s * s - c2)
-        ub = num / (thr * s + np.sqrt(np.maximum((thr * thr - c2) * (s * s - c2), 0.0)))
+        den = thr * s + np.sqrt(np.maximum((thr * thr - c2) * (s * s - c2), 0.0))
+        ub = num / np.where(den == 0.0, np.nan, den)
         ub = np.where(s == thr, dql_val, np.maximum(ub, dql_val))
         s_sum = np.where(lossless, qcrb, np.where(above, dql_val, ub))
-        # _subopt_triad
+        # the saturating triad minimizing the sum noise at fixed (S_FF, sigma), rationalized
         a = dk_re * dk_re + d_im * d_im - k_im * k_im
         dd2 = np.hypot(a, 2.0 * dk_re * k_im)
         center = s + 2.0 * k_im * sig
@@ -325,11 +277,17 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
         s_xx = (a * a * (g * g) + 4.0 * (dk_re * dk_re) * center * center) / den
         s_xf_re = -dk_re * r / dd2
         s_xf_im = k_im * s_xx - sig
-        bad = ~(np.isfinite(s) & (s > 0.0)) | (m * m == 0.0) | (s < c) | ~(den > 0.0)
+        invalid = ~(np.isfinite(s) & (s > 0.0))
+        bad = invalid | (m * m == 0.0) | (s < c) | ~(den > 0.0)
         bad |= ~(s_xx >= 0.0) | ~np.isfinite(s_sum + sig + s_xx + s_xf_re + s_xf_im)
         dql = ~lossless & (s_sum <= dql_val)
-    names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "dql")
-    return dict(zip(names, np.broadcast_arrays(s_sum, thr, sig, s_xx, s_xf_re, s_xf_im, bad, dql)))
+        err = np.int8(0)
+        if bad.any():  # the sum noise is checked wherever sigma does not carry the DQL
+            err = np.select([invalid, m * m == 0.0, s < c, ~above & ~np.isfinite(s_sum),
+                             dd2 == 0.0, den <= 0.0], np.arange(1, 7, dtype=np.int8), np.int8(0))
+    names = ("s_sum", "s_threshold", "sigma_opt", "s_xx", "s_xf_re", "s_xf_im", "bad", "dql", "err")
+    return dict(zip(names, np.broadcast_arrays(s_sum, thr, sig, s_xx, s_xf_re, s_xf_im, bad, dql,
+                                               err)))
 
 
 @dataclass(frozen=True)
@@ -368,27 +326,21 @@ def phase_transition_probe(
     three-point stencils for second derivatives; default step is
     1e-4 * threshold.
     """
-    d = complex(chi_inv)
-    kv = complex(k)
+    d, kv = complex(chi_inv), complex(k)
     if d.imag == 0.0:
         raise LosslessProbeError("lossless probe has no threshold to probe")
     thr = threshold_full(d, kv, hbar)
-    if h is None:
-        h = 1e-4 * thr
-    h = float(h)
+    h = float(1e-4 * thr if h is None else h)
     floor = hbar * abs(kv.imag)
     if not (0.0 < 2.0 * h < thr - floor):
         raise DomainError(f"step {h!r} too large for threshold {thr!r} and FDT floor {floor!r}")
 
-    def at(s: float) -> tuple[float, float]:
-        report = optimize_fixed_backaction(d, kv, s, allow_sigma=allow_sigma, hbar=hbar)
-        return report.s_sum, report.optimal_triad.s_xf.imag
-
-    f0, g0 = at(thr)
-    fm1, gm1 = at(thr - h)
-    fm2, gm2 = at(thr - 2.0 * h)
-    fp1, gp1 = at(thr + h)
-    fp2, gp2 = at(thr + 2.0 * h)
+    budgets = np.array([thr, thr - h, thr - 2.0 * h, thr + h, thr + 2.0 * h])
+    opt = _optimum_grid(d.real, d.imag, kv.real, kv.imag, budgets, bool(allow_sigma), hbar)
+    for s in budgets[opt["bad"]].tolist():  # the scalar call raises the error
+        optimize_fixed_backaction(d, kv, s, allow_sigma=allow_sigma, hbar=hbar)
+    f0, fm1, fm2, fp1, fp2 = opt["s_sum"].tolist()
+    g0, gm1, gm2, gp1, gp2 = opt["s_xf_im"].tolist()
 
     d1_below = (3.0 * f0 - 4.0 * fm1 + fm2) / (2.0 * h)
     d1_above = (-3.0 * f0 + 4.0 * fp1 - fp2) / (2.0 * h)

@@ -389,7 +389,7 @@ def test_array_kernel_matches_scalar_optimizer_bit_for_bit(allow_sigma):
     pin = json.loads(OPTIMUM_DIGESTS.read_text(encoding="utf-8"))
     d, k, s = (np.array(col) for col in zip(*kernel_draws(pin["n"], pin["seed"])))
     got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, 1.0)
-    assert not got["bad"].any()
+    assert not got["bad"].any() and not got["err"].any()
     regimes = np.where(got["dql"], Regime.DQL_LIMITED.value, Regime.QCRB_LIMITED.value)
     rows = zip(regimes.tolist(), *(got[key].tolist() for key in KERNEL_REPORT), s.tolist(),
                got["sigma_opt"].tolist())
@@ -458,6 +458,16 @@ def test_every_optimizer_error_is_pinned(d, k, s, allow_sigma, hbar, exc, text):
         optimize_fixed_backaction(d, k, s, allow_sigma=allow_sigma, hbar=hbar)
     assert type(raised.value) is exc and str(raised.value) == text
     assert _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, hbar)["bad"]
+
+
+def test_array_kernel_codes_each_point_by_its_first_failing_check():
+    # one call over the pinned error points, with allow_sigma and hbar as arrays
+    # too: "err" numbers the check that raises at each point, in the order of
+    # OPTIMIZER_ERRORS, and is 0 where the triad's own validation raises
+    d, k, s, allow_sigma, hbar = (np.array(col) for col in list(zip(*OPTIMIZER_ERRORS))[:5])
+    got = _optimum_grid(d.real, d.imag, k.real, k.imag, s, allow_sigma, hbar)
+    assert got["bad"].all() and got["err"].dtype == np.int8
+    assert got["err"].tolist() == [1, 1, 1, 1, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 0, 0]
 
 
 def test_array_kernel_marks_every_point_the_scalar_optimizer_rejects():
