@@ -149,7 +149,7 @@ def qcrb_lossless(chi_inv: complex, k: complex, s_ff: float, hbar: float = 1.0) 
     if c == 0.0:
         root = s_ff
     else:
-        root = math.sqrt(s_ff * s_ff - c * c)
+        root = math.sqrt((s_ff - c) * (s_ff + c))
     m = abs(d + kv)
     return 0.5 * hbar * hbar * (m * m) / (s_ff + root)
 
@@ -257,13 +257,13 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
         sig = np.where(above, -d_im * (s - thr) / (m * m), 0.0) + 0.0  # no -0.0
         # qcrb_lossless, the exact optimum of a lossless probe
         c = hbar * np.abs(k_im)
-        root = np.where(c == 0.0, s, np.sqrt(s * s - c * c))
+        root = np.where(c == 0.0, s, np.sqrt((s - c) * (s + c)))
         qcrb = 0.5 * hbar * hbar * (m * m) / (s + root)
-        # below the threshold, and at every budget with sigma pinned to zero;
-        # c * c is (hbar*Im K)^2 exactly, and a denominator that underflows to 0 gives NaN
-        c2 = c * c
-        num = dql_val * (thr * thr + s * s - c2)
-        den = thr * s + np.sqrt(np.maximum((thr * thr - c2) * (s * s - c2), 0.0))
+        # below the threshold, and at every budget with sigma pinned to zero; x^2 - c^2
+        # as (x - c)(x + c), exact near the meter FDT floor, and a denominator that
+        # underflows to 0 gives NaN
+        num = dql_val * (thr * thr + s * s - c * c)
+        den = thr * s + np.sqrt(np.maximum(((thr - c) * (thr + c)) * ((s - c) * (s + c)), 0.0))
         ub = num / np.where(den == 0.0, np.nan, den)
         ub = np.where(s == thr, dql_val, np.maximum(ub, dql_val))
         s_sum = np.where(lossless, qcrb, np.where(above, dql_val, ub))
