@@ -483,8 +483,8 @@ def verify(
     arrays, bit for bit the scalar functions' values: the threshold probe is
     one _optimum_grid call over its five budgets, the oracle one _oracle_grid
     pass over the sampled points, and a point it flags is re-run through
-    brute_force_min.  A NaN fails the check it
-    reaches.  samples must be >= 1.  jobs is accepted and has no effect.
+    brute_force_min.  A NaN fails the check it reaches.  samples must be
+    >= 1.  jobs is accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")

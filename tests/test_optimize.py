@@ -375,6 +375,14 @@ class TestPhaseTransition:
         with pytest.raises(LosslessProbeError):
             phase_transition_probe(complex(-3.0, 0.0), 0.0)
 
+    def test_a_budget_the_optimizer_rejects_raises_its_error(self):
+        # at |chi_inv| ~ 1e77 the triad at the threshold overflows: the probe
+        # raises what optimize_fixed_backaction raises at its first such budget
+        with pytest.raises(DomainError) as exc:
+            phase_transition_probe(complex(1e77, -1e-77), complex(0.0, 1e-90))
+        assert str(exc.value) == ("optimal triad at s_ff=5e+230 for chi_inv=(1e+77-1e-77j), "
+                                  "K=1e-90j: s_xx must be finite and >= 0, got nan")
+
 
 OPTIMUM_DIGESTS = Path(__file__).resolve().parent / "data" / "optimum_digests.json"
 KERNEL_REPORT = ("s_sum", "s_threshold", "s_xx", "s_xf_re", "s_xf_im")
