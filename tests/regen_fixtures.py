@@ -130,9 +130,9 @@ def report_row(report) -> tuple:
 def regen_optimum_digests(pin: dict) -> tuple[dict, list]:
     draws = kernel_draws(pin["n"], pin["seed"])
     fresh = dict(pin, sha256={
-        flag: optimum_digest(report_row(optimize_fixed_backaction(d, k, s, allow_sigma=flag == "True"))
+        flag: optimum_digest(report_row(optimize_fixed_backaction(d, k, s, allow_sigma=sigma_free))
                              for d, k, s in draws)
-        for flag in ("True", "False")})
+        for flag, sigma_free in (("True", True), ("False", False))})
     old = pin.get("sha256", {})
     moved = [f"allow_sigma={flag}: " + ("digest moved" if flag in old else "new digest")
              for flag, digest in fresh["sha256"].items() if digest != old.get(flag)]
