@@ -11,8 +11,10 @@ error against the closed form before and after, every new pin (an entry
 that holds only inputs), and each report line that moved, was added or was
 removed.  It also recomputes tests/data/optimum_digests.json, the digest of
 optimize_fixed_backaction's reports over the seeded draws stored in it, for
-each allow_sigma.  Without --check it rewrites the four files; with
---check it writes nothing and exits 1 if any entry moved.  Pytest does not
+each allow_sigma, and tests/data/oracle_digest.json, the digest of
+_oracle_grid's argmins over the accuracy sets named in it.  Without --check
+it rewrites the five files; with --check it writes nothing and exits 1 if
+any entry moved.  Pytest does not
 collect this file.
 """
 
@@ -22,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from conftest import kernel_draws, optimum_digest
+from conftest import kernel_draws, optimum_digest, oracle_digest
 from qnl import (OracleConfig, QnlError, brute_force_min, load_config,
                  optimize_fixed_backaction, parse_config, run_budget, verify)
 
@@ -139,6 +141,12 @@ def regen_optimum_digests(pin: dict) -> tuple[dict, list]:
     return fresh, moved
 
 
+def regen_oracle_digest(pin: dict) -> tuple[dict, list]:
+    fresh = dict(pin, sha256=oracle_digest(pin["sets"]))
+    return fresh, [] if fresh["sha256"] == pin.get("sha256") else [
+        "digest moved" if "sha256" in pin else "new digest"]
+
+
 def main(argv: list) -> int:
     check = argv == ["--check"]
     if argv and not check:
@@ -148,7 +156,8 @@ def main(argv: list) -> int:
     for name, regen in (("oracle_pins.json", regen_pins),
                         ("verify_reports.json", regen_reports),
                         ("table_digests.json", regen_digests),
-                        ("optimum_digests.json", regen_optimum_digests)):
+                        ("optimum_digests.json", regen_optimum_digests),
+                        ("oracle_digest.json", regen_oracle_digest)):
         path = DATA / name
         fresh, moved = regen(json.loads(path.read_text(encoding="utf-8")))
         for line in moved:

@@ -21,14 +21,14 @@ from qnl import (
     qcrb_simple,
     random_saturating_triad,
     saturating_s_xx,
-    threshold_full,
     uncertainty_slack,
 )
 from qnl.oracle import _oracle_grid
-from conftest import draw_back_action, draw_budget, draw_lossy_chi_inv, rel
+from conftest import (ACCURACY_SETS, PINS, accuracy_set, draw_back_action, draw_budget,
+                      draw_lossy_chi_inv, oracle_digest, pin_input, rel)
 
 D_RES = complex(0.0, -0.2)
-PINS = Path(__file__).resolve().parent / "data" / "oracle_pins.json"
+ORACLE_DIGEST = Path(__file__).resolve().parent / "data" / "oracle_digest.json"
 
 
 def test_agrees_with_closed_form_below_threshold():
@@ -95,15 +95,6 @@ def test_results_are_pinned_bit_for_bit():
 
 
 PIN_FIELDS = ("s_sum_min", "s_xx", "s_xf", "s_ff_out", "iterations")
-
-
-def pin_input(case):
-    """A pin's (chi_inv, k, s_ff, hbar)."""
-    def unhex(pair):
-        return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
-
-    h = float.fromhex
-    return unhex(case["chi_inv"]), unhex(case["k"]), h(case["s_ff"]), h(case["hbar"])
 
 
 def pin_fields(result):
@@ -205,55 +196,6 @@ def test_kink_minimum_is_no_worse_than_the_scan_and_golden_section(name):
         assert got.s_sum_min - ref <= 1e-12 * ref, j
 
 
-def seeded_draws(rng, n, im_k=None, min_im=0.05):
-    """n conftest draws (chi_inv, K, s_ff, hbar=1) with decades=1.5; im_k
-    replaces Im K by +-im_k."""
-    for _ in range(n):
-        d, k = draw_lossy_chi_inv(rng, min_im), draw_back_action(rng)
-        if im_k is not None:
-            k = complex(k.real, im_k * rng.choice([-1.0, 1.0]))
-        yield d, k, draw_budget(rng, d, k, decades=1.5), 1.0
-
-
-def accuracy_set(name):
-    """The instances of one accuracy set, as (chi_inv, K, s_ff, hbar)."""
-    rng = np.random.default_rng(12345 if name == "seeded-900" else 48)
-    if name == "seeded-900":
-        return list(seeded_draws(rng, 900))
-    if name in ("near-floor", "skip-boundary", "below-rule"):
-        # s_ff from (1 + 1e-6) to 1.1 times hbar*|Im K|, from (1 + 1e-9) to
-        # (1 + 1e-6) times it, or from (1 + 1e-15) to (1 + 1e-6) times it in
-        # 600 draws each of seeds 8-11; rescaled
-        n, low, high = {"near-floor": (600, -6.0, -1.0), "skip-boundary": (400, -9.0, -6.0),
-                        "below-rule": (600, -15.0, -6.0)}[name]
-        seeds = range(8, 12) if name == "below-rule" else [48]
-        cases = []
-        for rng in [rng for rng in map(np.random.default_rng, seeds) for _ in range(n)]:
-            hbar, mu = 2.0 ** int(rng.integers(-100, 61)), 2.0 ** int(rng.integers(-20, 21))
-            d, k = mu * draw_lossy_chi_inv(rng), mu * draw_back_action(rng)
-            floor = hbar * abs(k.imag)
-            cases.append((d, k, floor * (1.0 + 10.0 ** rng.uniform(low, high)), hbar))
-        return cases
-    if name == "real-k-nearly-lossless":
-        # Im K = 0 below threshold, 96 of the 100 argmins beyond |S_xF| = 35*hbar*thr/s_ff,
-        # with s_ff/f <= 2e5 so that the sum noise's own roundoff stays within
-        # the undercut bound
-        cases = []
-        for ratio, low, high in ((1e-2, 0.85, 1.0), (1e-3, 0.3, 0.4)):
-            for _ in range(50):
-                re = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-                d = complex(re, ratio * abs(re) * rng.choice([-1.0, 1.0]))
-                k = complex(0.1 * abs(re) * rng.uniform(-1.0, 1.0), 0.0)
-                cases.append((d, k, threshold_full(d, k) * rng.uniform(low, high), 1.0))
-        return cases
-    if name == "tiny-im-k":
-        return [c for im_k in (1e-6, 1e-9, 1e-12) for c in seeded_draws(rng, 50, im_k=im_k)]
-    # complex K with s_ff up to 1e4 times the threshold, |S_xF| at the argmin up
-    # to thousands of hbar; |Im chi_inv| >= 0.5 keeps s_ff/f below 1e5
-    return [(d, k, threshold_full(d, k) * 10.0 ** rng.uniform(2.0, 4.0), 1.0)
-            for d, k, _, _ in seeded_draws(rng, 100, min_im=0.5)]
-
-
 def kink_sum_noise(d, k, s_ff, hbar, s_xf):
     """The sum noise to 60 digits at the sigma = 0 kink point with Re S_xF =
     Re s_xf nearest s_xf, where S_xx = Im S_xF/Im K: a value some triad
@@ -283,8 +225,6 @@ def triad_sum_noise(d, k, s_ff, hbar, s_xf):
         return float((dk_re * dk_re + dk_im * dk_im) * s_xx + 2 * (dk_re * x - dk_im * y) + s_ff)
 
 
-ACCURACY_SETS = ["seeded-900", "near-floor", "real-k-nearly-lossless", "tiny-im-k", "huge-budget",
-                 "skip-boundary", "below-rule"]
 KERNEL_FIELDS = ("s_sum_min", "s_xx", "s_xf_re", "s_xf_im", "vertex")
 
 
@@ -344,8 +284,7 @@ def test_the_kernel_is_brute_force_min_point_by_point(name):
     # field is equal bit for bit (float.hex tells -0.0 from 0.0).  The sets hold
     # Im K = 0 (real-k-nearly-lossless and pins), and the pins chi_inv = K = 0.5i,
     # where f's gradient on the kink is exactly 0
-    cases = accuracy_set(name) if name != "pins" else [
-        pin_input(case) for case in json.loads(PINS.read_text())]
+    cases = accuracy_set(name)
     if name == "pins":
         assert any(k.imag == 0.0 for _, k, _, _ in cases)
         assert any(k.imag and 2.0 * (d + k).real == abs(d + k) ** 2 / k.imag - 2.0 * (d + k).imag
@@ -357,6 +296,15 @@ def test_the_kernel_is_brute_force_min_point_by_point(name):
             want = (result.s_sum_min, t.s_xx, t.s_xf.real, t.s_xf.imag)
             assert [*map(float.hex, row[:4]), row[4]] == [*map(float.hex, want),
                                                           result.iterations == 1], (j, refine)
+
+
+def test_the_kernel_is_pinned_by_its_digest():
+    # one _oracle_grid call over each accuracy set and the pins, refine on and
+    # off, every argmin field as float.hex and the vertex flag: the digest that
+    # tests/data/oracle_digest.json pins and tests/regen_fixtures.py recomputes
+    pin = json.loads(ORACLE_DIGEST.read_text(encoding="utf-8"))
+    assert pin["sets"] == [*ACCURACY_SETS, "pins"]
+    assert oracle_digest(pin["sets"]) == pin["sha256"]
 
 
 def complex_nelder_mead(f, z0: complex, step: float, xatol: float, fatol: float, maxiter: int):
