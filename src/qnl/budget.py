@@ -26,7 +26,7 @@ from .optimize import (
     phase_transition_probe,
     threshold_eff,
 )
-from .oracle import _oracle_grid, brute_force_min, saturating_s_xx
+from .oracle import OracleConfig, _oracle_grid, brute_force_min, saturating_s_xx
 from .spectra import (
     ComplexTable,
     DampedOscillator,
@@ -445,18 +445,18 @@ class VerificationReport:
 
 
 def _verify_instances(cfg: SweepConfig, table, rng: np.random.Generator, samples: int) -> tuple:
-    """Working points sampled from the rows of the config's table, as the arrays
-    (omega, Re chi_inv, Im chi_inv, Re K, Im K, s_ff).  The models are read through
-    their array forms, which give the scalar calls' values bit for bit."""
+    """Working points sampled from the rows of the config's table: the row indices, then
+    the arrays (omega, Re chi_inv, Im chi_inv, Re K, Im K, s_ff) at them.  The models are
+    read through their array forms, which give the scalar calls' values bit for bit."""
     grid = table.arrays[0]  # the frequencies, or the spin sweep's budgets
-    points = grid[np.sort(rng.choice(len(grid), size=min(samples, len(grid)), replace=False))]
-    n = len(points)
+    rows = np.sort(rng.choice(len(grid), size=min(samples, len(grid)), replace=False))
+    points, n = grid[rows], len(rows)
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         d = cfg.probe.chi_inv(cfg.omega)
-        return (np.full(n, cfg.omega), np.full(n, d.real), np.full(n, d.imag), np.zeros(n),
+        return (rows, np.full(n, cfg.omega), np.full(n, d.real), np.full(n, d.imag), np.zeros(n),
                 np.zeros(n), points)
-    return (points, *cfg.probe._chi_inv_grid(points)[:2], *cfg.k_of_omega._on_grid(points)[:2],
-            np.full(n, cfg.s_ff))
+    return (rows, points, *cfg.probe._chi_inv_grid(points)[:2],
+            *cfg.k_of_omega._on_grid(points)[:2], np.full(n, cfg.s_ff))
 
 
 def _worst(values, start: float = 0.0) -> float:
@@ -475,16 +475,16 @@ def verify(
 
     The sweep runs first, once: verify raises what run_budget raises, so an
     infeasible config is an input error, not a failed check.  Checks gauge
-    invariance, oracle agreement with the closed forms, commutator
-    cancellation, the derivative structure at the threshold of the first
-    lossy sampled instance (the first lossy point among the seeded picks of
-    samples rows of the table), thermal-floor consistency, and (optionally)
-    a comparison of the table with the golden one.  Every check runs on
-    arrays, bit for bit the scalar functions' values: the threshold probe is
-    one _optimum_grid call over its five budgets, the oracle one _oracle_grid
-    pass over the sampled points, and a point it flags is re-run through
-    brute_force_min.  A NaN fails the check it reaches.  samples must be
-    >= 1.  jobs is accepted and has no effect.
+    invariance, the oracle against the optimum the table emitted at the
+    sampled rows (s_sum_opt, a spin table's s_sum_full; with sigma pinned to
+    zero the oracle takes the kink minimum), commutator cancellation, the
+    derivative structure at the threshold of the first lossy sampled row (of
+    the seeded picks of samples rows), thermal-floor consistency, and
+    (optionally) the table against the golden one.  Every check runs on
+    arrays: the threshold probe is one _optimum_grid call over its five
+    budgets, the oracle one _oracle_grid pass over the sampled points, and a
+    point it flags is re-run through brute_force_min.  A NaN fails the check
+    it reaches.  samples must be >= 1.  jobs is accepted and has no effect.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")
@@ -492,7 +492,7 @@ def verify(
     hbar = cfg.constants.hbar
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
-    omegas, d_re, d_im, k_re, k_im, s_ff = _verify_instances(cfg, table, rng, samples)
+    rows, omegas, d_re, d_im, k_re, k_im, s_ff = _verify_instances(cfg, table, rng, samples)
     ds, ks = (list(map(complex, a.tolist(), b.tolist())) for a, b in ((d_re, d_im), (k_re, k_im)))
 
     # The gauge and oracle checks skip the instances at and below the meter FDT
@@ -512,14 +512,13 @@ def verify(
     worst = _worst(_gauge_deviations(d_up, k_up, triads, kernels.T, hbar))
     checks.append(CheckResult("gauge-invariance", worst <= 1e-12, worst, 1e-12, unchecked))
 
-    # Closed form vs brute force.
-    opt = _optimum_grid(*d_up, *k_up, s_up, True, hbar)
-    for i in np.flatnonzero(opt["bad"]).tolist():  # the scalar call raises the error
-        optimize_fixed_backaction(ds[up[i]], ks[up[i]], float(s_up[i]), hbar=hbar)
-    c, found = opt["s_sum"], _oracle_grid(*d_up, *k_up, s_up, hbar)
+    # The emitted optimum vs brute force, whose kink minimum is the sigma = 0 optimum.
+    col = table.COLUMNS.index("s_sum_full" if isinstance(table, SpinFigureTable) else "s_sum_opt")
+    oracle, c = OracleConfig(refine=cfg.allow_sigma), table.arrays[col][rows[up]]
+    found = _oracle_grid(*d_up, *k_up, s_up, hbar, oracle.refine)
     got = found["s_sum_min"]
     for i in np.flatnonzero(found["bad"]).tolist():  # the scalar call raises, or gives its value
-        got[i] = brute_force_min(ds[up[i]], ks[up[i]], float(s_up[i]), hbar=hbar).s_sum_min
+        got[i] = brute_force_min(ds[up[i]], ks[up[i]], float(s_up[i]), oracle, hbar=hbar).s_sum_min
     worst, undercut = _worst(np.abs(got - c) / c), _worst((c - got) / c)
     checks.append(CheckResult("oracle-agreement", worst <= 1e-3, worst, 1e-3, unchecked))
     checks.append(CheckResult("oracle-no-undercut", undercut <= 1e-3, undercut, 1e-3, unchecked))

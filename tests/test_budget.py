@@ -18,6 +18,7 @@ from qnl import (
     FdtViolationError,
     LosslessProbeError,
     NoiseTriad,
+    OracleConfig,
     QnlError,
     RangeError,
     SffSweepSpec,
@@ -1284,7 +1285,8 @@ def test_array_checks_are_the_scalar_functions_point_by_point(name, monkeypatch)
     # verify's array passes against the scalar library at each sampled point:
     # the points are the scalar chi_inv and K; each gauge deviation is the one
     # NoiseTriad, gauge_transform, sum_noise_psd, uncertainty_slack and sigma
-    # give, with ==; the oracle and commutator lines are the scalar loop's
+    # give, with ==; the oracle and commutator lines are the scalar loop's, the
+    # optimum being the table's at the sampled rows
     cfg = ARRAY_CHECK_CONFIGS[name]()
     hbar = cfg.constants.hbar
     seen = {}
@@ -1301,7 +1303,9 @@ def test_array_checks_are_the_scalar_functions_point_by_point(name, monkeypatch)
     searched = oracle_calls(monkeypatch)
     by_name = {c.name: c for c in verify(cfg, seed=1, samples=40).checks}
 
-    omegas, *parts = (a.tolist() for a in seen["_verify_instances"][1])
+    rows, omegas, *parts = (a.tolist() for a in seen["_verify_instances"][1])
+    sampled = parts[-1] if cfg.mode == "sweep_SFF_at_fixed_omega" else omegas
+    assert sampled == run_budget(cfg).arrays[0][rows].tolist()
     points = [(w, complex(a, b), complex(c, d), s) for w, a, b, c, d, s in zip(omegas, *parts)]
     for w, d, kv, s_ff in points:
         if cfg.mode == "sweep_SFF_at_fixed_omega":
@@ -1322,7 +1326,8 @@ def test_array_checks_are_the_scalar_functions_point_by_point(name, monkeypatch)
     assert got == want
     assert by_name["gauge-invariance"].measured == max(0.0, *(v for row in want for v in row))
 
-    closed = [optimize_fixed_backaction(dv, k, s_ff, hbar=hbar).s_sum for dv, k, s_ff in above]
+    closed = [optimize_fixed_backaction(dv, k, s_ff, allow_sigma=cfg.allow_sigma, hbar=hbar).s_sum
+              for dv, k, s_ff in above]
     oracle_min = [oracle.brute_force_min(dv, k, s_ff, hbar=hbar).s_sum_min for dv, k, s_ff in above]
     assert by_name["oracle-agreement"].measured == max(
         0.0, *(abs(o - c) / c for c, o in zip(closed, oracle_min)))
@@ -1337,15 +1342,17 @@ def test_array_checks_are_the_scalar_functions_point_by_point(name, monkeypatch)
 
 
 def test_verify_reruns_flagged_points_through_the_scalar_optimizer(monkeypatch):
-    # with every point flagged, the sweep re-runs its 101 rows and verify each
-    # point above the floor, in order, through optimize_fixed_backaction, which
-    # accepts them: the report is the same
+    # with every point flagged, the sweep re-runs its 101 rows, in order,
+    # through optimize_fixed_backaction, which accepts them: the report is the
+    # same.  verify reads the optimum from the table and makes no kernel or
+    # scalar optimizer call of its own
     cfg = load_config(str(CONFIGS / "oscillator_budget.json"))
     want = verify(cfg, seed=1).render()
-    kernel, scalar, calls = budget._optimum_grid, budget.optimize_fixed_backaction, []
+    kernel, scalar, calls, passes = budget._optimum_grid, budget.optimize_fixed_backaction, [], []
 
     def all_bad(*args):
         opt = kernel(*args)
+        passes.append(opt["bad"].shape)
         return dict(opt, bad=np.ones_like(opt["bad"]))
 
     monkeypatch.setattr(budget, "_optimum_grid", all_bad)
@@ -1353,7 +1360,8 @@ def test_verify_reruns_flagged_points_through_the_scalar_optimizer(monkeypatch):
                         lambda *args, **kw: calls.append(args[:3]) or scalar(*args, **kw))
     searched = oracle_calls(monkeypatch)
     assert verify(cfg, seed=1).render() == want
-    assert len(searched) == 6 and calls[101:] == searched and len(calls) == 107
+    assert len(searched) == 6 and len(calls) == 101 and passes == [(101,)]
+    assert calls == [(cfg.probe.chi_inv(w), 0j, cfg.s_ff) for w in cfg.frequency.values()]
 
 
 def test_verify_reruns_rows_the_oracle_kernel_flags_through_brute_force_min(monkeypatch):
@@ -1375,10 +1383,33 @@ def test_verify_reruns_rows_the_oracle_kernel_flags_through_brute_force_min(monk
     monkeypatch.setattr(budget, "brute_force_min",
                         lambda *args, **kw: calls.append(args) or scalar(*args, **kw))
     assert verify(cfg, seed=1).render() == want
-    assert len(searched) == 6 and calls == searched
+    assert len(searched) == 6 and calls == [(*p, OracleConfig(refine=True)) for p in searched]
     monkeypatch.setattr(budget, "brute_force_min", lambda *args, **kw: scalar(0.5, -0.5, 1.0))
     with pytest.raises(DomainError, match=r"^chi_inv \+ K vanishes: chi_inv=\(0.5\+0j\)"):
         verify(cfg, seed=1)
+
+
+@pytest.mark.parametrize("back_action", [{"type": "constant"},
+                                         {"type": "constant", "re": 0.1, "im": 0.05}],
+                         ids=["zero-k", "complex-k"])
+def test_verify_checks_the_emitted_sigma_zero_optimum(back_action, monkeypatch):
+    # with sigma pinned to zero the oracle searches the kink alone, whose minimum
+    # is the sigma = 0 optimum, and is compared with the table's s_sum_opt: a
+    # sweep whose sigma = 0 optimum reads 1 % high fails both oracle lines
+    cfg = parse_config(osc_config(allow_sigma=False, s_ff=0.3, back_action=back_action))
+    checks = {c.name: c for c in verify(cfg, seed=1, samples=20).checks}
+    assert checks["oracle-agreement"].measured <= 1e-12 and verify(cfg, seed=1).passed
+    kernel = budget._optimum_grid
+
+    def high(d_re, d_im, k_re, k_im, s, allow_sigma, hbar):
+        opt = kernel(d_re, d_im, k_re, k_im, s, allow_sigma, hbar)
+        return dict(opt, s_sum=opt["s_sum"] * np.where(allow_sigma, 1.0, 1.01))
+
+    monkeypatch.setattr(budget, "_optimum_grid", high)
+    checks = {c.name: c for c in verify(cfg, seed=1).checks}
+    for name in ("oracle-agreement", "oracle-no-undercut"):
+        assert not checks[name].passed
+        assert checks[name].measured == pytest.approx(0.01 / 1.01, rel=1e-9)
 
 
 def nan_at_the_third(func, field=None):
