@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -91,23 +90,21 @@ def _checked_budget(s_ff, k_im: float, hbar: float) -> float:
 
 
 def _oracle_grid(d_re, d_im, k_re, k_im, s_ff, hbar, refine: bool = True) -> dict:
-    """brute_force_min's search, op for op, over 1-d arrays (or scalars) of Re/Im
-    chi_inv and Re/Im K, with which s_ff and hbar broadcast: "s_sum_min", the argmin
-    as "s_xx", "s_xf_re", "s_xf_im", and "vertex", True where a piece's vertex wins,
-    each the scalar call's value bit for bit, and "bad", True where it may raise or differ."""
+    """The search over 1-d arrays (or scalars) of Re/Im chi_inv and Re/Im K, with
+    which s_ff and hbar broadcast: "s_sum_min", the argmin as "s_xx", "s_xf_re",
+    "s_xf_im", "vertex", True where a piece's vertex wins, and "bad", True where
+    brute_force_min raises.  brute_force_min is this search at one point."""
     d_re, d_im, k_re, k_im = np.atleast_1d(d_re, d_im, k_re, k_im)
     with np.errstate(all="ignore"):
         dk_re, dk_im = d_re + k_re, d_im + k_im
-        # abs(dk) ** 2 as CPython computes it: libm's hypot, which np.hypot calls, then
-        # libm's pow, which np.square does not; 2^1022, flagged, where pow would overflow
-        m = np.hypot(dk_re, dk_im).clip(max=2.0 ** 511).tolist()
-        dk2 = np.fromiter(map(math.pow, m, repeat(2.0)), float, len(m))
+        m = np.hypot(dk_re, dk_im)
+        dk2 = m * m
         # the kink S+ = S-: on the circle S+ = S- = Im S_xF/Im K, and f is linear in S_xF
         quarter, c = hbar * hbar / 4.0, hbar * np.abs(k_im)
         rho = np.sqrt((s_ff - c) / s_ff * (s_ff + c) / s_ff)  # sqrt(s_ff^2 - c^2)/s_ff
         center, radius = s_ff / (2.0 * k_im), s_ff * rho / (2.0 * np.abs(k_im))
         gx, gy = 2.0 * dk_re, dk2 / k_im - 2.0 * dk_im  # f's gradient on the kink
-        g = np.fromiter(map(math.hypot, gx.tolist(), gy.tolist()), float, len(m))  # not np.hypot's
+        g = np.hypot(gx, gy)
         ux = np.where(g != 0.0, gx / g, 0.0)  # f constant where g = 0
         uy = np.where(g != 0.0, gy / g, np.copysign(1.0, center))
         bx, ry = -radius * ux, radius * uy
@@ -128,8 +125,7 @@ def _oracle_grid(d_re, d_im, k_re, k_im, s_ff, hbar, refine: bool = True) -> dic
             won = f[j] < best
             best, pick = np.where(won, f[j], best), np.where(won, j, pick)
         bx, by, s_xx = (v[pick, np.arange(len(pick))] for v in (x, y, s_xx))
-        bad = ~((s_ff > c) & (dk2 > 0.0) & (dk2 < 2.0 ** 1022) & (s_xx >= 0.0)
-                & np.isfinite(best + s_xx + bx + by))
+        bad = ~((s_ff > c) & (dk2 > 0.0) & (s_xx >= 0.0) & np.isfinite(best + s_xx + bx + by))
     return {"s_sum_min": best, "s_xx": s_xx, "s_xf_re": bx, "s_xf_im": by, "vertex": pick > 0,
             "bad": bad}
 
