@@ -534,15 +534,19 @@ def verify(
         worst = _worst(np.where(residual != 0.0, np.abs(residual) / terms, 0.0))
     checks.append(CheckResult("commutator-residual", worst <= 1e-14, worst, 1e-14))
 
-    # Threshold derivative structure at the first lossy sampled point.
+    # Threshold derivative structure at the first lossy sampled point whose
+    # probe steps fit above the meter FDT floor; any other probe error fails.
     for w, d, kv in zip(omegas.tolist(), ds, ks):
         if d.imag == 0.0:
             continue
         try:
             probe = phase_transition_probe(d, kv, hbar=hbar)
-        except DomainError:
-            # threshold within a probe step of the meter FDT floor
+        except FdtViolationError:
             continue
+        except DomainError as exc:
+            checks.append(CheckResult("threshold-derivatives", False, math.nan, 0.0,
+                                      f"omega={w:g}: {exc}"))
+            break
         thr = probe.s_threshold
         expected_d2 = hbar * abs(d.imag) / (thr**2 - (hbar * kv.imag) ** 2)
         rel = abs(probe.d2_below - expected_d2) / expected_d2

@@ -312,7 +312,6 @@ def phase_transition_probe(
     chi_inv: complex,
     k: complex = 0.0,
     hbar: float = 1.0,
-    h: float | None = None,
     allow_sigma: bool = True,
 ) -> PhaseTransitionProbe:
     """Probe the regime boundary by one-sided finite differences.
@@ -324,17 +323,18 @@ def phase_transition_probe(
     smooth curve and there is no jump.
 
     Uses second-order one-sided stencils for first derivatives and
-    three-point stencils for second derivatives; default step is
-    1e-4 * threshold.
+    three-point stencils for second derivatives; the step is 1e-4 *
+    threshold, and FdtViolationError is raised where two steps below the
+    threshold do not fit above the meter FDT floor hbar*|Im K|.
     """
     d, kv = complex(chi_inv), complex(k)
     if d.imag == 0.0:
         raise LosslessProbeError("lossless probe has no threshold to probe")
     thr = threshold_full(d, kv, hbar)
-    h = float(1e-4 * thr if h is None else h)
-    floor = hbar * abs(kv.imag)
+    h, floor = 1e-4 * thr, hbar * abs(kv.imag)
     if not (0.0 < 2.0 * h < thr - floor):
-        raise DomainError(f"step {h!r} too large for threshold {thr!r} and FDT floor {floor!r}")
+        raise FdtViolationError(
+            f"step {h!r} too large for threshold {thr!r} and FDT floor {floor!r}")
 
     budgets = np.array([thr, thr - h, thr - 2.0 * h, thr + h, thr + 2.0 * h])
     opt = _optimum_grid(d.real, d.imag, kv.real, kv.imag, budgets, bool(allow_sigma), hbar)

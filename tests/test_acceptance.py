@@ -158,14 +158,16 @@ def test_criterion_04_gauge_feedback_invariance():
 def test_criterion_05_phase_transition():
     failures = []
     thr = threshold_eff(D_RES, 0.0)
-    probe = phase_transition_probe(D_RES, 0.0, h=1e-4 * thr)
+    probe = phase_transition_probe(D_RES, 0.0)
+    if probe.step != 1e-4 * thr:
+        failures.append(f"step {probe.step} is not 1e-4 of the threshold {thr}")
     if abs(probe.d2_below - 20.0) > 0.02 * 20.0:
         failures.append(f"d2 below {probe.d2_below} not within 2% of 20")
     if abs(probe.d2_above) > 1e-6:
         failures.append(f"d2 above {probe.d2_above} not flat")
     if abs(probe.d1_jump) > 1e-6:
         failures.append(f"first derivative jump {probe.d1_jump}")
-    smooth = phase_transition_probe(D_RES, 0.0, h=1e-4 * thr, allow_sigma=False)
+    smooth = phase_transition_probe(D_RES, 0.0, allow_sigma=False)
     if not (smooth.d2_below > 0.0 and smooth.d2_above > 0.0):
         failures.append("sigma-zero curvature not positive")
     if abs(smooth.d2_above - smooth.d2_below) > 5e-3 * smooth.d2_below:

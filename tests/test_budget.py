@@ -962,6 +962,22 @@ class TestVerify:
         detail = {c.name: c.detail for c in report.checks}
         assert "probeable" in detail["threshold-derivatives"]
 
+    def test_verify_fails_the_threshold_check_on_any_other_probe_error(self):
+        # the sweep succeeds, but the optimizer rejects every budget the probe
+        # takes: the check fails on one line with its error, not skipped as
+        # unprobeable
+        raw = json.loads((CONFIGS / "oscillator_budget.json").read_text(encoding="utf-8"))
+        raw.update(s_ff=1.0, thermal={"type": "zero"}, probe={
+            "type": "tabulated", "omega": [0.5, 1.5], "re": [1e-160, 1e-160],
+            "im": [-1e-80, -1e-80]})
+        cfg = parse_config(raw)
+        run_budget(cfg)
+        checks = [c for c in verify(cfg, seed=1).checks if c.name.startswith("threshold")]
+        assert [(c.name, c.passed, c.tolerance) for c in checks] == [
+            ("threshold-derivatives", False, 0.0)]
+        assert checks[0].detail == ("omega=0.53: no feasible saturating triad for "
+                                    "chi_inv=(1e-160-1e-80j), K=0j, s_ff=5e-81, sigma=0.0")
+
     def test_verify_lossless_probe_config(self):
         cfg = parse_config(
             osc_config(

@@ -375,6 +375,13 @@ class TestPhaseTransition:
         with pytest.raises(LosslessProbeError):
             phase_transition_probe(complex(-3.0, 0.0), 0.0)
 
+    def test_a_step_that_does_not_fit_above_the_fdt_floor_raises(self):
+        # the threshold lies 2.5e-10 above the meter FDT floor, within two steps
+        with pytest.raises(FdtViolationError) as exc:
+            phase_transition_probe(complex(0.001, -0.2), complex(-0.00099, -0.2))
+        assert str(exc.value) == ("step 2.0000000025000006e-05 too large for threshold "
+                                  "0.20000000025000006 and FDT floor 0.2")
+
     def test_a_budget_the_optimizer_rejects_raises_its_error(self):
         # at |chi_inv| ~ 1e77 the triad at the threshold overflows: the probe
         # raises what optimize_fixed_backaction raises at its first such budget
