@@ -131,6 +131,16 @@ class TestConfigParsing:
             parse_config(make(**{field: dict(spec, **{typo: 1})}))
         assert str(exc.value) == f"config.{field}.{typo}: unknown field"
 
+    @pytest.mark.parametrize("source, text", [
+        ("[]", "config: top level must be an object"),
+        (osc_config(hbar=0), "config: hbar must be a positive finite number, got 0.0"),
+        (osc_config(s_ff=-1), "config.s_ff: must be positive and finite, got -1.0"),
+    ], ids=["top-level-list", "hbar-zero", "s_ff-negative"])
+    def test_out_of_domain_config_error_texts_are_pinned(self, source, text):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(source)
+        assert str(exc.value) == text
+
     def test_missing_required_field(self):
         cfg = osc_config()
         del cfg["frequency"]
@@ -758,6 +768,11 @@ class TestColumnarTables:
         assert again == table and again.rows() == table.rows()
         assert again.to_csv() == table.to_csv() and again.to_json() == table.to_json()
         assert table != BudgetTable([a[:-1] for a in table.arrays], table.meta)
+        assert table.__eq__(table.arrays) is NotImplemented and table != table.arrays
+        assert repr(table) == (
+            "BudgetTable(<101 rows>, meta=TableMeta(kind='budget', version='0.1.0', config_hash="
+            "'fb8e41a9893bfd92844aeae04951f1394cad088618fb40bab3bcf075ff60fac6', "
+            "transitions=(1.0, 1.01)))")
 
     def test_hot_paths_build_no_row_objects(self, monkeypatch):
         calls = []

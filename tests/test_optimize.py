@@ -345,6 +345,14 @@ class TestQcrb:
             qcrb_lossless(complex(1.0, 0.0), complex(0.0, 2.0), 1.0)
 
 
+    @pytest.mark.parametrize("s_ff", [0.0, -1.0, math.inf, math.nan])
+    def test_both_bounds_reject_a_budget_that_is_not_positive_and_finite(self, s_ff):
+        for bound in (qcrb_simple, qcrb_lossless):
+            with pytest.raises(DomainError) as exc:
+                bound(complex(1.0, 0.0), 0.0, s_ff)
+            assert str(exc.value) == f"back-action PSD must be positive and finite, got {s_ff!r}"
+
+
 class TestPhaseTransition:
     def test_canonical_instance(self):
         probe = phase_transition_probe(D_RES, 0.0)

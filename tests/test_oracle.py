@@ -405,6 +405,15 @@ def test_fdt_violation_rejected():
         random_saturating_triad(complex(0.0, 0.5), 0.4, seed=0)
 
 
+@pytest.mark.parametrize("s_ff", [0.0, -1.0, math.inf, math.nan])
+def test_a_budget_that_is_not_positive_and_finite_is_rejected(s_ff):
+    for call in (lambda: brute_force_min(D_RES, 0.1j, s_ff),
+                 lambda: random_saturating_triad(0.1j, s_ff, seed=0)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"s_ff must be positive and finite, got {s_ff!r}"
+
+
 class TestSaturatingSampler:
     def test_seed_reproducibility_bit_for_bit(self):
         k = complex(0.3, -0.2)

@@ -146,6 +146,12 @@ class TestOptimalSpinResponse:
         assert optimal_spin_response(1.0, 5j) == complex(0.0, -4.5)
         assert optimal_spin_response(1.0, complex(0.3, 0.1)) == complex(-0.3, 0.0)
 
+    @pytest.mark.parametrize("theta_i", [-1.0, math.inf, math.nan])
+    def test_rejects_a_coupling_that_is_not_finite_and_non_negative(self, theta_i):
+        with pytest.raises(DomainError) as exc:
+            optimal_spin_response(theta_i, 0.5j)
+        assert str(exc.value) == f"theta_i must be finite and >= 0, got {theta_i!r}"
+
     def test_weak_branch_is_real_strong_branch_undershoots(self):
         rng = np.random.default_rng(54)
         for _ in range(100):
@@ -177,3 +183,7 @@ class TestOptimalSpinResponse:
             negative_mass_oscillator(mass=0.0, omega_s=1.0)
         with pytest.raises(DomainError):
             negative_mass_oscillator(mass=1.0, omega_s=-1.0)
+        for gamma_s in (-1.0, math.nan):
+            with pytest.raises(DomainError) as exc:
+                negative_mass_oscillator(mass=1.0, omega_s=1.0, gamma_s=gamma_s)
+            assert str(exc.value) == f"gamma_s must be >= 0, got {gamma_s!r}"
