@@ -109,7 +109,7 @@ class SweepConfig:
     s_ff_sweep is set exactly in the sweep mode, which requires omega.  A sweep,
     and verify at its sampled points, reads each model through its array form,
     which only the models a config describes have; verify's fdt-floor check
-    calls the bath's scalar temperature_at."""
+    reads the bath's _temperature_grid too."""
 
     probe: DampedOscillator | FreeMass | TabulatedSusceptibility
     k_of_omega: ComplexTable | _ConstantK
@@ -478,13 +478,13 @@ def verify(
     invariance, the oracle against the optimum the table emitted at the
     sampled rows (s_sum_opt, a spin table's s_sum_full; with sigma pinned to
     zero the oracle takes the kink minimum), commutator cancellation, the
-    derivative structure at the threshold of the first lossy sampled row (of
-    the seeded picks of samples rows), thermal-floor consistency, and
-    (optionally) the table against the golden one.  Every check runs on
-    arrays: the threshold probe is one _optimum_grid call over its five
-    budgets, the oracle one _oracle_grid pass over the sampled points, and a
-    point it flags is re-run through brute_force_min.  A NaN fails the check
-    it reaches.  samples must be >= 1.  jobs is accepted and has no effect.
+    derivative structure at the threshold of the first lossy sampled row
+    whose probe steps fit above the meter FDT floor (a probe error fails it),
+    thermal-floor consistency, and (optionally) the table against the golden
+    one.  Every check runs on arrays: the threshold probe is one _optimum_grid
+    call over its five budgets, the oracle one _oracle_grid pass over the
+    sampled points, and a point it flags is re-run through brute_force_min.
+    A NaN fails the check it reaches.  samples must be >= 1; jobs is ignored.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples!r}")

@@ -151,8 +151,8 @@ def brute_force_min(
     y = +-hbar/2 + Im D*den+-/|D|^2.  Over the tests' seeded 900-draw set the
     error against the closed form is at most 1.7e-11, the roundoff of the sum
     noise, and 4.7e-14 on 600 draws within 10 % of the meter FDT floor.  It
-    is _oracle_grid at one point: about 0.1 ms a call on a 2-core VM, where
-    one _oracle_grid call takes about 0.14 ms for 151 points.  Exactly at the
+    is _oracle_grid at one point: about 0.16 ms a call on a 2-core VM, where
+    one _oracle_grid call takes about 0.1 ms for 151 points.  Exactly at the
     floor, s_ff = hbar*|Im K|, it raises EmptyFeasibleRegionError.
     """
     d, kv = complex(chi_inv), complex(k)
