@@ -11,11 +11,12 @@ error against the closed form before and after, every new pin (an entry
 that holds only inputs), and each report line that moved, was added or was
 removed.  It also recomputes tests/data/optimum_digests.json, the digest of
 optimize_fixed_backaction's reports over the seeded draws stored in it, for
-each allow_sigma, and tests/data/oracle_digest.json, the digest of
-_oracle_grid's argmins over the accuracy sets named in it.  Without --check
-it rewrites the five files; with --check it writes nothing and exits 1 if
-any entry moved.  Pytest does not
-collect this file.
+each allow_sigma, tests/data/oracle_digest.json, the digest of
+_oracle_grid's argmins over the accuracy sets named in it, and
+tests/data/table_corpus.json, the outcome of loading each table of the
+seeded malformed-table corpus.  Without --check it rewrites the six files;
+with --check it writes nothing and exits 1 if any entry moved.  Pytest does
+not collect this file.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ from pathlib import Path
 from conftest import kernel_draws, optimum_digest, oracle_digest
 from qnl import (OracleConfig, QnlError, brute_force_min, load_config,
                  optimize_fixed_backaction, parse_config, run_budget, verify)
+from test_table_corpus import corpus_outcomes
 
 DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -147,6 +149,14 @@ def regen_oracle_digest(pin: dict) -> tuple[dict, list]:
         "digest moved" if "sha256" in pin else "new digest"]
 
 
+def regen_corpus(pin: dict) -> tuple[dict, list]:
+    fresh = dict(pin, outcomes=corpus_outcomes(pin["tables"], pin["seed"]))
+    old = pin.get("outcomes", {})
+    moved = [f"{label}: " + (f"{old[label]!r} -> {now!r}" if label in old else "new table")
+             for label, now in fresh["outcomes"].items() if old.get(label) != now]
+    return fresh, moved + [f"{label}: removed" for label in old if label not in fresh["outcomes"]]
+
+
 def main(argv: list) -> int:
     check = argv == ["--check"]
     if argv and not check:
@@ -157,7 +167,8 @@ def main(argv: list) -> int:
                         ("verify_reports.json", regen_reports),
                         ("table_digests.json", regen_digests),
                         ("optimum_digests.json", regen_optimum_digests),
-                        ("oracle_digest.json", regen_oracle_digest)):
+                        ("oracle_digest.json", regen_oracle_digest),
+                        ("table_corpus.json", regen_corpus)):
         path = DATA / name
         fresh, moved = regen(json.loads(path.read_text(encoding="utf-8")))
         for line in moved:
