@@ -157,8 +157,11 @@ def brute_force_min(
     """
     d, kv = complex(chi_inv), complex(k)
     s_ff = _checked_budget(s_ff, kv.imag, hbar)
-    if abs(d + kv) ** 2 == 0.0:
+    dk2 = abs(d + kv) * abs(d + kv)  # not ** 2, which raises OverflowError
+    if dk2 == 0.0:
         raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
+    if not math.isfinite(dk2):
+        raise DomainError(f"|chi_inv + K|^2 is not finite: chi_inv={d!r}, K={kv!r}")
     found = _oracle_grid(d.real, d.imag, kv.real, kv.imag, s_ff, hbar, cfg is None or cfg.refine)
     s_sum, s_xx, x, y, vertex, _ = (v.item() for v in found.values())
     return OracleResult(s_sum, NoiseTriad(s_xx, complex(x, y), s_ff), int(vertex))

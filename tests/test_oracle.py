@@ -398,6 +398,21 @@ def test_vanishing_chi_inv_plus_k_rejected():
         assert str(exc.value) == f"chi_inv + K vanishes: chi_inv={d!r}, K={-d!r}"
 
 
+@pytest.mark.parametrize("d", [complex(1e200, -1.0), complex(1e155, -1.0), complex(math.inf, 1.0),
+                               complex(math.nan, 1.0)])
+def test_a_chi_inv_plus_k_whose_square_is_not_finite_is_rejected(d):
+    # |chi_inv + K|^2 overflows (or is inf or NaN): a DomainError, where the
+    # 0-d kernel would return s_sum_min = inf with its bad flag set
+    with pytest.raises(DomainError) as exc:
+        brute_force_min(d, 0j, 1.0)
+    assert str(exc.value) == f"|chi_inv + K|^2 is not finite: chi_inv={d!r}, K=0j"
+    assert _oracle_grid(d.real, d.imag, 0.0, 0.0, 1.0, 1.0)["bad"].all()
+    # an underflowing square still vanishes
+    tiny = complex(1e-170, -1e-170)
+    with pytest.raises(DomainError, match=r"^chi_inv \+ K vanishes: chi_inv=\(1e-170-1e-170j\)"):
+        brute_force_min(tiny, 0j, 1.0)
+
+
 def test_fdt_violation_rejected():
     with pytest.raises(FdtViolationError):
         brute_force_min(D_RES, complex(0.0, 0.5), 0.4)
