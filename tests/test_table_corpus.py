@@ -16,10 +16,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CORPUS = Path(__file__).resolve().parent / "data" / "table_corpus.json"
 
 # field values: malformed numbers, numbers beyond a float's range, spellings
-# of inf and nan, and numbers only float() reads (underscores, non-ASCII digits)
+# of inf, nan and -0.0, and numbers only float() reads (underscores, non-ASCII
+# digits)
 NUMBERS = ["abc", "", "1.2.3", "--1", "1e", "e5", "0x10", "nan(1)", ".", "+", "1.5j", "None",
            "1e400", "-1e999", "9" * 400, "1e-400", "0." + "0" * 400 + "1", "-Infinity", "+nan",
-           "NaN", ".5", "5.", "1E5", "1_0", "2_5.0_1", "_1", "1__0", "\u0661\u0662",
+           "NaN", ".5", "5.", "1E5", "-0.0", "-0", "-0e9", "1_0", "2_5.0_1", "_1", "1__0", "\u0661\u0662",
            "\u0661.\u0665", "\uff11.\uff15", "\u0967e\u0968"]
 # put before, after or inside a field: \x1f and NUL (which numpy's text reader
 # and float() read differently), line breaks to str.splitlines (form feed,
