@@ -158,10 +158,9 @@ def brute_force_min(
     d, kv = complex(chi_inv), complex(k)
     s_ff = _checked_budget(s_ff, kv.imag, hbar)
     dk2 = abs(d + kv) * abs(d + kv)  # not ** 2, which raises OverflowError
-    if dk2 == 0.0:
-        raise DomainError(f"chi_inv + K vanishes: chi_inv={d!r}, K={kv!r}")
-    if not math.isfinite(dk2):
-        raise DomainError(f"|chi_inv + K|^2 is not finite: chi_inv={d!r}, K={kv!r}")
+    if not 0.0 < dk2 < math.inf:
+        what = "chi_inv + K vanishes" if dk2 == 0.0 else "|chi_inv + K|^2 is not finite"
+        raise DomainError(f"{what}: chi_inv={d!r}, K={kv!r}")
     found = _oracle_grid(d.real, d.imag, kv.real, kv.imag, s_ff, hbar, cfg is None or cfg.refine)
     s_sum, s_xx, x, y, vertex, _ = (v.item() for v in found.values())
     return OracleResult(s_sum, NoiseTriad(s_xx, complex(x, y), s_ff), int(vertex))
