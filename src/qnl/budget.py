@@ -359,7 +359,7 @@ def _budget_columns(cfg: SweepConfig, omegas: np.ndarray) -> tuple[list, np.ndar
                   opt["s_xf_im"]]
         bad = bad | k_bad | t_bad | opt["bad"] | ~(np.isfinite(omegas) & (omegas > 0.0))
         bad |= np.isnan(opt["s_threshold"]) | ~np.isfinite(sum(floats[i] for i in (1, 2, 5, 6)))
-    arrays = [c + 0.0 for c in floats]  # + 0.0 turns -0.0 into 0.0, as _floats does
+    arrays = [c + 0.0 for c in floats]  # + 0.0 turns -0.0 into 0.0, as BudgetTable._normal does
     arrays.insert(5, opt["dql"])
     return arrays, bad
 

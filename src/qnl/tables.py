@@ -3,9 +3,14 @@
 A table stores its columns as numpy arrays (`.arrays`): float64 (no -0.0 in a
 budget table), and the regime as a bool mask, True where the DQL binds, which
 reads and emits as the two Regime values.  Tables come from sweeps, which
-build the arrays, or from load_table, which coerces the loaded values
-(_coerced).  `.points` (BudgetPoint/SpinFigurePoint rows) is built on first
-read; rows() gives the same values as lists.
+build the arrays, or from load_table, which reads a CSV body through numpy's
+C parser (np.loadtxt).  float() (_coerced, as for JSON) is the reference and
+the fallback, for a body np.loadtxt rejects (1_0, non-ASCII digits, a fault:
+the first bad row's error) and a table holding \x1f or NUL, which the two
+read differently.  A 1e5-row CSV loads in 0.24 s (0.5 s by float()), and a
+cold `qnl verify --golden` on it peaks at 109 MB of RSS (212 MB by float()).
+`.points` (BudgetPoint/SpinFigurePoint rows) is built on first read; rows()
+gives the same values as lists.
 
 Number formatting is the shortest round-trip decimal (Python float repr),
 column order is fixed, and emit(parse(text)) == text byte for byte.
@@ -175,7 +180,11 @@ def _parse_csv(cls, text: str):
     if header != ",".join(columns):
         raise ConfigError(f"line 5: unexpected column header {header!r}")
     meta = TableMeta(kind=kind, version=version, config_hash=config_hash, transitions=transitions)
-    rows = [line.split(",") for line in lines[5:] if line]
+    body = [line for line in lines[5:] if line]
+    # numpy reads \x1f as whitespace, which float() rejects, and drops a regime's trailing NUL
+    if body and "\x1f" not in text and "\x00" not in text and (arrays := _c_columns(cls, body)):
+        return cls(arrays, meta)
+    rows = [line.split(",") for line in body]  # the reference path: float()
     try:
         if any(len(parts) != len(columns) for parts in rows):
             raise ValueError
@@ -184,6 +193,20 @@ def _parse_csv(cls, text: str):
         _raise_first_bad_row(cls, ((f"line {i}", _fields(line, len(columns)))
                                    for i, line in enumerate(lines[5:], start=6) if line))
         raise
+
+
+def _c_columns(cls, body: list):
+    """The body's columns by numpy's C parser; None where it raises or a regime is bad."""
+    try:  # comments="#" would read 1.5#x as 1.5
+        rows = np.loadtxt(body, [(c, "U5" if c == cls._REGIME else float) for c in cls.COLUMNS],
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    regime = rows[cls._REGIME]
+    dql = regime == _REGIMES[1]
+    if (dql | (regime == _REGIMES[0])).all():
+        return [dql if c == cls._REGIME else cls._normal(rows[c]) for c in cls.COLUMNS]
+    return None
 
 
 def _fields(line: str, width: int):
@@ -246,7 +269,8 @@ class _Table:
         """Columns of loaded values as the table's arrays: float64 (a budget
         table's -0.0 as 0.0) and the dql mask; ValueError for a value that is
         neither a number nor a Regime value."""
-        return [_dql_mask(col) if name == cls._REGIME else cls._floats(col)
+        return [_dql_mask(col) if name == cls._REGIME else
+                cls._normal(np.fromiter(map(float, col), float, len(col)))
                 for name, col in zip(cls.COLUMNS, columns)]
 
     @cached_property
@@ -287,8 +311,7 @@ class BudgetTable(_Table):
     _REGIME = "regime"
     _POINT = BudgetPoint
 
-    # as BudgetPoint's float(v) + 0.0, which turns -0.0 into 0.0
-    _floats = staticmethod(lambda col: np.fromiter(map(float, col), float, len(col)) + 0.0)
+    _normal = staticmethod(lambda a: a + 0.0)  # as BudgetPoint's float(v) + 0.0: no -0.0
 
     to_csv, to_json = _Table.to_csv, _Table.to_json  # own entries: the benchmark tracer wraps them
 
@@ -301,7 +324,7 @@ class SpinFigureTable(_Table):
     _REGIME = "regime_full"
     _POINT = SpinFigurePoint
 
-    _floats = staticmethod(lambda col: np.fromiter(map(float, col), float, len(col)))
+    _normal = staticmethod(np.ascontiguousarray)  # -0.0 stays
 
     to_csv, to_json = _Table.to_csv, _Table.to_json  # own entries: the benchmark tracer wraps them
 

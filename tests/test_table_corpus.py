@@ -8,9 +8,13 @@ import functools
 import hashlib
 import json
 import random
+import unicodedata
 from pathlib import Path
 
-from qnl import ConfigError, load_config, load_table, run_budget
+import numpy as np
+
+from qnl import BudgetTable, load_config, load_table, run_budget, run_spin_figure, tables
+from test_budget import edge_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CORPUS = Path(__file__).resolve().parent / "data" / "table_corpus.json"
@@ -277,9 +281,12 @@ def corpus_outcomes(n: int, seed: int) -> dict:
     return {label: outcome(text) for label, text in corpus(n, seed)}
 
 
+CORPUS_SIZE = tuple(json.loads(CORPUS.read_text(encoding="utf-8"))[k] for k in ("tables", "seed"))
+
+
 def test_the_corpus_outcomes_are_pinned():
     pin = json.loads(CORPUS.read_text(encoding="utf-8"))
-    fresh = corpus_outcomes(pin["tables"], pin["seed"])
+    fresh = corpus_outcomes(*CORPUS_SIZE)
     assert list(fresh) == list(pin["outcomes"])  # the generator made the pinned tables
     moved = [f"{label}: {pin['outcomes'][label]!r} -> {now!r}"
              for label, now in fresh.items() if pin["outcomes"][label] != now]
@@ -288,3 +295,87 @@ def test_the_corpus_outcomes_are_pinned():
     kinds = [now.split(":", 1)[0] for now in fresh.values()]
     assert len(fresh) >= 1000 and set(kinds) == {"sha256", "ConfigError"}
     assert kinds.count("sha256") >= 100 and kinds.count("ConfigError") >= 500
+
+
+C_PATH = tables._c_columns
+
+
+def as_loaded(text: str):
+    """load_table's table as (meta, (dtype, bytes) of each array), or its error as type: text."""
+    try:
+        table = load_table(text)
+    except Exception as exc:  # noqa: BLE001 - compared by type and text
+        return f"{type(exc).__name__}: {exc}"
+    return table.meta, [(a.dtype, a.tobytes()) for a in table.arrays]
+
+
+def both_paths(texts, monkeypatch) -> tuple:
+    """as_loaded of each text through the C path, then through the float()
+    reference path alone, and the number of tables the C path loaded."""
+    parsed = []
+    monkeypatch.setattr(tables, "_c_columns", lambda cls, body: parsed.append(
+        C_PATH(cls, body)) or parsed[-1])
+    fast = [as_loaded(text) for text in texts]
+    monkeypatch.setattr(tables, "_c_columns", lambda cls, body: None)
+    return fast, [as_loaded(text) for text in texts], sum(p is not None for p in parsed)
+
+
+def spin_negative_zero_text() -> str:
+    lines = run_spin_figure(load_config(str(CONFIGS / "spin_figure.json"))).to_csv().splitlines()
+    lines[5] = "-0.0,-0.0,-0.0,-0.0,qcrb"
+    return "\n".join(lines) + "\n"
+
+
+def test_the_c_parser_loads_what_float_loads(monkeypatch):
+    # bit for bit (so == and the signs of zeros), or the same error type and
+    # text: the committed configs' CSV tables, the block-edge tables with
+    # lossless (inf) thresholds, a spin row of -0.0 and every CSV corpus table
+    clean = [text for _, fmt, text, _ in bases() if fmt == "csv"]
+    clean += [edge_table(kind).to_csv() for kind in ("budget", "spin")]
+    clean.append(spin_negative_zero_text())
+    fast, reference, loaded = both_paths(clean, monkeypatch)
+    assert fast == reference and loaded == len(clean)
+    assert all(b[:8] == np.float64(-0.0).tobytes() for _, b in reference[-1][1][:4])
+    texts = [text for label, text in corpus(*CORPUS_SIZE) if label.split()[2] == "csv"]
+    fast, reference, loaded = both_paths(texts, monkeypatch)
+    assert [i for i, (a, b) in enumerate(zip(fast, reference)) if a != b] == []
+    assert loaded >= 50
+
+
+def test_characters_numpy_reads_unlike_float_send_a_table_to_float(monkeypatch):
+    # numpy's parser reads \x1f around a number as whitespace, which float()
+    # rejects, and drops a trailing NUL from the U5 regime field, so
+    # 'qcrb\x00' would read as 'qcrb'; a table holding either loads by float()
+    lines = bases()[0][2].splitlines()[:7]
+    body = [lines[5].replace("0.5,", "\x1f0.5,", 1), lines[6].replace(",qcrb,", ",qcrb\x00,")]
+    dtype = [(c, "U5" if c == "regime" else float) for c in BudgetTable.COLUMNS]
+    rows = np.loadtxt(body, dtype, delimiter=",", comments=None)
+    assert rows["omega"][0] == 0.5 and rows["regime"][1] == "qcrb"
+    for line, expected in [(5, "line 6: could not convert string to float: '\\x1f0.5'"),
+                           (6, "line 7: unknown regime 'qcrb\\x00'")]:
+        text = "\n".join(lines[:5] + [body[line - 5] if i == line else lines[i]
+                                      for i in (5, 6)]) + "\n"
+        fast, reference, _ = both_paths([text], monkeypatch)
+        assert fast == reference == [f"ConfigError: {expected}"]
+
+
+def scan_characters() -> list:
+    """Every ASCII character, every character str.isspace() accepts, and the
+    digit one of each script."""
+    return [chr(i) for i in range(0x110000) if i < 128 or chr(i).isspace()
+            or unicodedata.decimal(chr(i), None) == 1]
+
+
+def test_no_other_character_reads_differently(monkeypatch):
+    # each scanned character before, after and inside a number, and after or
+    # before a regime, of a one-row table: both paths agree
+    head = bases()[0][2].splitlines()[:6]
+    number, rest = head[5].split(",", 1)
+    texts = []
+    for c in scan_characters():
+        for row in (c + head[5], number + c + "," + rest, number[:1] + c + number[1:] + "," + rest,
+                    head[5].replace(",qcrb,", f",qcrb{c},"), head[5].replace(",qcrb,", f",{c}qcrb,")):
+            texts.append("\n".join(head[:5] + [row]) + "\n")
+    fast, reference, loaded = both_paths(texts, monkeypatch)
+    assert [texts[i] for i, (a, b) in enumerate(zip(fast, reference)) if a != b] == []
+    assert loaded >= 50
