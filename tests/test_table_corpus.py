@@ -2,7 +2,11 @@
 tables, each with 1 to 4 faults.  Every table loads or raises ConfigError,
 and each outcome is pinned in tests/data/table_corpus.json: the sha256 of the
 table re-emitted in the format it was loaded from, or the error's type and
-text.  tests/regen_fixtures.py rewrites that file or checks it."""
+text.  tests/regen_fixtures.py rewrites that file or checks it.
+
+load_table reads a CSV body through numpy's C parser and falls back to
+float(); the differential tests load each CSV table both ways and require
+the same bits or the same error."""
 
 import functools
 import hashlib
@@ -233,11 +237,22 @@ def bases() -> tuple:
 
 
 @functools.cache
-def _payload(text: str) -> dict:
-    return json.loads(text)
+def _payload(text: str) -> tuple:
+    """The payload of a base JSON table, and the json.dumps text of each of its rows."""
+    payload = json.loads(text)
+    return payload, {id(entry): json.dumps(entry) for entry in payload["rows"]}
 
 
-@functools.cache
+def _dumps(payload: dict, known: dict) -> str:
+    """json.dumps(payload), with the text of each base row that is still there
+    taken from known; rows is the payload's last key."""
+    rows = payload.get("rows")
+    if not (isinstance(rows, list) and list(payload)[-1] == "rows"):
+        return json.dumps(payload)
+    texts = (known.get(id(entry)) or json.dumps(entry) for entry in rows)
+    return json.dumps(dict(payload, rows=None))[:-len("null}")] + "[" + ", ".join(texts) + "]}"
+
+
 def corpus(n: int, seed: int) -> tuple:
     """n (label, text) pairs, each a committed config's table with 1 to 4
     seeded faults; a label names the table's index, config, format and
@@ -253,10 +268,11 @@ def corpus(n: int, seed: int) -> tuple:
                 fault(rng, lines, regime)
             text = "\n".join(lines) + "\n"
         else:
-            payload = dict(base := _payload(text), rows=list(base["rows"]))
+            base, known = _payload(text)
+            payload = dict(base, rows=list(base["rows"]))
             for fault in edits:
                 fault(rng, payload, regime)
-            text = json.dumps(payload)
+            text = _dumps(payload, known)
         for fault in faults:
             if fault not in edits:
                 text = fault(rng, text)
@@ -313,29 +329,29 @@ def both_paths(texts, monkeypatch) -> tuple:
     """as_loaded of each text through the C path, then through the float()
     reference path alone, and the number of tables the C path loaded."""
     parsed = []
-    monkeypatch.setattr(tables, "_c_columns", lambda cls, body: parsed.append(
-        C_PATH(cls, body)) or parsed[-1])
+
+    def counted(cls, body):
+        parsed.append(C_PATH(cls, body))
+        return parsed[-1]
+
+    monkeypatch.setattr(tables, "_c_columns", counted)
     fast = [as_loaded(text) for text in texts]
     monkeypatch.setattr(tables, "_c_columns", lambda cls, body: None)
     return fast, [as_loaded(text) for text in texts], sum(p is not None for p in parsed)
-
-
-def spin_negative_zero_text() -> str:
-    lines = run_spin_figure(load_config(str(CONFIGS / "spin_figure.json"))).to_csv().splitlines()
-    lines[5] = "-0.0,-0.0,-0.0,-0.0,qcrb"
-    return "\n".join(lines) + "\n"
 
 
 def test_the_c_parser_loads_what_float_loads(monkeypatch):
     # bit for bit (so == and the signs of zeros), or the same error type and
     # text: the committed configs' CSV tables, the block-edge tables with
     # lossless (inf) thresholds, a spin row of -0.0 and every CSV corpus table
+    lines = run_spin_figure(load_config(str(CONFIGS / "spin_figure.json"))).to_csv().splitlines()
+    lines[5] = "-0.0,-0.0,-0.0,-0.0,qcrb"
+    spin_zero = "\n".join(lines) + "\n"
+    assert np.signbit([a[0] for a in load_table(spin_zero).arrays[:4]]).all()
     clean = [text for _, fmt, text, _ in bases() if fmt == "csv"]
-    clean += [edge_table(kind).to_csv() for kind in ("budget", "spin")]
-    clean.append(spin_negative_zero_text())
+    clean += [edge_table(kind).to_csv() for kind in ("budget", "spin")] + [spin_zero]
     fast, reference, loaded = both_paths(clean, monkeypatch)
     assert fast == reference and loaded == len(clean)
-    assert all(b[:8] == np.float64(-0.0).tobytes() for _, b in reference[-1][1][:4])
     texts = [text for label, text in corpus(*CORPUS_SIZE) if label.split()[2] == "csv"]
     fast, reference, loaded = both_paths(texts, monkeypatch)
     assert [i for i, (a, b) in enumerate(zip(fast, reference)) if a != b] == []
@@ -343,20 +359,19 @@ def test_the_c_parser_loads_what_float_loads(monkeypatch):
 
 
 def test_characters_numpy_reads_unlike_float_send_a_table_to_float(monkeypatch):
-    # numpy's parser reads \x1f around a number as whitespace, which float()
-    # rejects, and drops a trailing NUL from the U5 regime field, so
-    # 'qcrb\x00' would read as 'qcrb'; a table holding either loads by float()
-    lines = bases()[0][2].splitlines()[:7]
-    body = [lines[5].replace("0.5,", "\x1f0.5,", 1), lines[6].replace(",qcrb,", ",qcrb\x00,")]
+    # numpy's parser reads \x1f before or after a number as whitespace, which
+    # float() rejects, and drops a trailing NUL from the U5 regime field, so
+    # it reads 'qcrb\x00' as 'qcrb': a table holding either loads by float()
+    lines = bases()[0][2].splitlines()  # oscillator_budget.json's CSV
+    head, row = lines[:6], lines[5]
     dtype = [(c, "U5" if c == "regime" else float) for c in BudgetTable.COLUMNS]
-    rows = np.loadtxt(body, dtype, delimiter=",", comments=None)
-    assert rows["omega"][0] == 0.5 and rows["regime"][1] == "qcrb"
-    for line, expected in [(5, "line 6: could not convert string to float: '\\x1f0.5'"),
-                           (6, "line 7: unknown regime 'qcrb\\x00'")]:
-        text = "\n".join(lines[:5] + [body[line - 5] if i == line else lines[i]
-                                      for i in (5, 6)]) + "\n"
-        fast, reference, _ = both_paths([text], monkeypatch)
-        assert fast == reference == [f"ConfigError: {expected}"]
+    c_read = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    for bad, expected in [("\x1f" + row, "could not convert string to float: '\\x1f0.5'"),
+                          (row + "\x1f", "could not convert string to float: '0.0\\x1f'"),
+                          (row.replace(",qcrb,", ",qcrb\x00,"), "unknown regime 'qcrb\\x00'")]:
+        assert c_read([bad]).tobytes() == c_read([row]).tobytes()
+        fast, reference, _ = both_paths(["\n".join(head + [bad]) + "\n"], monkeypatch)
+        assert fast == reference == [f"ConfigError: line 7: {expected}"]
 
 
 def scan_characters() -> list:
