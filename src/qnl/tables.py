@@ -7,8 +7,8 @@ build the arrays, or from load_table, which reads a CSV body through numpy's
 C parser (np.loadtxt).  float() (_coerced, as for JSON) is the reference and
 the fallback, for a body np.loadtxt rejects (1_0, non-ASCII digits, a fault:
 the first bad row's error) and a table holding \x1f or NUL, which the two
-read differently.  A 1e5-row CSV loads in 0.24 s (0.5 s by float()), and a
-cold `qnl verify --golden` on it peaks at 109 MB of RSS (212 MB by float()).
+read differently.  On a 2-core VM a 1e5-row CSV loads in 0.24 s (0.5 s by
+float()), and a cold `qnl verify --golden` on it peaks at 109 MB RSS (212 MB).
 `.points` (BudgetPoint/SpinFigurePoint rows) is built on first read; rows()
 gives the same values as lists.
 
