@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -329,18 +329,42 @@ class SpinFigureTable(_Table):
     to_csv, to_json = _Table.to_csv, _Table.to_json  # own entries: the benchmark tracer wraps them
 
 
+@cache
+def _fast_loads():
+    """orjson.loads, imported on the first JSON load; None where orjson is missing."""
+    try:
+        from orjson import loads
+    except ImportError:
+        return None
+    return loads
+
+
+def _json_table(payload: dict):
+    for cls in (BudgetTable, SpinFigureTable):
+        if payload.get("kind") == cls._KIND:
+            return _parse_json(cls, payload)
+    raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
+
+
 def load_table(text: str):
     """Load either table kind from CSV or JSON text, sniffing the format."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        # orjson's payload only where it builds a table and str() of its meta
+        # strings is exact (orjson reads an int beyond 64 bits as a float);
+        # json.loads, the reference, re-parses every other text
+        if fast := _fast_loads():
+            try:
+                payload = fast(text)
+                if all(isinstance(payload.get(k), str) for k in ("version", "config_hash")):
+                    return _json_table(payload)
+            except (ValueError, ConfigError):  # orjson.JSONDecodeError is a ValueError
+                pass
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-        for cls in (BudgetTable, SpinFigureTable):
-            if payload.get("kind") == cls._KIND:
-                return _parse_json(cls, payload)
-        raise ConfigError(f"unknown table kind {payload.get('kind')!r}")
+        return _json_table(payload)
     for cls in (BudgetTable, SpinFigureTable):
         if stripped.startswith(f"# qnl {cls._KIND}"):
             return _parse_csv(cls, text)
