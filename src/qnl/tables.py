@@ -230,23 +230,37 @@ def _raise_first_bad_row(cls, rows) -> None:
             raise ConfigError(f"{label}: {exc}") from None
 
 
+def _listed(payload: dict, key: str) -> list:
+    """payload[key], after a TypeError naming the key if it is not a list."""
+    if not isinstance(value := payload[key], list):
+        raise TypeError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
+def _entry_fields(entry, i: int, columns, regime: str):
+    """The fields of JSON row i (null as inf), after a TypeError if it is not an object."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"rows[{i}]: expected an object, got {entry!r}")
+    for c in columns:
+        yield math.inf if (v := entry[c]) is None and c != regime else v
+
+
 def _parse_json(cls, payload: dict):
     columns, regime, label = cls.COLUMNS, cls._REGIME, f"malformed {cls._KIND} table"
     if payload.get("columns") != list(columns):
         raise ConfigError(f"unexpected columns {payload.get('columns')!r}")
     try:
-        entries = payload["rows"]
+        entries = _listed(payload, "rows")
         try:
             arrays = cls._coerced([[entry[c] for entry in entries] if c == regime else
                                    [math.inf if (v := entry[c]) is None else v
                                     for entry in entries] for c in columns])
         except (KeyError, TypeError, ValueError, OverflowError):  # the first bad entry, row by row
-            _raise_first_bad_row(cls, ((label, (entry[c] if c == regime else
-                                                math.inf if (v := entry[c]) is None else v
-                                                for c in columns)) for entry in entries))
+            _raise_first_bad_row(cls, ((label, _entry_fields(entry, i, columns, regime))
+                                       for i, entry in enumerate(entries)))
             raise
         meta = TableMeta(cls._KIND, str(payload["version"]), str(payload["config_hash"]),
-                         tuple(float(t) for t in payload["transitions"]))
+                         tuple(float(t) for t in _listed(payload, "transitions")))
     except ConfigError:
         raise
     except KeyError as exc:

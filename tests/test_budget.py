@@ -671,6 +671,36 @@ class TestRoundTrips:
             load_table(json.dumps(payload))
         assert str(exc.value) == f"malformed budget table: {expected}"
 
+    @pytest.mark.parametrize("case, expected", [
+        ("rows-null", "rows: expected a list, got None"),
+        ("rows-object", "rows: expected a list, got {}"),
+        ("rows-string", "rows: expected a list, got 'x'"),
+        ("entry-string", "rows[2]: expected an object, got 'x'"),
+        ("entry-list", "rows[1]: expected an object, got [1.0]"),
+        ("value-then-entry", "could not convert string to float: 'abc'"),
+        ("transitions-number", "transitions: expected a list, got 5"),
+    ])
+    def test_json_structure_errors_name_the_key_and_row(self, table, case, expected):
+        # a rows or transitions value that is not a list, and an entry that is
+        # not an object, are named; the first bad entry in row order still wins
+        payload = json.loads(table.to_json())
+        rows = payload["rows"]
+        if case.startswith("rows"):
+            payload["rows"] = {"rows-null": None, "rows-object": {}, "rows-string": "x"}[case]
+        elif case == "entry-string":
+            rows[2] = "x"
+            rows[3]["omega"] = "abc"
+        elif case == "entry-list":
+            rows[1] = [1.0]
+        elif case == "value-then-entry":
+            rows[1]["omega"] = "abc"
+            rows[2] = "x"
+        else:
+            payload["transitions"] = 5
+        with pytest.raises(ConfigError) as exc:
+            load_table(json.dumps(payload))
+        assert str(exc.value) == f"malformed budget table: {expected}"
+
     @pytest.mark.parametrize("regime", ["foo", None, 5, [1], "DQL"])
     def test_a_regime_must_be_a_regime_value(self, table, regime):
         # the regime column is stored as a dql mask: any other value is malformed,
