@@ -173,7 +173,7 @@ def _parse_csv(cls, text: str):
         raise ConfigError(f"line 3: expected '# transitions=...', got {lines[2]!r}")
     raw = lines[2].split("=", 1)[1]
     try:
-        transitions = tuple(float(t) for t in raw.split(",")) if raw else ()
+        transitions = _transitions(raw.split(",")) if raw else ()
     except ValueError as exc:
         raise ConfigError(f"line 3: malformed transitions: {exc}") from None
     header = lines[4]
@@ -230,6 +230,16 @@ def _raise_first_bad_row(cls, rows) -> None:
             raise ConfigError(f"{label}: {exc}") from None
 
 
+def _transitions(values) -> tuple:
+    """The transitions as floats; ValueError where one is not finite, as a
+    transition is the grid value where the regime flips."""
+    transitions = tuple(map(float, values))
+    for t in transitions:
+        if not math.isfinite(t):
+            raise ValueError(f"transition {t!r} is not finite")
+    return transitions
+
+
 def _listed(payload: dict, key: str) -> list:
     """payload[key], after a TypeError naming the key if it is not a list."""
     if not isinstance(value := payload[key], list):
@@ -260,7 +270,7 @@ def _parse_json(cls, payload: dict):
                                        for i, entry in enumerate(entries)))
             raise
         meta = TableMeta(cls._KIND, str(payload["version"]), str(payload["config_hash"]),
-                         tuple(float(t) for t in _listed(payload, "transitions")))
+                         _transitions(_listed(payload, "transitions")))
     except ConfigError:
         raise
     except KeyError as exc:

@@ -701,6 +701,23 @@ class TestRoundTrips:
             load_table(json.dumps(payload))
         assert str(exc.value) == f"malformed budget table: {expected}"
 
+    @pytest.mark.parametrize("values, bad", [("inf,nan", "inf"), ("0.5,-inf", "-inf"),
+                                             ("1e400", "inf"), ("nan", "nan")])
+    def test_a_transition_must_be_finite(self, table, values, bad):
+        # a transition is the grid value where the regime flips; a non-finite
+        # one would emit as Infinity or NaN, which are not JSON
+        lines = table.to_csv().splitlines()
+        lines[2] = f"# transitions={values}"
+        with pytest.raises(ConfigError) as exc:
+            load_table("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line 3: malformed transitions: transition {bad} is not finite"
+        spelled = values.replace("inf", "Infinity").replace("nan", "NaN")  # as json.dumps
+        head, rest = table.to_json().split('"transitions": [', 1)
+        text = head + f'"transitions": [{spelled}' + rest[rest.index("]"):]
+        with pytest.raises(ConfigError) as exc:
+            load_table(text)
+        assert str(exc.value) == f"malformed budget table: transition {bad} is not finite"
+
     @pytest.mark.parametrize("regime", ["foo", None, 5, [1], "DQL"])
     def test_a_regime_must_be_a_regime_value(self, table, regime):
         # the regime column is stored as a dql mask: any other value is malformed,
