@@ -5,17 +5,22 @@ table re-emitted in the format it was loaded from, or the error's type and
 text.  tests/regen_fixtures.py rewrites that file or checks it.
 
 load_table reads a CSV body through numpy's C parser and falls back to
-float(); the differential tests load each CSV table both ways and require
-the same bits or the same error."""
+float(), and parses JSON text with orjson and falls back to json.loads; the
+differential tests load each table both ways and require the same bits and
+re-emitted text, or the same error."""
 
 import functools
 import hashlib
 import json
+import math
 import random
+import struct
 import unicodedata
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qnl import BudgetTable, load_config, load_table, run_budget, run_spin_figure, tables
 from test_budget import edge_table
@@ -317,12 +322,14 @@ C_PATH = tables._c_columns
 
 
 def as_loaded(text: str):
-    """load_table's table as (meta, (dtype, bytes) of each array), or its error as type: text."""
+    """load_table's table as (meta, (dtype, bytes) of each array, the table
+    re-emitted in the format it was loaded from), or its error as type: text."""
     try:
         table = load_table(text)
     except Exception as exc:  # noqa: BLE001 - compared by type and text
         return f"{type(exc).__name__}: {exc}"
-    return table.meta, [(a.dtype, a.tobytes()) for a in table.arrays]
+    emitted = table.to_json() if text.lstrip().startswith("{") else table.to_csv()
+    return table.meta, [(a.dtype, a.tobytes()) for a in table.arrays], emitted
 
 
 def both_paths(texts, monkeypatch) -> tuple:
@@ -394,3 +401,128 @@ def test_no_other_character_reads_differently(monkeypatch):
     fast, reference, loaded = both_paths(texts, monkeypatch)
     assert [texts[i] for i, (a, b) in enumerate(zip(fast, reference)) if a != b] == []
     assert loaded >= 50
+
+
+FAST_LOADS = tables._fast_loads()
+needs_orjson = pytest.mark.skipif(
+    FAST_LOADS is None, reason="orjson is not installed: JSON tables load through json.loads alone")
+
+
+def both_parsers(texts, monkeypatch) -> tuple:
+    """as_loaded of each JSON text through orjson, then through the json.loads
+    reference alone, and the number of tables orjson's payload built: those
+    that loaded without a call to json.loads, which re-parses every other text."""
+    reparsed, loads = set(), json.loads
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", lambda text: reparsed.add(text) or loads(text))
+        fast = [as_loaded(text) for text in texts]
+    with monkeypatch.context() as m:
+        m.setattr(tables, "_fast_loads", lambda: None)
+        reference = [as_loaded(text) for text in texts]
+    return fast, reference, sum(text not in reparsed and not isinstance(got, str)
+                                for text, got in zip(texts, fast))
+
+
+@needs_orjson
+def test_orjson_loads_what_json_loads(monkeypatch):
+    # bit for bit with the same re-emitted text, or the same error type and
+    # text: the committed configs' JSON tables, the block-edge tables with
+    # lossless (null) thresholds, a spin row of -0.0 and every JSON corpus table
+    payload = json.loads(run_spin_figure(load_config(str(CONFIGS / "spin_figure.json"))).to_json())
+    payload["rows"][0] = {c: -0.0 for c in payload["rows"][0]} | {"regime_full": "qcrb"}
+    spin_zero = json.dumps(payload, indent=2) + "\n"
+    assert np.signbit([a[0] for a in load_table(spin_zero).arrays[:4]]).all()
+    clean = [text for _, fmt, text, _ in bases() if fmt == "json"]
+    clean += [edge_table(kind).to_json() for kind in ("budget", "spin")] + [spin_zero]
+    fast, reference, loaded = both_parsers(clean, monkeypatch)
+    assert fast == reference and loaded == len(clean)
+    assert [f[2] for f in fast] == clean  # each re-emits byte for byte
+    texts = [text for label, text in corpus(*CORPUS_SIZE) if label.split()[2] == "json"]
+    fast, reference, loaded = both_parsers(texts, monkeypatch)
+    assert [i for i, (a, b) in enumerate(zip(fast, reference)) if a != b] == []
+    assert loaded >= 50
+
+
+@needs_orjson
+def test_texts_orjson_reads_unlike_json_loads_load_as_json_loads_reads_them(monkeypatch):
+    # orjson reads an integer beyond 64 bits as a float where json.loads reads
+    # an int, so str() of a meta field, and the text of an error that shows
+    # the value, would differ; it rejects NaN, Infinity, 1e400 and a lone
+    # surrogate, which json.loads reads
+    base = json.loads(bases()[1][2])  # oscillator_budget.json's JSON table
+    big = 2**64 + 1
+    assert FAST_LOADS(str(big)) != big and float(FAST_LOADS(str(big))) == float(big)
+    cases = {"version": big, "config_hash": -big, "transitions": [big, 2.5], "kind": big,
+             "regime": big, "rows": big, "NaN": float("nan"), "Infinity": math.inf,
+             "1e400": "1e400", "surrogate": "\ud800"}
+    texts = []
+    for case, value in cases.items():
+        payload = dict(base, rows=[dict(entry) for entry in base["rows"]])
+        if case in ("version", "config_hash", "transitions", "kind"):
+            payload[case] = value
+        elif case == "regime":
+            payload["rows"][3]["regime"] = value
+        elif case == "surrogate":
+            payload["version"] = value
+        else:
+            payload["rows"][3]["s_fdt"] = value
+        texts.append(json.dumps(payload).replace('"1e400"', "1e400"))
+    fast, reference, loaded = both_parsers(texts, monkeypatch)
+    assert fast == reference and loaded == 2  # the rows and transitions integers
+    assert [got[0].version for got in fast[:2]] == [str(big), base["version"]]
+    assert fast[1][0].config_hash == str(-big)
+    assert fast[3:5] == [f"ConfigError: unknown table kind {big}",
+                         f"ConfigError: malformed budget table: unknown regime {big}"]
+
+
+def number_spellings(n: int, seed: int) -> list:
+    """JSON number texts: n random finite doubles (uniform in their bits) and
+    n/4 subnormals, each as repr, %.17g and %.25e; the exact decimal midpoint
+    between each of half of them and the next double up, and the points 1e-30
+    ulp to either side; integers of 53 to 1,030 bits, the integer midpoints
+    between adjacent doubles above 2^54 with their neighbours, and the integers
+    around 2^64 and around the first one float() rounds past DBL_MAX; both signs."""
+    rng = random.Random(seed)
+    doubles = []
+    while len(doubles) < n:
+        if math.isfinite(x := struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]):
+            doubles.append(x)
+    doubles += [rng.getrandbits(52) * rng.choice((5e-324, -5e-324)) for _ in range(n // 4)]
+    doubles += [5e-324, 2.2250738585072014e-308 - 5e-324, 0.0, -0.0]
+    texts = [spelled for x in doubles for spelled in (repr(x), "%.17g" % x, "%.25e" % x)]
+    with localcontext() as ctx:
+        ctx.prec = 1200  # the midpoint of two doubles is exact in 1,200 digits
+        for x in doubles[::2]:
+            if math.isfinite(up := math.nextafter(x, math.inf)):
+                mid, step = (Decimal(x) + Decimal(up)) / 2, (Decimal(up) - Decimal(x)) / 10**30
+                texts += [str(mid - step), str(mid), str(mid + step)]
+    ints = [rng.getrandbits(rng.randint(53, 1030)) | 1 << 52 for _ in range(n // 2)]
+    ints += [k + d for k in (2**64, 2**1024 - 2**970) for d in (-1, 0, 1)]
+    for k in ints[:n // 4]:
+        if 2**54 <= k < 2**1024 - 2**970 and math.isfinite(up := math.nextafter(float(k), math.inf)):
+            ints += [(int(float(k)) + int(up)) // 2 + d for d in (-1, 0, 1)]
+    return texts + [str(sign * k) for k in ints for sign in (1, -1)]
+
+
+@needs_orjson
+def test_orjson_reads_each_number_as_json_loads_does():
+    # a table's numbers go through float(): orjson's value must give the bits
+    # float(json.loads(text)) gives, or orjson must raise (json.loads then
+    # re-parses the table); it raises only for an integer beyond DBL_MAX,
+    # which float() rejects too (orjson reads an integer beyond 64 bits as a
+    # float, json.loads as an int)
+    texts, moved, overflow = number_spellings(4000, seed=1), [], 0
+    for text in texts:
+        try:
+            want = struct.pack("<d", float(json.loads(text)))
+        except OverflowError:
+            want = None
+        try:
+            got = struct.pack("<d", float(FAST_LOADS(text)))
+        except ValueError:  # orjson.JSONDecodeError
+            got = None
+        overflow += want is None
+        if got != want:
+            moved.append(text)
+    assert moved == []
+    assert len(texts) > 30000 and overflow >= 10
