@@ -201,9 +201,12 @@ def test_console_script_and_log_env(config_path):
 
 
 def test_import_loads_no_scipy():
-    code = "import qnl, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # nor orjson, which only a JSON table load imports: configs stay on json.loads
+    code = ("import qnl, qnl.cli, sys; qnl.load_config(sys.argv[1]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))")
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", code, str(CONFIGS / "spin_figure.json")],
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
