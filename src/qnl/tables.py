@@ -389,7 +389,7 @@ def load_table(text: str):
                 payload = fast(text)
                 if all(isinstance(payload.get(k), str) for k in ("version", "config_hash")):
                     return _json_table(payload)
-            except ValueError:  # as are orjson.JSONDecodeError and ConfigError
+            except ValueError:  # orjson.JSONDecodeError and ConfigError are ValueErrors
                 pass
         try:
             payload = json.loads(text)
