@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
-from dataclasses import MISSING, dataclass, fields
+import sys
 
 import numpy as np
 
+from ._record import Record
 from ._version import __version__
 from .errors import ConfigError, DomainError, FdtViolationError
 from .meter import _gauge_deviations
@@ -43,7 +43,12 @@ from .spectra import (
 from .spin import matched_sum_noise
 from .tables import BudgetTable, SpinFigureTable, TableMeta, load_table
 
-log = logging.getLogger("qnl.budget")
+
+def _log(level: str, msg: str, *args) -> None:
+    """Log on qnl.budget once logging is loaded: before, no handler could show the record."""
+    if (logging := sys.modules.get("logging")) is not None:
+        getattr(logging.getLogger("qnl.budget"), level)(msg, *args, stacklevel=2)
+
 
 _COMMON_KEYS = ("mode", "probe", "thermal", "hbar", "k_boltzmann")  # top-level keys of every mode
 _MODE_KEYS = {  # and those each mode reads besides
@@ -55,8 +60,7 @@ MODES = tuple(_MODE_KEYS)
 MAX_GRID_POINTS = 10**6  # ten times the largest sweep the package is sized for
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     start: float
     stop: float
     points: int
@@ -80,7 +84,6 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass(frozen=True)
 class SffSweepSpec(GridSpec):
     """Back-action budget range for the fixed-frequency sweep; with
     units="threshold" the bounds are multiples of the effective threshold."""
@@ -102,8 +105,7 @@ class SffSweepSpec(GridSpec):
             return grid * threshold if self.units == "threshold" else grid
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """A parsed configuration with its mode's rules applied.  k_of_omega is the K
     that the optimizer sees: Re K under the effective-budget convention.
     s_ff_sweep is set exactly in the sweep mode, which requires omega.  A sweep,
@@ -175,8 +177,7 @@ def _tabulated(spec: dict, path: str) -> tuple[list, list]:
     return omega, [complex(a, b) for a, b in zip(re, im)]
 
 
-@dataclass(frozen=True)
-class _ConstantK:
+class _ConstantK(Record):
     """A frequency-independent K = re + i*im, callable, with a ComplexTable's array form."""
 
     re: float = 0.0
@@ -200,10 +201,10 @@ def _parse_fields(cls, spec: dict, path: str, known=()):
     """A cls from spec: each field of cls in order, read as its annotated type, those
     with no default required; spec may also hold the keys in known.  A value cls
     rejects is a ConfigError on path."""
-    _known_only(spec, [*known, *(f.name for f in fields(cls))], path)
+    _known_only(spec, [*known, *cls._fields], path)
     try:
-        return cls(**{f.name: _expect(spec, f.name, _TYPES[f.type], path, required=True)
-                      for f in fields(cls) if f.default is MISSING or f.name in spec})
+        return cls(**{f: _expect(spec, f, _TYPES[kind], path, required=True)
+                      for f, kind in cls._fields.items() if f not in cls._defaults or f in spec})
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -249,6 +250,8 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
             raw = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ConfigError(f"{name}: JSON nested deeper than the recursion limit") from None
     else:
         raw = source
     if not isinstance(raw, dict):
@@ -303,9 +306,17 @@ def parse_config(source: str | dict, name: str = "config") -> SweepConfig:
     )
 
 
-def load_config(path: str) -> SweepConfig:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; ConfigError naming path where it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), name=path)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_config(path: str) -> SweepConfig:
+    return parse_config(_read_text(path), name=path)
 
 
 def _budget_point(cfg: SweepConfig, omega: float) -> None:
@@ -376,7 +387,7 @@ def run_budget(cfg: SweepConfig, jobs: int = 1):
     if cfg.mode == "sweep_SFF_at_fixed_omega":
         return run_spin_figure(cfg)
     grid = cfg.frequency.values()
-    log.debug("budget sweep: mode=%s points=%d", cfg.mode, len(grid))
+    _log("debug", "budget sweep: mode=%s points=%d", cfg.mode, len(grid))
     arrays, bad = _budget_columns(cfg, grid)
     return _sweep_table(BudgetTable, cfg, arrays, bad, lambda i: _budget_point(cfg, float(grid[i])))
 
@@ -396,7 +407,7 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
     d = cfg.probe.chi_inv(cfg.omega)
     thr0 = threshold_eff(d, 0.0, hbar)  # LosslessProbeError for a lossless probe
     budgets = cfg.s_ff_sweep.values(thr0)
-    log.debug("spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
+    _log("debug", "spin-figure sweep: %d budgets around thr0=%g", len(budgets), thr0)
 
     def point(i: int) -> None:  # the scalar calls of row i, in order, for their first error
         s = float(budgets[i])
@@ -415,8 +426,7 @@ def run_spin_figure(cfg: SweepConfig, jobs: int = 1) -> SpinFigureTable:
                         bad, point)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     measured: float
@@ -424,8 +434,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     checks: tuple
 
     @property
@@ -572,14 +581,13 @@ def verify(
         checks.append(_golden_check(table, golden_path))
 
     report = VerificationReport(checks=tuple(checks))
-    log.info("verification %s", "passed" if report.passed else "FAILED")
+    _log("info", "verification %s", "passed" if report.passed else "FAILED")
     return report
 
 
 def _golden_check(fresh, golden_path: str) -> CheckResult:
     """golden-match: the table fresh against the one emitted at golden_path."""
-    with open(golden_path, "r", encoding="utf-8") as fh:
-        golden = load_table(fh.read())
+    golden = load_table(_read_text(golden_path))
     if type(golden) is not type(fresh):
         return CheckResult("golden-match", False, 1.0, 0.0, "table kind differs")
     n_golden, n_fresh = len(golden.arrays[0]), len(fresh.arrays[0])

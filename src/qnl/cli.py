@@ -12,7 +12,6 @@ Set QNL_LOG=debug|info|warning|error to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -22,8 +21,11 @@ from .tables import _emit_csv, _emit_json
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("QNL_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
+    """The root logger at QNL_LOG's level, else warning.  Unset, logging is not loaded."""
+    if (level_name := os.environ.get("QNL_LOG")) is None:
+        return
+    import logging
+    level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")

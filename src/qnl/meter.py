@@ -18,15 +18,14 @@ modulus as m * m, not with float ** (libm pow, which numpy does not call).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class NoiseTriad:
+class NoiseTriad(Record):
     """Meter noise spectral densities at one frequency.
 
     s_xx: position-imprecision PSD (>= 0), s_xf: cross PSD (complex),
@@ -47,9 +46,7 @@ class NoiseTriad:
             raise DomainError(f"s_ff must be finite and >= 0, got {s_ff!r}")
         if not (math.isfinite(s_xf.real) and math.isfinite(s_xf.imag)):
             raise DomainError(f"s_xf must be finite, got {s_xf!r}")
-        object.__setattr__(self, "s_xx", s_xx)
-        object.__setattr__(self, "s_xf", s_xf)
-        object.__setattr__(self, "s_ff", s_ff)
+        self.__dict__.update(s_xx=s_xx, s_xf=s_xf, s_ff=s_ff)
 
 
 def sigma(triad: NoiseTriad, k: complex) -> float:

@@ -48,11 +48,11 @@ own; abs(complex) and np.hypot call libm hypot).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, FdtViolationError, LosslessProbeError
 from .meter import NoiseTriad
 
@@ -64,8 +64,7 @@ class Regime(str, Enum):
     DQL_LIMITED = "dql"
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(Record):
     """Result of a sum-noise minimization at one frequency.
 
     s_sum is the minimized PSD, s_threshold the regime boundary of the
@@ -291,8 +290,7 @@ def _optimum_grid(d_re, d_im, k_re, k_im, s, allow_sigma, hbar: float) -> dict:
                                                err)))
 
 
-@dataclass(frozen=True)
-class PhaseTransitionProbe:
+class PhaseTransitionProbe(Record):
     """One-sided finite-difference derivatives of the optimized sum noise in
     the back-action budget, straddling the threshold."""
 

@@ -25,16 +25,15 @@ s_ff -> l*m*s_ff the minimum scales by l*m up to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, EmptyFeasibleRegionError, FdtViolationError
 from .meter import NoiseTriad
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Record):
     """Search parameters for brute_force_min: with refine=False the kink minimum
     is returned as is; otherwise f is also evaluated at the vertices of its two
     smooth pieces, and the lowest of the three values wins."""
@@ -42,8 +41,7 @@ class OracleConfig:
     refine: bool = True
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """brute_force_min's minimum, the triad that attains it, and which candidate
     won: iterations is 0 where the kink minimum wins (always with refine=False)
     and 1 where a smooth piece's vertex wins.  At a kink minimum with Im K != 0,

@@ -27,16 +27,15 @@ here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, RangeError
 
 
-@dataclass(frozen=True)
-class PhysConstants:
+class PhysConstants(Record):
     """Unit system: reduced Planck constant and Boltzmann constant."""
 
     hbar: float = 1.0
@@ -64,8 +63,7 @@ def _finite_at(omega: float, value: complex, name: str = "chi_inv") -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class ComplexTable:
+class ComplexTable(Record):
     """Complex-valued function sampled on a strictly increasing grid.
 
     Interpolation is linear on the real and imaginary parts separately,
@@ -93,11 +91,9 @@ class ComplexTable:
             raise DomainError("tabulated grid must be strictly increasing")
         if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values_t):
             raise DomainError("tabulated samples contain non-finite values")
-        object.__setattr__(self, "omega", omega_t)
-        object.__setattr__(self, "values", values_t)
-        object.__setattr__(self, "_grid", np.asarray(omega_t))
-        object.__setattr__(self, "_re", np.asarray([v.real for v in values_t]))
-        object.__setattr__(self, "_im", np.asarray([v.imag for v in values_t]))
+        self.__dict__.update(omega=omega_t, values=values_t, _grid=np.asarray(omega_t),
+                             _re=np.asarray([v.real for v in values_t]),
+                             _im=np.asarray([v.imag for v in values_t]))
 
     def __call__(self, omega: float) -> complex:
         omega = float(omega)
@@ -116,8 +112,7 @@ class ComplexTable:
         return re, np.interp(omega, self._grid, self._im), outside
 
 
-@dataclass(frozen=True)
-class DampedOscillator:
+class DampedOscillator(Record):
     """Damped harmonic oscillator: chi_inv = m*(w0^2 - w^2) - i*m*gamma*w."""
 
     mass: float
@@ -131,8 +126,7 @@ class DampedOscillator:
             raise DomainError(f"omega0 must be >= 0, got {self.omega0!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
-        for name in ("mass", "omega0", "gamma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        self.__dict__.update((n, float(getattr(self, n))) for n in ("mass", "omega0", "gamma"))
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
@@ -144,8 +138,7 @@ class DampedOscillator:
         return re, -self.mass * self.gamma * omega, False
 
 
-@dataclass(frozen=True)
-class FreeMass:
+class FreeMass(Record):
     """Free (or velocity-damped) mass: chi_inv = -m*w^2 - i*m*gamma*w."""
 
     mass: float
@@ -156,8 +149,7 @@ class FreeMass:
             raise DomainError(f"mass must be > 0, got {self.mass!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        self.__dict__.update(mass=float(self.mass), gamma=float(self.gamma))
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
@@ -168,8 +160,7 @@ class FreeMass:
         return -self.mass * (omega * omega), -self.mass * self.gamma * omega, False
 
 
-@dataclass(frozen=True)
-class TabulatedSusceptibility:
+class TabulatedSusceptibility(Record):
     """chi_inv sampled on a frequency grid, interpolated linearly.  Where Im
     chi_inv changes sign between nodes, rounding leaves a point near the zero
     a tiny Im (5.55e-17 at 0.8 for Im = (0.3, -0.2, 0.1) at (0.5, 1, 1.5)): a
@@ -188,8 +179,7 @@ class TabulatedSusceptibility:
         return self.table._on_grid(omega)
 
 
-@dataclass(frozen=True)
-class ZeroTemperature:
+class ZeroTemperature(Record):
     """Bath at T = 0: the thermal force PSD sits exactly on its floor."""
 
     def temperature_at(self, omega: float) -> float:
@@ -199,8 +189,7 @@ class ZeroTemperature:
         return np.full(omega.shape, 0.0), False
 
 
-@dataclass(frozen=True)
-class UniformTemperature:
+class UniformTemperature(Record):
     temperature: float
 
     def __post_init__(self) -> None:
@@ -215,8 +204,7 @@ class UniformTemperature:
         return np.full(omega.shape, self.temperature), False
 
 
-@dataclass(frozen=True)
-class EffectiveTemperature:
+class EffectiveTemperature(Record):
     """Frequency-dependent effective temperature T_eff(omega), tabulated.
 
     Covers non-equilibrium baths, e.g. a mechanical mode damped by an

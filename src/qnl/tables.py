@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigError
 from .optimize import Regime
 
@@ -44,8 +44,7 @@ _REGIMES = np.array([Regime.QCRB_LIMITED.value, Regime.DQL_LIMITED.value], objec
 _DQL = {r: bool(i) for i, r in enumerate(_REGIMES)}
 
 
-@dataclass(frozen=True)
-class BudgetPoint:
+class BudgetPoint(Record):
     """One frequency of the noise budget (all PSDs force-referred)."""
 
     omega: float
@@ -70,8 +69,7 @@ class BudgetPoint:
         v["regime"] = str(v["regime"])
 
 
-@dataclass(frozen=True)
-class SpinFigurePoint:
+class SpinFigurePoint(Record):
     """One back-action budget of the three-way comparison sweep."""
 
     s_ff: float
@@ -88,13 +86,12 @@ class SpinFigurePoint:
 
 
 # the column order of each table is its row class's field order
-BUDGET_COLUMNS = tuple(BudgetPoint.__dataclass_fields__)
-SPIN_FIGURE_COLUMNS = tuple(SpinFigurePoint.__dataclass_fields__)
+BUDGET_COLUMNS = tuple(BudgetPoint._fields)
+SPIN_FIGURE_COLUMNS = tuple(SpinFigurePoint._fields)
 _BUDGET_FLOATS = tuple(c for c in BUDGET_COLUMNS if c != "regime")
 
 
-@dataclass(frozen=True)
-class TableMeta:
+class TableMeta(Record):
     kind: str
     version: str
     config_hash: str
@@ -306,15 +303,8 @@ class _Table:
 
     @cached_property
     def points(self) -> tuple:
-        """The rows as point objects, built on first read (rows() is cheaper), minus
-        the generated __init__, which only stores the fields and calls __post_init__."""
-        cls, points = self._POINT, []
-        for row in zip(*_lists(self.arrays)):
-            p = object.__new__(cls)
-            p.__dict__.update(zip(cls.__dataclass_fields__, row))
-            p.__post_init__()
-            points.append(p)
-        return tuple(points)
+        """The rows as point objects, built on first read (rows() is cheaper)."""
+        return tuple(map(self._POINT, *_lists(self.arrays)))
 
     def rows(self) -> list[list]:
         return [list(r) for r in zip(*_lists(self.arrays))]
@@ -395,6 +385,8 @@ def load_table(text: str):
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ConfigError("JSON nested deeper than the recursion limit") from None
         return _json_table(payload)
     for cls in (BudgetTable, SpinFigureTable):
         if stripped.startswith(f"# qnl {cls._KIND}"):
