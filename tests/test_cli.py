@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,13 +9,16 @@ from pathlib import Path
 import pytest
 
 import qnl
-from qnl import SpinFigureTable, load_config, load_table, parse_config, run_budget
+from qnl import (ConfigError, SpinFigureTable, load_config, load_table, parse_config, run_budget,
+                 verify)
 from qnl.cli import main
 from qnl.tables import BLOCK_ROWS
 from test_config_mutations import PINNED
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+DEEP = "[" * 100000  # JSON nested far beyond the interpreter's recursion limit
+NOT_UTF8 = "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
 BASE = {
     "probe": {"type": "oscillator", "mass": 1.0, "omega0": 1.0, "gamma": 0.2},
     "back_action": {"type": "constant", "re": 0.0, "im": 0.0},
@@ -166,6 +170,46 @@ def test_number_too_large_for_a_float_exits_1(tmp_path, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [(b'{"mode": "\xff"}', NOT_UTF8),
+                                         (DEEP.encode(), "JSON nested deeper than the recursion limit")],
+                         ids=["not-utf8", "too-deep"])
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, text, error):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {path}: {error}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: {error}"
+    if text == DEEP.encode():
+        with pytest.raises(ConfigError, match="^config: JSON nested deeper than the recursion"):
+            parse_config(DEEP)
+
+
+@pytest.mark.parametrize("text, error", [(b'{"kind": "\xff"}', "{golden}: " + NOT_UTF8),
+                                         (b'{"kind": "budget", "rows": ' + DEEP.encode(),
+                                          "JSON nested deeper than the recursion limit")],
+                         ids=["not-utf8", "too-deep"])
+def test_an_unreadable_golden_table_is_a_config_error(config_path, tmp_path, capsys, text, error,
+                                                      monkeypatch):
+    golden = tmp_path / "golden.json"
+    golden.write_bytes(text)
+    error = error.format(golden=golden)
+    assert main(["verify", config_path, "--golden", str(golden)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {error}\n")
+    with pytest.raises(ConfigError) as exc:
+        verify(load_config(config_path), golden_path=str(golden))
+    assert str(exc.value) == error
+    if text.startswith(b'{"kind": "budget"'):  # json.loads, the reference parser, on its own
+        with pytest.raises(ConfigError, match="^JSON nested deeper than the recursion limit$"):
+            load_table(text.decode())
+        table = json.loads(run_budget(load_config(config_path)).to_json())
+        balanced = json.dumps(table)[:-1] + ', "extra": ' + DEEP[:5000] + "]" * 5000 + "}"
+        monkeypatch.setattr("qnl.tables._fast_loads", lambda: None)
+        with pytest.raises(ConfigError, match="^JSON nested deeper than the recursion limit$"):
+            load_table(balanced)
+
+
 @pytest.mark.parametrize("points", [2**63, 10**400], ids=["2^63", "1e400"])
 def test_grid_point_count_above_the_cap_exits_1(tmp_path, capsys, points):
     path = tmp_path / "huge_grid.json"
@@ -200,10 +244,33 @@ def test_console_script_and_log_env(config_path):
     assert "DEBUG qnl.budget: budget sweep: mode=fixed_SFF points=11" in proc.stderr
 
 
+def test_qnl_log_info_shows_the_verify_verdict(config_path):
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", "verify", config_path],
+                          capture_output=True, text=True, env=_child_env(QNL_LOG="info"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "INFO qnl.budget: verification passed\n"
+
+
+def test_without_qnl_log_stderr_is_empty(config_path):
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", "verify", config_path],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith("verification PASSED\n")
+
+
+def test_a_library_caller_with_logging_configured_receives_the_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="qnl.budget")
+    run_budget(parse_config(json.dumps(BASE)))
+    assert [(r.name, r.levelname, r.getMessage(), r.funcName) for r in caplog.records] == [
+        ("qnl.budget", "DEBUG", "budget sweep: mode=fixed_SFF points=11", "run_budget")]
+
+
 def test_import_loads_no_scipy():
-    # nor orjson, which only a JSON table load imports: configs stay on json.loads
+    # nor orjson, which only a JSON table load imports: configs stay on json.loads;
+    # nor dataclasses (records are qnl._record.Record) or logging (only QNL_LOG loads it)
     code = ("import qnl, qnl.cli, sys; qnl.load_config(sys.argv[1]); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'orjson', 'dataclasses', 'logging')))")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(CONFIGS / "spin_figure.json")],
         capture_output=True, text=True, env=_child_env(),
