@@ -1,7 +1,7 @@
-"""Record: the base of the package's immutable value classes.  A subclass's fields are
-its annotations, after its base's, with a class attribute of the same name as default.
-__init__ (then __post_init__), ==, hash and repr act as @dataclass(frozen=True) makes
-them, but are written once here: no code is generated per class."""
+"""Record: the base of the package's immutable value classes.  A subclass's fields are its
+annotations, after its base's; a class attribute of the same name is a field's default.
+__init__ (then __post_init__), ==, hash and repr act as @dataclass(frozen=True) makes them,
+but are written once, here: no code is generated per class."""
 
 
 class Record:
@@ -13,15 +13,15 @@ class Record:
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs) -> None:
-        names = self._fields
-        if kwargs or len(args) != len(names):
-            given = dict(zip(names, args))
-            clash = len(args) > len(names) or given.keys() & kwargs.keys()  # too many, or twice
+        fields, defaults = self._fields, self._defaults
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            clash = len(args) > len(fields) or given.keys() & kwargs.keys()  # too many, or twice
             given.update(kwargs)  # each field without a default given, and no other name:
-            if clash or not names.keys() - self._defaults.keys() <= given.keys() <= names.keys():
-                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}")
-            args = [given[name] if name in given else self._defaults[name] for name in names]
-        self.__dict__.update(zip(names, args))
+            if clash or not fields.keys() - defaults.keys() <= given.keys() <= fields.keys():
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+            args = [given[name] if name in given else defaults[name] for name in fields]
+        self.__dict__.update(zip(fields, args))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -22,13 +22,12 @@ from .tables import _emit_csv, _emit_json
 
 def _configure_logging() -> None:
     """The root logger at QNL_LOG's level, else warning.  Unset, logging is not loaded."""
-    if (level_name := os.environ.get("QNL_LOG")) is None:
-        return
-    import logging
-    level = getattr(logging, level_name.upper(), None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    if (level_name := os.environ.get("QNL_LOG")) is not None:
+        import logging
+
+        level = getattr(logging, level_name.upper(), None)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
 
 
 def _add_common(parser: argparse.ArgumentParser, output: bool) -> None:

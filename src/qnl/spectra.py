@@ -126,7 +126,8 @@ class DampedOscillator(Record):
             raise DomainError(f"omega0 must be >= 0, got {self.omega0!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
-        self.__dict__.update((n, float(getattr(self, n))) for n in ("mass", "omega0", "gamma"))
+        for name in ("mass", "omega0", "gamma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def chi_inv(self, omega: float) -> complex:
         omega = _check_omega(omega)
