@@ -16,11 +16,11 @@ class Record:
         fields, defaults = self._fields, self._defaults
         if kwargs or len(args) != len(fields):
             given = dict(zip(fields, args))
-            clash = len(args) > len(fields) or given.keys() & kwargs.keys()  # too many, or twice
-            given.update(kwargs)  # each field without a default given, and no other name:
-            if clash or not fields.keys() - defaults.keys() <= given.keys() <= fields.keys():
+            clash = len(args) > len(fields) or not given.keys().isdisjoint(kwargs)  # too many, twice
+            given = {**defaults, **given, **kwargs}  # missing or unknown names change its keys
+            if clash or given.keys() != fields.keys():
                 raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
-            args = [given[name] if name in given else defaults[name] for name in fields]
+            args = [given[name] for name in fields]
         self.__dict__.update(zip(fields, args))
         self.__post_init__()
 

@@ -21,10 +21,10 @@ from .tables import _emit_csv, _emit_json
 
 
 def _configure_logging() -> None:
-    """The root logger at QNL_LOG's level, else warning.  Unset, logging is not loaded."""
+    """The root logger at QNL_LOG's level, else warning.  Unset, logging is not loaded:
+    qnl logs nothing at warning or above, so there is nothing a handler could show."""
     if (level_name := os.environ.get("QNL_LOG")) is not None:
         import logging
-
         level = getattr(logging, level_name.upper(), None)
         logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
