@@ -13,15 +13,14 @@ class Record:
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs) -> None:
-        fields, defaults = self._fields, self._defaults
+        fields, given = self._fields, zip(self._fields, args)
         if kwargs or len(args) != len(fields):
-            given = dict(zip(fields, args))
+            given = dict(given)
             clash = len(args) > len(fields) or not given.keys().isdisjoint(kwargs)  # too many, twice
-            given = {**defaults, **given, **kwargs}  # missing or unknown names change its keys
+            given = {**self._defaults, **given, **kwargs}  # missing or unknown names change its keys
             if clash or given.keys() != fields.keys():
                 raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
-            args = [given[name] for name in fields]
-        self.__dict__.update(zip(fields, args))
+        self.__dict__.update(given)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -101,8 +101,7 @@ def _cases() -> dict:
                    (1.5, 0.5, 11), (0.5, 1.5, 1)],
         SffSweepSpec: [(), (0.01, 100.0, 201), (0.1, 10.0, 5, "linear", "absolute"),
                        (0.1, 10.0, 5, "log", "volts")],
-        SweepConfig: [tuple(vars(osc).values()), tuple(vars(osc).values()),
-                      tuple(vars(spin).values())],
+        SweepConfig: [_values(osc), _values(osc), _values(spin)],
         _ConstantK: [(), (1.0, 1.0), (0.1,), (0.1, NAN)],
         CheckResult: [("gauge-invariance", True, 0.0, 1e-12),
                       ("gauge-invariance", True, 0.0, 1e-12, ""), ("oracle", False, NAN, 1e-3)],
