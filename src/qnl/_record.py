@@ -15,9 +15,10 @@ class Record:
     def __init__(self, *args, **kwargs) -> None:
         fields, given = self._fields, zip(self._fields, args)
         if kwargs or len(args) != len(fields):
+            # TypeError for too many arguments, a field given twice, one missing or an unknown name
             given = dict(given)
-            clash = len(args) > len(fields) or not given.keys().isdisjoint(kwargs)  # too many, twice
-            given = {**self._defaults, **given, **kwargs}  # missing or unknown names change its keys
+            clash = len(args) > len(fields) or not given.keys().isdisjoint(kwargs)
+            given = {**self._defaults, **given, **kwargs}
             if clash or given.keys() != fields.keys():
                 raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
         self.__dict__.update(given)

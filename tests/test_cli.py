@@ -170,9 +170,10 @@ def test_number_too_large_for_a_float_exits_1(tmp_path, capsys):
     assert "config error: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, error", [(b'{"mode": "\xff"}', NOT_UTF8),
-                                         (DEEP.encode(), "JSON nested deeper than the recursion limit")],
-                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("text, error", [
+    (b'{"mode": "\xff"}', NOT_UTF8),
+    (DEEP.encode(), "JSON nested deeper than the recursion limit"),
+], ids=["not-utf8", "too-deep"])
 def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, text, error):
     path = tmp_path / "config.json"
     path.write_bytes(text)
